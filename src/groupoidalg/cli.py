@@ -706,10 +706,9 @@ def run(command, problem_path, args=()) -> tuple[str, int]:
     report = Report(" ".join([command, *[str(a) for a in args]]))
     try:
         problem = parse(problem_path)
-        handler = _DISPATCH[command]
-        handler(problem, list(args), report)
-    except KeyError:
-        return f"unknown command: {command}\n", 2
+        if command not in _DISPATCH:
+            return f"unknown command: {command}\n", 2
+        _DISPATCH[command](problem, list(args), report)
     except ProblemFileError as exc:
         return f"input error: {exc}\n", 2
     except ValueError as exc:

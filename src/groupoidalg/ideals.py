@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import TheoremViolation
 from .isotropy import Inclusion
-from .linalg import Subspace, mat_mul, right_kernel
+from .linalg import Subspace, operator_matrix, right_kernel, zero_vector
 from .modrep import (
     FdModule,
     all_invariant_subspaces,
@@ -35,6 +35,7 @@ from .modrep import (
     quotient_module,
     regular_module,
 )
+from .steinberg import twisted_product_table
 
 
 @dataclass
@@ -54,31 +55,40 @@ class Ideal:
 
 
 def induced_ideal(inclusion: Inclusion, x: int, I: Subspace) -> Subspace:
-    """The ideal of B induced from an ideal I of the isotropy algebra at x."""
+    """The ideal of B induced from an ideal I of the isotropy algebra at x.
+
+    One block of constraint rows per basis pair (alpha, beta): the matrix
+    of c -> I.reduce(E(x,x)(delta_alpha c delta_beta)).  Each product
+    delta_alpha e_k delta_beta is a single scaled delta read off the
+    product law, so a column costs one residual of E on an arrow.
+    """
     data = inclusion.isotropy_data(x, x)
     if not is_two_sided_ideal(data.presentation, I):
         raise ValueError("I is not a two-sided ideal of the isotropy algebra")
     f = inclusion.field
-    emat = inclusion.projection_matrix(x, x)
-    k = data.quotient.dim
-    # residual-after-I matrix on isotropy coordinates
-    reducer = []
-    for i in range(k):
-        e = tuple(f.one() if j == i else f.zero() for j in range(k))
-        reducer.append(I.reduce(e))
-    red = tuple(tuple(reducer[c][r] for c in range(k)) for r in range(k))
-    red_e = mat_mul(red, emat, f)
-    rows = []
     m = inclusion.m
+    law = twisted_product_table(inclusion.groupoid, inclusion.cocycle)
+    # residual[k] = I.reduce(E(x,x)(delta_k)), by linearity of the reduction
+    residual = [I.reduce(col) for col in zip(*inclusion.projection_matrix(x, x))]
+    zero = zero_vector(data.quotient.dim, f)
+
+    def sandwich(alpha, c, beta):
+        out = zero
+        for k, ck in enumerate(c):
+            if ck == 0 or (alpha, k) not in law:
+                continue
+            ak, w1 = law[(alpha, k)]
+            if (ak, beta) not in law:
+                continue
+            akb, w2 = law[(ak, beta)]
+            s = f.mul(ck, f.mul(w1, w2))
+            out = tuple(f.add(o, f.mul(s, r)) for o, r in zip(out, residual[akb]))
+        return out
+
+    rows = []
     for alpha in range(m):
-        la = inclusion._left[alpha]
         for beta in range(m):
-            rb = inclusion._right[beta]
-            conj = mat_mul(la, rb, f)
-            block = mat_mul(red_e, conj, f)
-            for row in block:
-                if any(c != 0 for c in row):
-                    rows.append(row)
+            rows.extend(operator_matrix(lambda c: sandwich(alpha, c, beta), m, f))
     basis = right_kernel(rows, m, f)
     out = Subspace.span(basis, m, f)
     if not is_two_sided_ideal(inclusion.B, out):
@@ -147,7 +157,9 @@ def enumerate_ideals(inclusion: Inclusion, budget=2**20):
     Exhaustive over GF(2)/GF(3) within the budget; sorted by (dim, basis)
     so reports are deterministic.
     """
-    mats = list(inclusion._left) + list(inclusion._right)
+    B = inclusion.B
+    basis = [B.basis_vector(i) for i in range(B.dim)]
+    mats = [B.left_mult_matrix(e) for e in basis] + [B.right_mult_matrix(e) for e in basis]
     return all_invariant_subspaces(mats, inclusion.m, inclusion.field, budget)
 
 

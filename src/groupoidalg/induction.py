@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import TheoremViolation, UnitalityError
 from .isotropy import Inclusion
-from .linalg import QuotientSpace, Subspace, mat_mul, mat_vec, right_kernel
+from .linalg import QuotientSpace, Subspace, mat_mul, mat_vec, operator_matrix, right_kernel
 from .modrep import (
     FdModule,
     annihilator,
@@ -422,14 +422,8 @@ def submodule_transfer(inclusion: Inclusion, ind: InducedModule, Z: Subspace) ->
                 raise ValueError("subspace is not invariant under the induced action")
     k = ind.inducing.dim
     # membership rows: the residual of embed(x, v) against Z must vanish
-    reducer_rows = []
-    embeds = [ind.embed(ind.x, ind.inducing.basis_vector(j)) for j in range(k)]
-    residuals = [Z.reduce(e) for e in embeds]
-    for r in range(mod.dim):
-        row = tuple(residuals[j][r] for j in range(k))
-        if any(c != 0 for c in row):
-            reducer_rows.append(row)
-    W = Subspace.span(right_kernel(reducer_rows, k, f), k, f)
+    rows = operator_matrix(lambda v: Z.reduce(ind.embed(ind.x, v)), k, f)
+    W = Subspace.span(right_kernel(rows, k, f), k, f)
     # verify the forward image: Ind(W) = span of all blocks of W
     image = Subspace.span(
         [ind.embed(y, w) for y in ind.orbit for w in W.basis], mod.dim, f

@@ -30,6 +30,7 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     mat_vec,
+    operator_matrix,
     right_kernel,
     solve_right,
 )
@@ -98,9 +99,12 @@ class IsotropyIsomorphism:
 class Inclusion:
     """Shared context for one groupoid, twist and coefficient field.
 
-    Caches the presentation of B, left/right multiplication matrices,
-    per-pair isotropy data and projection matrices; every downstream
+    Holds the presentation of B and caches per-pair isotropy data,
+    projection matrices and isotropy identifications; every downstream
     construction (bimodules, induction, induced ideals) runs through it.
+    Linear constraints on B, such as those cutting out C(y, x), are the
+    matrices (``linalg.operator_matrix``) of maps built from B's product
+    on basis vectors.
     """
 
     def __init__(self, groupoid: FiniteGroupoid, cocycle: Cocycle):
@@ -111,8 +115,6 @@ class Inclusion:
         self.field = cocycle.field
         self.B = presentation_of_B(groupoid, cocycle)
         self.m = self.B.dim
-        self._left = [self.B.left_mult_matrix(self.B.basis_vector(i)) for i in range(self.m)]
-        self._right = [self.B.right_mult_matrix(self.B.basis_vector(i)) for i in range(self.m)]
         self._data = {}
         self._emat = {}
         self._iso_cache = {}
@@ -149,37 +151,6 @@ class Inclusion:
     def multiply(self, u, v):
         return self.B.multiply(u, v)
 
-    def left_matrix(self, vec):
-        """Matrix of w -> vec * w."""
-        f = self.field
-        out = None
-        for i, c in enumerate(vec):
-            if c == 0:
-                continue
-            term = tuple(tuple(f.mul(c, e) for e in row) for row in self._left[i])
-            out = term if out is None else tuple(
-                tuple(f.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(out, term)
-            )
-        if out is None:
-            zero = tuple(f.zero() for _ in range(self.m))
-            out = tuple(zero for _ in range(self.m))
-        return out
-
-    def right_matrix(self, vec):
-        f = self.field
-        out = None
-        for i, c in enumerate(vec):
-            if c == 0:
-                continue
-            term = tuple(tuple(f.mul(c, e) for e in row) for row in self._right[i])
-            out = term if out is None else tuple(
-                tuple(f.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(out, term)
-            )
-        if out is None:
-            zero = tuple(f.zero() for _ in range(self.m))
-            out = tuple(zero for _ in range(self.m))
-        return out
-
     def subspace_product(self, S: Subspace, T: Subspace) -> Subspace:
         """span{s t} over basis pairs; bilinearity makes this the full product."""
         vectors = [self.multiply(s, t) for s in S.basis for t in T.basis]
@@ -203,18 +174,14 @@ class Inclusion:
         """{c : c J in I B, I c in B J} for ideals I, J of A (general entry point)."""
         IB = self.subspace_product(I, self.full_space())
         BJ = self.subspace_product(self.full_space(), J)
+        m, f = self.m, self.field
         rows = []
         for a in J.basis:
-            # constraint: IB.reduce(c * a) == 0, linear in c
-            ra = self.right_matrix(a)
-            for coord_row in _residual_rows(IB, ra, self.field):
-                rows.append(coord_row)
+            rows.extend(operator_matrix(lambda c: IB.reduce(self.multiply(c, a)), m, f))
         for a in I.basis:
-            la = self.left_matrix(a)
-            for coord_row in _residual_rows(BJ, la, self.field):
-                rows.append(coord_row)
-        basis = right_kernel(rows, self.m, self.field)
-        return Subspace.span(basis, self.m, self.field)
+            rows.extend(operator_matrix(lambda c: BJ.reduce(self.multiply(a, c)), m, f))
+        basis = right_kernel(rows, m, f)
+        return Subspace.span(basis, m, f)
 
     def isotropy_data_for_ideals(self, I: Subspace, J: Subspace) -> IsotropyData:
         """C/H data for a general s-unital ideal pair of A."""
@@ -270,18 +237,15 @@ class Inclusion:
                     raise TheoremViolation("product left the C space")
                 row.append(quotient.project(prod))
             table.append(row)
-        unit_coords = quotient.project(self._reduce_into(C, self.delta_vector(x)))
+        unit = self.delta_vector(x)
+        if unit not in C:
+            raise TheoremViolation("unit indicator fell outside C(x, x)")
+        unit_coords = quotient.project(unit)
         labels = [f"c{i}" for i in range(quotient.dim)]
         pres = AlgebraPresentation(self.field, labels, table, unit_coords)
         if not pres.check_unit():
             raise TheoremViolation("unit class of the isotropy algebra failed")
         return pres, unit_coords
-
-    def _reduce_into(self, C: Subspace, vec):
-        # delta at x lies in C(x, x); guard with an explicit membership check.
-        if vec not in C:
-            raise TheoremViolation("unit indicator fell outside C(x, x)")
-        return vec
 
     def isotropy_algebra(self, x) -> IsotropyData:
         return self.isotropy_data(x, x)
@@ -413,29 +377,3 @@ class Inclusion:
                     if a != 0:
                         out[j] = f.add(out[j], f.mul(c, a))
         return tuple(out)
-
-
-def _residual_rows(W: Subspace, action_matrix, field):
-    """Rows expressing 'W.reduce(M c) = 0' as linear constraints on c.
-
-    The reduction against an RREF basis is itself linear; composing with
-    the action matrix gives one constraint row per ambient coordinate.
-    """
-    m = len(action_matrix)
-    reducer = []
-    for i in range(m):
-        e = tuple(field.one() if j == i else field.zero() for j in range(m))
-        reducer.append(W.reduce(e))
-    # constraint rows: for each coordinate r, sum_c (reduce o M)[r][c] * v[c] = 0
-    rows = []
-    for r in range(m):
-        row = []
-        for c in range(m):
-            acc = field.zero()
-            for k in range(m):
-                if action_matrix[k][c] != 0 and reducer[k][r] != 0:
-                    acc = field.add(acc, field.mul(action_matrix[k][c], reducer[k][r]))
-            row.append(acc)
-        if any(v != 0 for v in row):
-            rows.append(tuple(row))
-    return rows

@@ -108,9 +108,9 @@ def rref(rows, field):
 
     Output rows are nonzero, pivot entries are 1, pivot columns strictly
     increase and are zero in every other row: the canonical basis of the
-    row space.
+    row space.  All-zero input rows are dropped up front.
     """
-    mat = [list(r) for r in rows]
+    mat = [list(r) for r in rows if any(c != 0 for c in r)]
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -166,14 +166,13 @@ def zero_vector(n, field):
     return (field.zero(),) * n
 
 
-def vec_add(u, v, field):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
+def operator_matrix(op, n, field):
+    """Matrix of a linear map given by its values: column k is op(e_k).
 
-def vec_sub(u, v, field):
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-def vec_scale(c, v, field):
-    return tuple(field.mul(c, a) for a in v)
+    ``op`` takes a coefficient tuple of length n; the rows of the result
+    are the coordinates of its output.
+    """
+    return tuple(zip(*(op(e) for e in identity_matrix(n, field))))
 
 
 def right_kernel(rows, ncols, field):

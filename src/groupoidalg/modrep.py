@@ -216,17 +216,6 @@ class _EchelonBasis:
         self.pivots.insert(idx, piv)
         return True
 
-    def contains(self, v) -> bool:
-        f = self.field
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != 0:
-                for j in range(p, self.n):
-                    if row[j] != 0:
-                        v[j] = f.sub(v[j], f.mul(c, row[j]))
-        return all(c == 0 for c in v)
-
     @property
     def dim(self):
         return len(self.rows)

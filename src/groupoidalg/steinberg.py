@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import BisectionRequired, NoPartialInverse
 from .groupoid import FiniteGroupoid
-from .linalg import Field, Subspace
+from .linalg import Field, Subspace, operator_matrix, right_kernel
 from .twist import Cocycle, bundle_inverse_coefficient
 
 
@@ -230,6 +230,9 @@ class AlgebraPresentation:
 
     ``table[i][j]`` is the dense coefficient tuple of basis_i * basis_j.
     The identity's coordinates, when present, are stored in ``unit``.
+    Operators on the algebra (left and right multiplication, the
+    commutator maps behind ``center``) are built column by column from
+    the images of basis vectors under ``multiply``.
     """
 
     def __init__(self, field: Field, labels, table, unit=None):
@@ -259,20 +262,11 @@ class AlgebraPresentation:
 
     def left_mult_matrix(self, u):
         """Matrix of v -> u * v acting on coefficient columns."""
-        cols = []
-        f = self.field
-        basis = [tuple(f.one() if i == j else f.zero() for i in range(self.dim)) for j in range(self.dim)]
-        for e in basis:
-            cols.append(self.multiply(u, e))
-        return tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim))
+        return operator_matrix(lambda v: self.multiply(u, v), self.dim, self.field)
 
     def right_mult_matrix(self, u):
-        cols = []
-        f = self.field
-        basis = [tuple(f.one() if i == j else f.zero() for i in range(self.dim)) for j in range(self.dim)]
-        for e in basis:
-            cols.append(self.multiply(e, u))
-        return tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim))
+        """Matrix of v -> v * u acting on coefficient columns."""
+        return operator_matrix(lambda v: self.multiply(v, u), self.dim, self.field)
 
     def basis_vector(self, i):
         f = self.field
@@ -304,20 +298,17 @@ class AlgebraPresentation:
 
     def center(self) -> Subspace:
         """The subspace of vectors commuting with every basis element."""
+        f = self.field
         rows = []
         for i in range(self.dim):
             ei = self.basis_vector(i)
-            left = self.left_mult_matrix(ei)
-            right = self.right_mult_matrix(ei)
-            for r in range(self.dim):
-                rows.append(
-                    tuple(
-                        self.field.sub(left[r][c], right[r][c]) for c in range(self.dim)
-                    )
-                )
-        from .linalg import right_kernel
-
-        basis = right_kernel(rows, self.dim, self.field)
+            rows.extend(operator_matrix(
+                lambda c: tuple(
+                    f.sub(a, b) for a, b in zip(self.multiply(ei, c), self.multiply(c, ei))
+                ),
+                self.dim, f,
+            ))
+        basis = right_kernel(rows, self.dim, f)
         return Subspace.span(basis, self.dim, self.field)
 
     def __repr__(self):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from groupoidalg import cli
 from groupoidalg.cli import format_problem, main, parse, run
 from groupoidalg.errors import ProblemFileError
 from groupoidalg.groupoid import pair_groupoid
@@ -130,6 +131,17 @@ def test_isotropy_command_on_gb():
 def test_unknown_command():
     out, code = run("nonsense", str(FIXTURES / "pair2.gkd"))
     assert code == 2
+    assert out == "unknown command: nonsense\n"
+
+
+def test_internal_keyerror_is_not_an_unknown_command(monkeypatch):
+    """A KeyError raised inside a handler is a bug, not bad input."""
+    def broken(problem, args, report):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli._DISPATCH, "validate", broken)
+    with pytest.raises(KeyError, match="internal"):
+        run("validate", str(FIXTURES / "pair2.gkd"))
 
 
 def test_unknown_suite():

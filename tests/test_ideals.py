@@ -1,10 +1,11 @@
 """Induced ideals, annihilator identities, and the decomposition theory."""
 
+import itertools
 import random
 
 import pytest
 
-from groupoidalg.groupoid import pair_groupoid
+from groupoidalg.groupoid import action_groupoid, cyclic_group_table, pair_groupoid
 from groupoidalg.ideals import (
     Ideal,
     effros_hahn_check,
@@ -29,12 +30,13 @@ from groupoidalg.modrep import (
     regular_module,
     submodule_module,
 )
-from groupoidalg.twist import Cocycle
+from groupoidalg.twist import Cocycle, coboundary
 
 from conftest import battery, make_gb, make_z2, quaternion_fixture
 
 GF2 = GF(2)
 GF3 = GF(3)
+GF7 = GF(7)
 
 
 def isotropy_module_battery(inc, x):
@@ -79,6 +81,42 @@ def test_annihilator_identity_battery():
                 lhs = annihilator(induce(inc, x, V).module)
                 rhs = induced_ideal(inc, x, annihilator(V))
                 assert lhs == rhs, name
+
+
+def brute_force_induced_ideal(inc, x, I):
+    """Exhaustive scan for {c : E(x,x)(delta_a c delta_b) in I for all arrows a, b}."""
+    f = inc.field
+    deltas = [inc.delta_vector(a) for a in range(inc.m)]
+    hits = []
+    for coords in itertools.product(range(f.p), repeat=inc.m):
+        c = tuple(f.of(v) for v in coords)
+        if all(
+            inc.isotropy_projection(x, inc.multiply(inc.multiply(da, c), db)) in I
+            for da in deltas
+            for db in deltas
+        ):
+            hits.append(c)
+    return Subspace.span(hits, inc.m, f)
+
+
+def test_twisted_induced_ideal_against_exhaustive_oracle():
+    """induced_ideal against a scan of B under coboundary twists with a value
+    other than 1, at a unit whose isotropy algebra has a proper nonzero ideal."""
+    z4_on_two_points = action_groupoid(
+        cyclic_group_table(4), [[(p + g) % 2 for p in range(2)] for g in range(4)]
+    )  # one orbit of two points, isotropy Z2
+    for g, field, scale in [(z4_on_two_points, GF3, 2), (make_gb(), GF7, 3)]:
+        cocycle = coboundary(g, field, {a: 1 if g.is_unit(a) else scale for a in g.arrows()})
+        assert set(cocycle.values.values()) - {field.one()}
+        inc = Inclusion(g, cocycle)
+        x = g.units[0]
+        iso = inc.isotropy_data(x, x).presentation
+        # the improper ideal induces B (test_improper_ideal_induces_everything)
+        ideals = [s for s in all_submodules(regular_module(iso))
+                  if s.dim < iso.dim and is_two_sided_ideal(iso, s)]
+        assert any(I.dim > 0 for I in ideals)
+        for I in ideals:
+            assert induced_ideal(inc, x, I) == brute_force_induced_ideal(inc, x, I)
 
 
 def test_primitive_from_isotropy_simple_algebra():

@@ -8,12 +8,13 @@ import pytest
 from groupoidalg.errors import NotAUnit
 from groupoidalg.isotropy import Inclusion
 from groupoidalg.linalg import GF, QQ, Subspace
-from groupoidalg.twist import Cocycle
+from groupoidalg.twist import Cocycle, coboundary
 
 from conftest import battery, make_gb, make_z2, quaternion_fixture
 
 GF2 = GF(2)
 GF3 = GF(3)
+GF7 = GF(7)
 
 
 def inclusion_battery(field, names=None):
@@ -97,31 +98,54 @@ def test_gb_l_space_codimension():
 # -- the C space -------------------------------------------------------------------
 
 
-def brute_force_C(inc, y, x):
-    """Exhaustive scan over all vectors of B over a small prime field."""
+def brute_force_C(inc, I, J):
+    """Exhaustive scan for {c : c J in I B, I c in B J} over a small prime field."""
     f = inc.field
     p = f.p
     m = inc.m
-    jy = inc.point_ideal(y).basis
-    jx = inc.point_ideal(x).basis
-    jb = inc.JB(y)
-    bj = inc.BJ(x)
+    ib = inc.subspace_product(I, inc.full_space())
+    bj = inc.subspace_product(inc.full_space(), J)
     hits = []
     for coords in itertools.product(range(p), repeat=m):
         v = tuple(f.of(c) for c in coords)
-        ok = all(inc.multiply(v, a) in jb for a in jx.basis) and all(
-            inc.multiply(a, v) in bj for a in jy.basis
+        ok = all(inc.multiply(v, a) in ib for a in J.basis) and all(
+            inc.multiply(a, v) in bj for a in I.basis
         )
         if ok:
             hits.append(v)
     return Subspace.span(hits, m, f)
 
 
+def point_ideal_pairs(inc):
+    for x in inc.groupoid.units:
+        for y in inc.groupoid.units:
+            yield y, x, inc.point_ideal(y).basis, inc.point_ideal(x).basis
+
+
 def test_compute_C_against_exhaustive_oracle():
     for name, inc in inclusion_battery(GF2, ["pair2", "gb"]):
-        for x in inc.groupoid.units:
-            for y in inc.groupoid.units:
-                assert inc.compute_C(y, x) == brute_force_C(inc, y, x), name
+        for y, x, I, J in point_ideal_pairs(inc):
+            assert inc.compute_C(y, x) == brute_force_C(inc, I, J), name
+
+
+def test_twisted_C_against_exhaustive_oracle():
+    """C under a coboundary twist with values outside {1, -1}, at point ideals
+    and at a pair of ideals of A that are not point ideals.
+
+    GF(7), not GF(3): over GF(3) every scalar is +-1, and every coboundary
+    on the Z2 fibre of gb is identically 1 (w(t, t) = b(t)^2 = 1).
+    """
+    for name, g, _ in battery(GF7, ["pair2", "gb"]):
+        cocycle = coboundary(g, GF7, {a: 1 if g.is_unit(a) else 3 for a in g.arrows()})
+        assert set(cocycle.values.values()) - {GF7.one(), GF7.of(-1)}, name
+        inc = Inclusion(g, cocycle)
+        for y, x, I, J in point_ideal_pairs(inc):
+            assert inc.compute_C(y, x) == brute_force_C(inc, I, J), name
+        if name == "gb":
+            units = g.units
+            I = Subspace.span([inc.delta_vector(units[0])], inc.m, GF7)
+            J = Subspace.span([inc.delta_vector(units[1])], inc.m, GF7)
+            assert inc.c_space_for_ideals(I, J) == brute_force_C(inc, I, J)
 
 
 def test_singleton_normalizers_inside_C():
