@@ -83,6 +83,14 @@ class ProblemFile:
         self.modules: dict = modules  # name -> (dim, algebra_token, [rows])
 
 
+def _integer(token, what, line=None) -> int:
+    """An integer token of the input; anything else is a ProblemFileError."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ProblemFileError(f"{what} must be an integer, got {token!r}", line=line) from None
+
+
 def _tokenize(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -135,13 +143,13 @@ def parse(path) -> ProblemFile:
                     if len(toks) != 3:
                         fail("[field] GF needs a prime", no)
                     try:
-                        field = GF(int(toks[2]))
+                        field = GF(_integer(toks[2], "prime", no))
                     except ValueError as exc:
                         fail(str(exc), no)
                 else:
                     fail("field must be Q or GF <p>", no)
             elif name == "units":
-                units = [int(t) for t in toks[1:]]
+                units = [_integer(t, "unit", no) for t in toks[1:]]
             elif name == "element":
                 if len(toks) != 2:
                     fail("[element] needs a name", no)
@@ -155,7 +163,7 @@ def parse(path) -> ProblemFile:
                 section_arg = toks[1]
                 if section_arg in modules:
                     fail(f"duplicate module name {section_arg}", no)
-                modules[section_arg] = (int(toks[2]), toks[3], [])
+                modules[section_arg] = (_integer(toks[2], "module dim", no), toks[3], [])
             continue
         if section is None:
             fail("content before any section", no)
@@ -164,11 +172,11 @@ def parse(path) -> ProblemFile:
         if section == "arrows":
             if len(toks) != 4:
                 fail("arrow line needs: id src tgt inv", no)
-            arrow_rows.append((no, [int(t) for t in toks]))
+            arrow_rows.append((no, [_integer(t, "arrow id", no) for t in toks]))
         elif section == "compose":
             if len(toks) != 3:
                 fail("compose line needs: a b ab", no)
-            compose_rows.append((no, [int(t) for t in toks]))
+            compose_rows.append((no, [_integer(t, "arrow id", no) for t in toks]))
         elif section == "cocycle":
             if len(toks) != 3:
                 fail("cocycle line needs: a b value", no)
@@ -176,7 +184,7 @@ def parse(path) -> ProblemFile:
         elif section == "element":
             if len(toks) != 2:
                 fail("element line needs: arrow value", no)
-            elements[section_arg].append((no, int(toks[0]), toks[1]))
+            elements[section_arg].append((no, _integer(toks[0], "arrow id", no), toks[1]))
         elif section == "module":
             dim, token, rows = modules[section_arg]
             rows.append((no, toks))
@@ -223,7 +231,7 @@ def parse(path) -> ProblemFile:
 
     cvals = {}
     for no, (a, b, val) in cocycle_rows:
-        a, b = int(a), int(b)
+        a, b = _integer(a, "arrow id", no), _integer(b, "arrow id", no)
         try:
             cvals[(a, b)] = field.parse(val)
         except (ValueError, ZeroDivisionError) as exc:
@@ -330,7 +338,9 @@ def _build_module(problem: ProblemFile, inclusion: Inclusion, name) -> FdModule:
     if token == "B":
         algebra = inclusion.B
     elif token.startswith("isotropy:"):
-        x = int(token.split(":", 1)[1])
+        x = _integer(token.split(":", 1)[1], "unit")
+        if not problem.groupoid.is_unit(x):
+            raise ProblemFileError(f"module {name}: {x} is not a unit")
         algebra = inclusion.isotropy_data(x, x).presentation
     else:
         raise ProblemFileError(f"unknown algebra token {token!r}")
@@ -340,7 +350,10 @@ def _build_module(problem: ProblemFile, inclusion: Inclusion, name) -> FdModule:
             f"module {name}: got {len(rows)} rows, expected {expected}"
         )
     mats = [rows[i * dim:(i + 1) * dim] for i in range(algebra.dim)]
-    return FdModule(algebra, mats, name)
+    try:
+        return FdModule(algebra, mats, name)
+    except ValueError as exc:
+        raise ProblemFileError(f"module {name}: {exc}") from exc
 
 
 def _validated_inclusion(problem: ProblemFile, report: Report):
@@ -392,7 +405,7 @@ def cmd_algebra(problem: ProblemFile, args, report: Report):
 def cmd_isotropy(problem: ProblemFile, args, report: Report):
     if len(args) != 1:
         raise ProblemFileError("isotropy needs a unit: isotropy <x>")
-    x = int(args[0])
+    x = _integer(args[0], "unit")
     inclusion = _validated_inclusion(problem, report)
     if inclusion is None:
         return
@@ -428,13 +441,15 @@ def cmd_isotropy(problem: ProblemFile, args, report: Report):
 def cmd_induce(problem: ProblemFile, args, report: Report):
     if len(args) != 2:
         raise ProblemFileError("induce needs: induce <x> <module>")
-    x = int(args[0])
+    x = _integer(args[0], "unit")
     if not problem.groupoid.is_unit(x):
         raise ProblemFileError(f"{x} is not a unit")
     inclusion = _validated_inclusion(problem, report)
     if inclusion is None:
         return
     V = _build_module(problem, inclusion, args[1])
+    if V.algebra.table != inclusion.isotropy_data(x, x).presentation.table:
+        raise ProblemFileError(f"induce expects a module over isotropy:{x}")
     violation = check_module(V)
     report.check("module_axioms", violation is None, str(violation) if violation else "")
     if violation is not None:
@@ -456,7 +471,7 @@ def cmd_induce(problem: ProblemFile, args, report: Report):
 def cmd_restrict(problem: ProblemFile, args, report: Report):
     if len(args) != 2:
         raise ProblemFileError("restrict needs: restrict <x> <module>")
-    x = int(args[0])
+    x = _integer(args[0], "unit")
     if not problem.groupoid.is_unit(x):
         raise ProblemFileError(f"{x} is not a unit")
     inclusion = _validated_inclusion(problem, report)
@@ -481,6 +496,8 @@ def cmd_germs(problem: ProblemFile, args, report: Report):
     if inclusion is None:
         return
     V = _build_module(problem, inclusion, args[0])
+    if V.algebra is not inclusion.B:
+        raise ProblemFileError("germs expects a module over B")
     report.section("germ spaces")
     nonzero = []
     for x in problem.groupoid.units:
@@ -710,8 +727,6 @@ def run(command, problem_path, args=()) -> tuple[str, int]:
             return f"unknown command: {command}\n", 2
         _DISPATCH[command](problem, list(args), report)
     except ProblemFileError as exc:
-        return f"input error: {exc}\n", 2
-    except ValueError as exc:
         return f"input error: {exc}\n", 2
     except GroupoidAlgError as exc:
         report.check("internal_consistency", False, str(exc))

@@ -29,10 +29,12 @@ from .groupoid import FiniteGroupoid
 from .linalg import (
     QuotientSpace,
     Subspace,
+    combine,
+    identity_matrix,
     mat_vec,
     operator_matrix,
     right_kernel,
-    solve_right,
+    rref,
 )
 from .steinberg import AlgebraPresentation, presentation_of_B, twisted_group_algebra
 from .twist import Cocycle, restrict_to_isotropy
@@ -172,28 +174,30 @@ class Inclusion:
 
     def c_space_for_ideals(self, I: Subspace, J: Subspace) -> Subspace:
         """{c : c J in I B, I c in B J} for ideals I, J of A (general entry point)."""
-        IB = self.subspace_product(I, self.full_space())
-        BJ = self.subspace_product(self.full_space(), J)
+        return self._c_space(I, J, *self._sided_products(I, J))
+
+    def _sided_products(self, I, J):
+        full = self.full_space()
+        return self.subspace_product(I, full), self.subspace_product(full, J)
+
+    def _c_space(self, I, J, IB, BJ) -> Subspace:
         m, f = self.m, self.field
         rows = []
         for a in J.basis:
             rows.extend(operator_matrix(lambda c: IB.reduce(self.multiply(c, a)), m, f))
         for a in I.basis:
             rows.extend(operator_matrix(lambda c: BJ.reduce(self.multiply(a, c)), m, f))
-        basis = right_kernel(rows, m, f)
-        return Subspace.span(basis, m, f)
+        return Subspace.span(right_kernel(rows, m, f), m, f)
 
     def isotropy_data_for_ideals(self, I: Subspace, J: Subspace) -> IsotropyData:
-        """C/H data for a general s-unital ideal pair of A."""
-        C = self.c_space_for_ideals(I, J)
-        IB = self.subspace_product(I, self.full_space())
-        BJ = self.subspace_product(self.full_space(), J)
+        """C/H data for a general s-unital ideal pair of A; asserts H = C cap L."""
+        IB, BJ = self._sided_products(I, J)
+        C = self._c_space(I, J, IB, BJ)
         L = IB.add(BJ)
         H = self.subspace_product(IB, J)
         if C.intersect(L) != H:
             raise TheoremViolation("H = C intersect L failed for the given ideal pair")
-        quotient = QuotientSpace(C, H)
-        return IsotropyData(None, None, C, H, L, quotient)
+        return IsotropyData(None, None, C, H, L, QuotientSpace(C, H))
 
     def compute_C(self, y, x) -> Subspace:
         return self.c_space_for_ideals(
@@ -205,19 +209,16 @@ class Inclusion:
         key = (y, x)
         if key in self._data:
             return self._data[key]
-        C = self.compute_C(y, x)
-        jb, bj, L = self.left_right_spaces(y, x)
-        H = self.subspace_product(jb, self.point_ideal(x).basis)
-        if C.intersect(L) != H:
-            raise TheoremViolation(f"H({y},{x}) = C intersect L failed")
-        if C.add(L).dim != self.m:
+        data = self.isotropy_data_for_ideals(
+            self.point_ideal(y).basis, self.point_ideal(x).basis
+        )
+        if data.C.add(data.L).dim != self.m:
             raise TheoremViolation(f"regularity B = C + L failed at ({y}, {x})")
-        quotient = QuotientSpace(C, H)
-        presentation = None
-        unit_coords = None
+        data.y, data.x = y, x
         if y == x:
-            presentation, unit_coords = self._build_isotropy_presentation(x, C, H, quotient)
-        data = IsotropyData(y, x, C, H, L, quotient, presentation, unit_coords)
+            data.presentation, data.unit_coords = self._build_isotropy_presentation(
+                x, data.C, data.H, data.quotient
+            )
         self._data[key] = data
         return data
 
@@ -255,51 +256,27 @@ class Inclusion:
     def projection_matrix(self, y, x):
         """Matrix of E(y, x): rows are quotient coordinates, columns arrows.
 
-        Built by one global solve expressing each basis arrow as c + l
-        with c in C and l in L; well-definedness is guaranteed by
-        H = C intersect L and double-checked on a decomposition sample.
+        Regularity (B = C + L) and H = C intersect L make the section basis
+        of C/H together with a basis of L a basis of B.  One row reduction
+        of [section ; L basis | identity] inverts that basis: the row with
+        pivot at arrow a writes delta_a as a combination of the stacked
+        rows, and its section coefficients are E(y, x)(delta_a).
         """
         key = (y, x)
         if key in self._emat:
             return self._emat[key]
         data = self.isotropy_data(y, x)
-        stack = list(data.C.basis) + list(data.L.basis)
-        cols = len(stack)
-        transposed = tuple(
-            tuple(stack[j][i] for j in range(cols)) for i in range(self.m)
-        )
-        kernel = right_kernel(transposed, cols, self.field)
-        columns = []
-        for arrow in range(self.m):
-            target = self.delta_vector(arrow)
-            sol = solve_right(transposed, target, self.field)
-            if sol is None:
-                raise TheoremViolation(f"decomposition b = c + l failed at arrow {arrow}")
-            c_part = self._combine(data.C.basis, sol[: data.C.dim])
-            coords = data.quotient.project(c_part)
-            if kernel:
-                alt = tuple(
-                    self.field.add(a, b) for a, b in zip(sol, kernel[0])
-                )
-                alt_part = self._combine(data.C.basis, alt[: data.C.dim])
-                if data.quotient.project(alt_part) != coords:
-                    raise TheoremViolation("projection depends on the decomposition")
-            columns.append(coords)
+        stack = data.quotient.section_basis + data.L.basis
+        eye = identity_matrix(len(stack), self.field)
+        reduced, pivots = rref([s + e for s, e in zip(stack, eye)], self.field)
+        if pivots != list(range(self.m)):
+            raise TheoremViolation(f"section and L do not form a basis of B at ({y}, {x})")
+        d = data.quotient.dim
         mat = tuple(
-            tuple(columns[a][r] for a in range(self.m)) for r in range(data.quotient.dim)
+            tuple(reduced[a][self.m + r] for a in range(self.m)) for r in range(d)
         )
         self._emat[key] = mat
         return mat
-
-    def _combine(self, basis, coeffs):
-        f = self.field
-        out = [f.zero()] * self.m
-        for c, row in zip(coeffs, basis):
-            if c != 0:
-                for j, a in enumerate(row):
-                    if a != 0:
-                        out[j] = f.add(out[j], f.mul(c, a))
-        return tuple(out)
 
     def isotropy_projection(self, x, vec):
         """E(x, x) applied to an element or coefficient vector; quotient coords."""
@@ -359,21 +336,10 @@ class Inclusion:
         for i in range(data.dim):
             for j in range(data.dim):
                 prod_coords = data.presentation.table[i][j]
-                lhs = self._restrict_coords(matrix, prod_coords)
+                lhs = combine(prod_coords, matrix, self.field)
                 rhs = group_pres.multiply(matrix[i], matrix[j])
                 if lhs != rhs:
                     raise TheoremViolation("structure constants do not match")
         cert = IsotropyIsomorphism(x, members, matrix, data.presentation, group_pres)
         self._iso_cache[x] = cert
         return cert
-
-    def _restrict_coords(self, matrix, coords):
-        f = self.field
-        n = len(matrix[0]) if matrix else 0
-        out = [f.zero()] * n
-        for c, row in zip(coords, matrix):
-            if c != 0:
-                for j, a in enumerate(row):
-                    if a != 0:
-                        out[j] = f.add(out[j], f.mul(c, a))
-        return tuple(out)

@@ -5,12 +5,19 @@ row-reduced echelon bases make subspace equality a syntactic check, and
 quotients come with a deterministic section (coset representatives with
 zeros in the kernel's pivot columns).
 
+All elimination goes through one incremental echelon engine: ``eliminate``
+reduces a vector against an RREF basis and ``insert_row`` adds one to it;
+``rref``, subspace membership and invariant closures are built on them.
+All linear combinations of rows, matrix products included, go through
+``combine``, which skips zero coefficients and zero entries.
+
 Scalars are `fractions.Fraction` over the rationals and plain ints in
 ``[0, p)`` over GF(p).  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 
 from .errors import ContainmentError, DimensionMismatch
@@ -67,7 +74,7 @@ class Field:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p) if self.p is not None else 1 / a
+        return pow(a, -1, self.p) if self.p is not None else 1 / Fraction(a)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -103,39 +110,76 @@ def GF(p: int) -> Field:
 # matrix helpers (rows are tuples of field scalars)
 
 
+def eliminate(v, basis, pivots, field):
+    """Residual of v after clearing the pivot columns of an RREF basis.
+
+    Returns a list; it is all zero iff v lies in the span of the basis.
+    """
+    v = list(v)
+    for row, pc in zip(basis, pivots):
+        c = v[pc]
+        if c != 0:
+            for j in range(pc, len(v)):
+                if row[j] != 0:
+                    v[j] = field.sub(v[j], field.mul(c, row[j]))
+    return v
+
+
+def insert_row(basis, pivots, v, field) -> bool:
+    """Add v to an RREF basis held in two lists, in place.
+
+    Returns False, changing nothing, when v already lies in the span.
+    Otherwise the residual of v is scaled to a leading 1 (every entry, so
+    over the rationals every entry is a `Fraction`), cleared out of the
+    other rows and inserted in pivot order, keeping the basis fully
+    reduced.
+    """
+    v = eliminate(v, basis, pivots, field)
+    piv = next((j for j, c in enumerate(v) if c != 0), None)
+    if piv is None:
+        return False
+    inv = field.inv(v[piv])
+    v = [field.mul(inv, c) for c in v]
+    for row in basis:
+        c = row[piv]
+        if c != 0:
+            for j in range(piv, len(v)):
+                if v[j] != 0:
+                    row[j] = field.sub(row[j], field.mul(c, v[j]))
+    idx = bisect.bisect(pivots, piv)
+    basis.insert(idx, v)
+    pivots.insert(idx, piv)
+    return True
+
+
 def rref(rows, field):
     """Reduced row echelon form.  Returns (rows, pivot_columns).
 
     Output rows are nonzero, pivot entries are 1, pivot columns strictly
     increase and are zero in every other row: the canonical basis of the
-    row space.  All-zero input rows are dropped up front.
+    row space.  Built by inserting the rows one at a time.
     """
-    mat = [list(r) for r in rows if any(c != 0 for c in r)]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = field.inv(mat[row][col])
-        mat[row] = [field.mul(inv, v) for v in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [field.sub(mat[r][c], field.mul(f, mat[row][c])) for c in range(ncols)]
-        pivots.append(col)
-        row += 1
-        if row == len(mat):
-            break
-    return [tuple(r) for r in mat[:row]], pivots
+    basis, pivots = [], []
+    for r in rows:
+        insert_row(basis, pivots, r, field)
+        if basis and len(basis) == len(basis[0]):
+            break  # full rank: every remaining row lies in the span
+    return [tuple(r) for r in basis], pivots
+
+
+def combine(coeffs, rows, field):
+    """The linear combination sum_i coeffs[i] * rows[i] as a tuple.
+
+    Zero coefficients and zero entries are skipped.  The rows share one
+    length; an empty family combines to ().
+    """
+    out = [field.zero()] * (len(rows[0]) if rows else 0)
+    for c, row in zip(coeffs, rows):
+        if c != 0:
+            for j, a in enumerate(row):
+                if a != 0:
+                    out[j] = field.add(out[j], field.mul(c, a))
+    return tuple(out)
 
 
 def mat_vec(mat, vec, field):
@@ -153,8 +197,8 @@ def _dot(u, v, field):
 
 
 def mat_mul(a, b, field):
-    bt = list(zip(*b))
-    return tuple(tuple(_dot(row, col, field) for col in bt) for row in a)
+    """The product a b: row r is the combination of b's rows by a's row r."""
+    return tuple(combine(row, b, field) for row in a)
 
 
 def identity_matrix(n, field):
@@ -259,15 +303,7 @@ class Subspace:
         """Residual of v after eliminating this basis (zero iff v in self)."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(f"vector length {len(v)} vs {self.ambient_dim}")
-        field = self.field
-        v = list(v)
-        for row, pc in zip(self.basis, self.pivots):
-            c = v[pc]
-            if c != 0:
-                for j in range(pc, self.ambient_dim):
-                    if row[j] != 0:
-                        v[j] = field.sub(v[j], field.mul(c, row[j]))
-        return tuple(v)
+        return tuple(eliminate(v, self.basis, self.pivots, self.field))
 
     def membership(self, v):
         """Coordinates of v over the basis if v lies here, else None.
@@ -288,14 +324,9 @@ class Subspace:
         return all(v in self for v in other.basis)
 
     def from_coordinates(self, coords):
-        field = self.field
-        out = [field.zero()] * self.ambient_dim
-        for c, row in zip(coords, self.basis):
-            if c != 0:
-                for j, a in enumerate(row):
-                    if a != 0:
-                        out[j] = field.add(out[j], field.mul(c, a))
-        return tuple(out)
+        if not self.basis:
+            return zero_vector(self.ambient_dim, self.field)
+        return combine(coords, self.basis, self.field)
 
     def add(self, other) -> "Subspace":
         self._check_ambient(other)

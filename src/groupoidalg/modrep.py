@@ -31,7 +31,9 @@ from .isotropy import Inclusion
 from .linalg import (
     QuotientSpace,
     Subspace,
+    combine,
     identity_matrix,
+    insert_row,
     mat_mul,
     mat_vec,
     right_kernel,
@@ -180,50 +182,6 @@ def quotient_module(module: FdModule, W: Subspace, name="") -> FdModule:
 # invariant subspace enumeration
 
 
-class _EchelonBasis:
-    """Incremental RREF row basis with cheap membership-insert."""
-
-    __slots__ = ("field", "n", "rows", "pivots")
-
-    def __init__(self, field, n):
-        self.field = field
-        self.n = n
-        self.rows = []
-        self.pivots = []
-
-    def insert(self, v) -> bool:
-        f = self.field
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != 0:
-                for j in range(p, self.n):
-                    if row[j] != 0:
-                        v[j] = f.sub(v[j], f.mul(c, row[j]))
-        piv = next((j for j, c in enumerate(v) if c != 0), None)
-        if piv is None:
-            return False
-        inv = f.inv(v[piv])
-        v = [f.mul(inv, c) for c in v]
-        for row in self.rows:
-            c = row[piv]
-            if c != 0:
-                for j in range(piv, self.n):
-                    if v[j] != 0:
-                        row[j] = f.sub(row[j], f.mul(c, v[j]))
-        idx = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
-        self.rows.insert(idx, v)
-        self.pivots.insert(idx, piv)
-        return True
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def subspace(self) -> Subspace:
-        return Subspace(self.n, self.field, [tuple(r) for r in self.rows], tuple(self.pivots))
-
-
 def _gf2_column_masks(matrices, dim):
     """Per matrix, the list of column bitmasks (bit r set when M[r][c] = 1)."""
     out = []
@@ -297,25 +255,17 @@ def closure_under(matrices, seeds, dim, field) -> Subspace:
                     mask |= 1 << i
             ints.append(mask)
         return _gf2_rows_to_subspace(_gf2_closure(masks, ints, dim), dim, field)
-    basis = _EchelonBasis(field, dim)
-    columns = [list(zip(*m)) for m in matrices]
+    basis, pivots = [], []
+    columns = [tuple(zip(*m)) for m in matrices]
     stack = [tuple(s) for s in seeds]
     while stack:
         v = stack.pop()
-        if not basis.insert(v):
+        if not insert_row(basis, pivots, v, field):
             continue
-        if basis.dim == dim:
+        if len(basis) == dim:
             return Subspace.full(dim, field)
-        for cols in columns:
-            img = [field.zero()] * dim
-            for c, coef in enumerate(v):
-                if coef != 0:
-                    col = cols[c]
-                    for r in range(dim):
-                        if col[r] != 0:
-                            img[r] = field.add(img[r], field.mul(coef, col[r]))
-            stack.append(tuple(img))
-    return basis.subspace()
+        stack.extend(combine(v, cols, field) for cols in columns)
+    return Subspace(dim, field, [tuple(r) for r in basis], pivots)
 
 
 def generated_submodule(module: FdModule, vectors) -> Subspace:
@@ -770,22 +720,14 @@ def find_module_isomorphism(m1: FdModule, m2: FdModule):
         for coords in itertools.product(range(f.p), repeat=len(basis)):
             if all(c == 0 for c in coords):
                 continue
-            flat = [f.zero()] * (d * d)
-            for c, b in zip(coords, basis):
-                if c:
-                    flat = [f.add(x, f.mul(c, y)) for x, y in zip(flat, b)]
-            mat = to_matrix(flat)
+            mat = to_matrix(combine(coords, basis, f))
             if invertible(mat):
                 return mat
         return None
     for coords in itertools.product(range(-2, 3), repeat=min(len(basis), 3)):
         if all(c == 0 for c in coords):
             continue
-        flat = [f.zero()] * (d * d)
-        for c, b in zip(coords, basis[: len(coords)]):
-            if c:
-                flat = [f.add(x, f.mul(f.of(c), y)) for x, y in zip(flat, b)]
-        mat = to_matrix(flat)
+        mat = to_matrix(combine([f.of(c) for c in coords], basis, f))
         if invertible(mat):
             return mat
     return None

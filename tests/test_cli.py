@@ -144,6 +144,22 @@ def test_internal_keyerror_is_not_an_unknown_command(monkeypatch):
         run("validate", str(FIXTURES / "pair2.gkd"))
 
 
+def test_internal_valueerror_is_not_an_input_error(monkeypatch):
+    """A ValueError raised inside a handler is a bug, not bad input."""
+    def broken(problem, args, report):
+        raise ValueError("bug inside handler")
+
+    monkeypatch.setitem(cli._DISPATCH, "validate", broken)
+    with pytest.raises(ValueError, match="bug inside handler"):
+        run("validate", str(FIXTURES / "pair2.gkd"))
+
+
+def test_non_integer_unit_is_input_error():
+    out, code = run("isotropy", str(FIXTURES / "pair2.gkd"), ["abc"])
+    assert code == 2
+    assert out.startswith("input error:")
+
+
 def test_unknown_suite():
     out, code = run("verify", str(FIXTURES / "pair2.gkd"), ["wobble"])
     assert code == 2
@@ -199,6 +215,22 @@ def test_module_commands(tmp_path):
     out, code = run("germs", path, ["col"])
     assert code == 0
     assert "prop_12_7: PASS" in out
+
+
+def test_module_input_errors_exit_two(tmp_path):
+    """A module over the wrong algebra, or a non-unit or non-integer token,
+    is bad input: exit 2, not a failed check or an uncaught exception."""
+    text = format_problem(GF(3), pair_groupoid(2), None)
+    text += "[module] triv 1 isotropy:0\n1\n[module] nowhere 1 isotropy:1\n1\n"
+    text += "[module] col 2 B\n" + "0 0\n" * 8
+    path = write(tmp_path, text)
+    for command, args in [("induce", ["0", "col"]), ("germs", ["triv"]),
+                          ("germs", ["nowhere"])]:
+        out, code = run(command, path, args)
+        assert code == 2, (command, args, out)
+        assert out.startswith("input error:"), (command, args, out)
+    out, code = run("validate", write(tmp_path, "[field] Q\n[units] 0 a\n", "bad.gkd"))
+    assert (code, out) == (2, "input error: line 2: unit must be an integer, got 'a'\n")
 
 
 def test_effros_hahn_and_q1215_commands():

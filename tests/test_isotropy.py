@@ -7,7 +7,7 @@ import pytest
 
 from groupoidalg.errors import NotAUnit
 from groupoidalg.isotropy import Inclusion
-from groupoidalg.linalg import GF, QQ, Subspace
+from groupoidalg.linalg import GF, QQ, Subspace, combine, solve_right
 from groupoidalg.twist import Cocycle, coboundary
 
 from conftest import battery, make_gb, make_z2, quaternion_fixture
@@ -264,11 +264,42 @@ def test_projection_matches_restriction_under_identification():
             cert = inc.identify_with_twisted_group_algebra(x)
             for a in g.arrows():
                 coords = inc.isotropy_projection(x, inc.delta_vector(a))
-                restricted = inc._restrict_coords(cert.matrix, coords)
+                restricted = combine(coords, cert.matrix, QQ)
                 expected = tuple(
                     QQ.one() if (m == a) else QQ.zero() for m in cert.members
                 )
                 assert restricted == expected, name
+
+
+def projection_oracle(inc, y, x):
+    """E(y, x) one arrow at a time: solve delta_a = c + l with c in C and
+    l in L, then project c onto C/H."""
+    data = inc.isotropy_data(y, x)
+    stack = data.C.basis + data.L.basis
+    system = tuple(zip(*stack))  # column j is the j-th stacked basis vector
+    columns = []
+    for a in range(inc.m):
+        sol = solve_right(system, inc.delta_vector(a), inc.field)
+        assert sol is not None, f"delta_{a} is not in C + L"
+        columns.append(data.quotient.project(data.C.from_coordinates(sol[: data.C.dim])))
+    return tuple(tuple(col[r] for col in columns) for r in range(data.dim))
+
+
+def test_projection_matrix_against_per_arrow_oracle():
+    """E(y, x) at every unit pair, pairs in different orbits (B(y, x) = 0)
+    included: over Q with trivial and quaternion twists, and over GF(7)
+    under a coboundary twist that takes the value 2."""
+    cases = battery(QQ) + [("v4quat", *quaternion_fixture(QQ))]
+    for name, g, _ in battery(GF7):
+        values = {a: 1 if g.is_unit(a) else 3 for a in g.arrows()}
+        cases.append((name, g, coboundary(g, GF7, values)))
+    empty_pairs = 0
+    for name, g, cocycle in cases:
+        inc = Inclusion(g, cocycle)
+        for y, x, _, _ in point_ideal_pairs(inc):
+            assert inc.projection_matrix(y, x) == projection_oracle(inc, y, x), name
+            empty_pairs += inc.isotropy_data(y, x).dim == 0
+    assert empty_pairs > 0
 
 
 def test_identification_trivial_isotropy():

@@ -19,13 +19,18 @@ from groupoidalg.linalg import (
     QQ,
     Field,
     Subspace,
+    combine,
+    eliminate,
+    insert_row,
     quotient,
     right_kernel,
+    rref,
     span,
 )
 
 GF3 = GF(3)
 GF5 = GF(5)
+GF7 = GF(7)
 
 
 # -- independent oracles -----------------------------------------------------
@@ -303,3 +308,65 @@ def test_span_idempotence_property(rows):
     s = span(rows, 3, GF5)
     assert span(s.basis, 3, GF5) == s
     assert s.add(s) == s
+
+
+# -- the echelon engine: rref and insert_row ------------------------------------------
+
+
+@st.composite
+def engine_inputs(draw, field):
+    """(rows, candidate, rng) over the field: a small matrix, one vector
+    that is either a combination of its rows or arbitrary, and a seeded
+    random source.  Rational entries mix ints and Fractions."""
+    ncols = draw(st.integers(1, 4))
+    if field.p is None:
+        scalar = st.builds(
+            lambda n, d: n if d == 1 else Fraction(n, d),
+            st.integers(-3, 3), st.integers(1, 3),
+        )
+    else:
+        scalar = st.integers(0, field.p - 1)
+    vector = st.tuples(*[scalar] * ncols)
+    rows = draw(st.lists(vector, min_size=0, max_size=4))
+    if rows and draw(st.booleans()):
+        coeffs = [field.of(c) for c in draw(st.lists(scalar, min_size=len(rows),
+                                                      max_size=len(rows)))]
+        candidate = combine(coeffs, [tuple(map(field.of, r)) for r in rows], field)
+    else:
+        candidate = draw(vector)
+    return rows, candidate, draw(st.randoms(use_true_random=False))
+
+
+@pytest.mark.parametrize("field", [QQ, GF7], ids=["Q", "GF7"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_echelon_engine_properties(field, data):
+    rows, candidate, rng = data.draw(engine_inputs(field))
+    basis, pivots = rref(rows, field)
+
+    # canonical under row permutation and under adding a multiple of a row
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    assert rref(shuffled, field) == (basis, pivots)
+    if len(rows) >= 2:
+        i, j = rng.sample(range(len(rows)), 2)
+        c = field.of(rng.randint(1, 4))
+        mixed = rows[:]
+        mixed[i] = tuple(field.add(field.of(a), field.mul(c, field.of(b)))
+                         for a, b in zip(rows[i], rows[j]))
+        assert rref(mixed, field) == (basis, pivots)
+
+    # every input row lies in the span of the output
+    for r in rows:
+        assert all(v == 0 for v in eliminate(r, basis, pivots, field))
+    if field.p is None:
+        assert all(isinstance(v, Fraction) for row in basis for v in row)
+
+    # insert_row reports False exactly for vectors already in the span
+    in_span = rank_oracle(rows + [candidate], field) == rank_oracle(rows, field)
+    grown, grown_pivots = [list(r) for r in basis], list(pivots)
+    assert insert_row(grown, grown_pivots, candidate, field) is not in_span
+    expected = rref(rows + [candidate], field)
+    assert ([tuple(r) for r in grown], grown_pivots) == expected
+    if field.p is None:
+        assert all(isinstance(v, Fraction) for row in grown for v in row)
