@@ -137,9 +137,9 @@ def parse(path) -> ProblemFile:
             order_pos = pos
             section = name
             if name == "field":
-                if toks[1] == "Q":
+                if toks[1:] == ["Q"]:
                     field = QQ
-                elif toks[1] == "GF":
+                elif toks[1:2] == ["GF"]:
                     if len(toks) != 3:
                         fail("[field] GF needs a prime", no)
                     try:
@@ -448,7 +448,7 @@ def cmd_induce(problem: ProblemFile, args, report: Report):
     if inclusion is None:
         return
     V = _build_module(problem, inclusion, args[1])
-    if V.algebra.table != inclusion.isotropy_data(x, x).presentation.table:
+    if V.algebra.rows != inclusion.isotropy_data(x, x).presentation.rows:
         raise ProblemFileError(f"induce expects a module over isotropy:{x}")
     violation = check_module(V)
     report.check("module_axioms", violation is None, str(violation) if violation else "")

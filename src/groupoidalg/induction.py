@@ -284,7 +284,7 @@ def induce(inclusion: Inclusion, x: int, V: FdModule) -> InducedModule:
     """
     bim = imprimitivity_bimodule(inclusion, x)
     data = bim.data
-    if V.algebra.table != data.presentation.table:
+    if V.algebra.rows != data.presentation.rows:
         raise ValueError("module is not over the isotropy algebra at x")
     if check_module(V) is not None:
         raise UnitalityError("inducing module must be unital and compatible")

@@ -229,21 +229,19 @@ class Inclusion:
                 if self.multiply(h, c) not in H or self.multiply(c, h) not in H:
                     raise TheoremViolation("H is not an ideal of C")
         section = quotient.section_basis
-        table = []
-        for s in section:
-            row = []
-            for t in section:
+        products = {}
+        for i, s in enumerate(section):
+            for j, t in enumerate(section):
                 prod = self.multiply(s, t)
                 if prod not in C:
                     raise TheoremViolation("product left the C space")
-                row.append(quotient.project(prod))
-            table.append(row)
+                products[(i, j)] = dict(enumerate(quotient.project(prod)))
         unit = self.delta_vector(x)
         if unit not in C:
             raise TheoremViolation("unit indicator fell outside C(x, x)")
         unit_coords = quotient.project(unit)
         labels = [f"c{i}" for i in range(quotient.dim)]
-        pres = AlgebraPresentation(self.field, labels, table, unit_coords)
+        pres = AlgebraPresentation(self.field, labels, products, unit_coords)
         if not pres.check_unit():
             raise TheoremViolation("unit class of the isotropy algebra failed")
         return pres, unit_coords

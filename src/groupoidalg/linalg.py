@@ -129,17 +129,18 @@ def insert_row(basis, pivots, v, field) -> bool:
     """Add v to an RREF basis held in two lists, in place.
 
     Returns False, changing nothing, when v already lies in the span.
-    Otherwise the residual of v is scaled to a leading 1 (every entry, so
-    over the rationals every entry is a `Fraction`), cleared out of the
-    other rows and inserted in pivot order, keeping the basis fully
-    reduced.
+    Otherwise the residual of v is scaled to a leading 1, its zero entries
+    replaced by ``field.zero()`` (so over the rationals every entry is a
+    `Fraction`), cleared out of the other rows and inserted in pivot
+    order, keeping the basis fully reduced.
     """
     v = eliminate(v, basis, pivots, field)
     piv = next((j for j, c in enumerate(v) if c != 0), None)
     if piv is None:
         return False
     inv = field.inv(v[piv])
-    v = [field.mul(inv, c) for c in v]
+    zero = field.zero()
+    v = [field.mul(inv, c) if c != 0 else zero for c in v]
     for row in basis:
         c = row[piv]
         if c != 0:

@@ -54,7 +54,11 @@ class ModuleViolation:
 
 
 class FdModule:
-    """A left module given by one action matrix per algebra basis element."""
+    """A left module given by one action matrix per algebra basis element.
+
+    ``entries[i][r]`` holds the nonzero entries (c, value) of row r of
+    action matrix i, computed once; action and validation walk only these.
+    """
 
     def __init__(self, algebra: AlgebraPresentation, matrices, name: str = ""):
         self.algebra = algebra
@@ -66,6 +70,10 @@ class FdModule:
         for m in self.matrices:
             if len(m) != self.dim or any(len(r) != self.dim for r in m):
                 raise ValueError("action matrices must be square of equal size")
+        self.entries = tuple(
+            tuple(tuple((c, a) for c, a in enumerate(row) if a != 0) for row in m)
+            for m in self.matrices
+        )
 
     @property
     def field(self):
@@ -78,12 +86,9 @@ class FdModule:
         for i, c in enumerate(vec):
             if c == 0:
                 continue
-            m = self.matrices[i]
-            for r in range(self.dim):
-                row = m[r]
-                for col in range(self.dim):
-                    if row[col] != 0:
-                        out[r][col] = f.add(out[r][col], f.mul(c, row[col]))
+            for out_row, row in zip(out, self.entries[i]):
+                for col, a in row:
+                    out_row[col] = f.add(out_row[col], f.mul(c, a))
         return tuple(tuple(r) for r in out)
 
     def apply(self, vec, v):
@@ -102,16 +107,34 @@ def check_module(module: FdModule):
     """None if the action respects structure constants and is unital.
 
     Compatibility: action(b_i) action(b_j) must equal the structure-
-    constant combination of the action matrices.  Unitality: the images
-    of all actions span the carrier.
+    constant combination of the action matrices, for every ordered pair
+    (i, j), zero products included.  Both sides are built from the
+    nonzero entries only and compared with zeros elided.  Unitality: the
+    images of all actions span the carrier.
     """
     alg = module.algebra
     f = module.field
-    for i in range(alg.dim):
-        mi = module.matrices[i]
+    d = module.dim
+    zero = f.zero()
+    entries = module.entries
+
+    def accumulate(scaled_rows):
+        # sum of c * row placed in row r, as {r * d + col: value} without zeros
+        out = {}
+        for r, c, row in scaled_rows:
+            for col, a in row:
+                key = r * d + col
+                out[key] = f.add(out.get(key, zero), f.mul(c, a))
+        return {key: v for key, v in out.items() if v != 0}
+
+    for i, row in enumerate(alg.rows):
+        products = dict(row)
+        left = [(r, k, a) for r, left_row in enumerate(entries[i]) for k, a in left_row]
         for j in range(alg.dim):
-            lhs = mat_mul(mi, module.matrices[j], f)
-            rhs = module.action_of(alg.table[i][j])
+            lhs = accumulate((r, a, entries[j][k]) for r, k, a in left)
+            rhs = accumulate(
+                (r, c, rj) for k, c in products.get(j, ()) for r, rj in enumerate(entries[k])
+            )
             if lhs != rhs:
                 return ModuleViolation("structure-constants", (i, j))
     vectors = []
@@ -129,7 +152,7 @@ def regular_module(algebra: AlgebraPresentation, name="regular") -> FdModule:
 
 
 def direct_sum(m1: FdModule, m2: FdModule, name="") -> FdModule:
-    if m1.algebra is not m2.algebra and m1.algebra.table != m2.algebra.table:
+    if m1.algebra is not m2.algebra and m1.algebra.rows != m2.algebra.rows:
         raise ValueError("modules must share an algebra")
     f = m1.field
     dim = m1.dim + m2.dim
@@ -690,7 +713,7 @@ def find_module_isomorphism(m1: FdModule, m2: FdModule):
     prime-field spaces, otherwise through a deterministic sample of
     small integer combinations.
     """
-    if m1.dim != m2.dim or m1.algebra.table != m2.algebra.table:
+    if m1.dim != m2.dim or m1.algebra.rows != m2.algebra.rows:
         return None
     f = m1.field
     d = m1.dim

@@ -226,21 +226,52 @@ def dedicated_unit(elements, groupoid=None, cocycle=None) -> AlgebraElement:
 
 
 class AlgebraPresentation:
-    """A finite-dimensional algebra as structure constants over a basis.
+    """A finite-dimensional algebra as sparse structure constants over a basis.
 
-    ``table[i][j]`` is the dense coefficient tuple of basis_i * basis_j.
-    The identity's coordinates, when present, are stored in ``unit``.
+    ``products`` maps a basis pair (i, j) to the coefficients {k: c} of
+    basis_i * basis_j; zero coefficients and zero products may be left
+    out.  They are kept once, as the canonical per-row index ``rows``:
+    ``rows[i]`` is the sorted tuple of (j, ((k, c), ...)) over the j with
+    basis_i * basis_j != 0, so two presentations have the same product
+    exactly when their ``rows`` are equal.  Every product walks only these
+    nonzero terms.  ``table`` is the dense view (``table[i][j]`` the
+    coefficient tuple of basis_i * basis_j), built on first read.  The
+    identity's coordinates, when present, are stored in ``unit``.
     Operators on the algebra (left and right multiplication, the
     commutator maps behind ``center``) are built column by column from
     the images of basis vectors under ``multiply``.
     """
 
-    def __init__(self, field: Field, labels, table, unit=None):
+    def __init__(self, field: Field, labels, products, unit=None):
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        self.table = tuple(tuple(tuple(v) for v in row) for row in table)
+        rows = [[] for _ in range(self.dim)]
+        for (i, j), coeffs in products.items():
+            terms = tuple(sorted((k, c) for k, c in coeffs.items() if c != 0))
+            if terms:
+                rows[i].append((j, terms))
+        self.rows = tuple(tuple(sorted(r)) for r in rows)
         self.unit = tuple(unit) if unit is not None else None
+        self._table = None
+
+    @property
+    def table(self):
+        """Dense structure constants; zero entries are ``field.zero()``."""
+        if self._table is None:
+            zero = self.field.zero()
+            zero_row = (zero,) * self.dim
+            table = []
+            for row in self.rows:
+                dense = [zero_row] * self.dim
+                for j, terms in row:
+                    vec = [zero] * self.dim
+                    for k, c in terms:
+                        vec[k] = c
+                    dense[j] = tuple(vec)
+                table.append(tuple(dense))
+            self._table = tuple(table)
+        return self._table
 
     def multiply(self, u, v):
         """Bilinear extension of the structure constants to vectors."""
@@ -249,14 +280,11 @@ class AlgebraPresentation:
         for i, ui in enumerate(u):
             if ui == 0:
                 continue
-            row = self.table[i]
-            for j, vj in enumerate(v):
-                if vj == 0:
-                    continue
-                c = f.mul(ui, vj)
-                prod = row[j]
-                for k, pk in enumerate(prod):
-                    if pk != 0:
+            for j, terms in self.rows[i]:
+                vj = v[j]
+                if vj != 0:
+                    c = f.mul(ui, vj)
+                    for k, pk in terms:
                         out[k] = f.add(out[k], f.mul(c, pk))
         return tuple(out)
 
@@ -273,16 +301,31 @@ class AlgebraPresentation:
         return tuple(f.one() if j == i else f.zero() for j in range(self.dim))
 
     def check_associativity(self):
-        """None, or the first basis triple where (ij)k != i(jk)."""
+        """None, or the first basis triple where (ij)k != i(jk).
+
+        For each (i, j) only the k where one side has a nonzero term are
+        compared; at every other k both sides are zero.
+        """
+        f = self.field
+        zero = f.zero()
+        index = [dict(row) for row in self.rows]
+
+        def accumulate(pairs):
+            out = {}
+            for c, terms in pairs:
+                for k, pk in terms:
+                    out[k] = f.add(out.get(k, zero), f.mul(c, pk))
+            return {k: c for k, c in out.items() if c != 0}
+
         for i in range(self.dim):
-            ei = self.basis_vector(i)
             for j in range(self.dim):
-                ij = self.table[i][j]
-                ej = self.basis_vector(j)
-                for k in range(self.dim):
-                    ek = self.basis_vector(k)
-                    lhs = self.multiply(ij, ek)
-                    rhs = self.multiply(ei, self.multiply(ej, ek))
+                ij = index[i].get(j, ())
+                candidates = set(index[j]).union(*(index[l] for l, _ in ij))
+                for k in sorted(candidates):
+                    lhs = accumulate((c, index[l].get(k, ())) for l, c in ij)
+                    rhs = accumulate(
+                        (c, index[i].get(l, ())) for l, c in index[j].get(k, ())
+                    )
                     if lhs != rhs:
                         return (i, j, k)
         return None
@@ -336,17 +379,13 @@ def presentation_of_B(groupoid: FiniteGroupoid, cocycle: Cocycle) -> AlgebraPres
     """
     _require_validated(cocycle)
     f = cocycle.field
-    m = groupoid.n_arrows
-    zero_row = tuple(f.zero() for _ in range(m))
-    table = [[zero_row] * m for _ in range(m)]
-    for (a, b), (ab, w) in twisted_product_table(groupoid, cocycle).items():
-        row = list(zero_row)
-        row[ab] = w
-        table[a][b] = tuple(row)
-    unit = [f.zero()] * m
+    products = {
+        pair: {ab: w} for pair, (ab, w) in twisted_product_table(groupoid, cocycle).items()
+    }
+    unit = [f.zero()] * groupoid.n_arrows
     for u in groupoid.units:
         unit[u] = f.one()
-    return AlgebraPresentation(f, groupoid.arrow_names, table, unit)
+    return AlgebraPresentation(f, groupoid.arrow_names, products, unit)
 
 
 def twisted_group_algebra(table: dict, members, cocycle_values: dict, field: Field,
@@ -359,23 +398,18 @@ def twisted_group_algebra(table: dict, members, cocycle_values: dict, field: Fie
     """
     members = list(members)
     index = {g: i for i, g in enumerate(members)}
-    n = len(members)
-    rows = []
-    for a in members:
-        row = []
-        for b in members:
-            vec = [field.zero()] * n
-            vec[index[table[(a, b)]]] = cocycle_values[(a, b)]
-            row.append(tuple(vec))
-        rows.append(row)
+    products = {
+        (index[a], index[b]): {index[table[(a, b)]]: cocycle_values[(a, b)]}
+        for a in members for b in members
+    }
     identity = next(g for g in members if table[(g, g)] == g and all(
         table[(g, h)] == h for h in members
     ))
-    unit = [field.zero()] * n
+    unit = [field.zero()] * len(members)
     unit[index[identity]] = field.one()
     if labels is None:
         labels = [f"t{g}" for g in members]
-    return AlgebraPresentation(field, labels, rows, unit)
+    return AlgebraPresentation(field, labels, products, unit)
 
 
 def check_s_unital_identity(groupoid, cocycle) -> bool:

@@ -11,8 +11,8 @@ from groupoidalg.groupoid import (
     klein_four_table,
     pair_groupoid,
 )
-from groupoidalg.linalg import QQ
-from groupoidalg.twist import Cocycle, quaternion_sign_cocycle
+from groupoidalg.linalg import GF, QQ
+from groupoidalg.twist import Cocycle, coboundary, quaternion_sign_cocycle
 
 Z2_TABLE = cyclic_group_table(2)
 TRIVIAL_GROUP = [[0]]
@@ -83,6 +83,21 @@ def quaternion_fixture(field):
     c = quaternion_sign_cocycle(g, field)
     assert c.validated
     return g, c
+
+
+def twisted_battery():
+    """(name, groupoid, cocycle): the battery over Q, the quaternion twist
+    over Q, and the battery over GF(7) under the coboundary of b = 3 on
+    non-units, which takes the value 3 * 3 / 1 = 2 at (a, a^-1) for every
+    non-unit a."""
+    gf7 = GF(7)
+    cases = battery(QQ) + [("v4quat", *quaternion_fixture(QQ))]
+    for name, g, _ in battery(gf7):
+        values = {a: 1 if g.is_unit(a) else 3 for a in g.arrows()}
+        cocycle = coboundary(g, gf7, values)
+        assert all(cocycle(a, g.inv[a]) == 2 for a in g.arrows() if not g.is_unit(a))
+        cases.append((f"{name}/GF7", g, cocycle))
+    return cases
 
 
 @pytest.fixture

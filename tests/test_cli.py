@@ -160,6 +160,31 @@ def test_non_integer_unit_is_input_error():
     assert out.startswith("input error:")
 
 
+@pytest.mark.parametrize("line", ["[field]", "[field] Q extra", "[field] Q GF 5"])
+def test_malformed_field_line_is_input_error(tmp_path, line):
+    text = (FIXTURES / "pair2.gkd").read_text(encoding="utf-8")
+    assert "\n[field] Q\n" in text
+    out, code = run("validate", write(tmp_path, text.replace("[field] Q", line, 1)))
+    assert code == 2
+    assert out.startswith("input error:")
+
+
+def test_validate_survives_every_truncated_line(tmp_path):
+    """For every fixture, every line and every proper token prefix of it
+    (the empty prefix deletes the line), validate exits 0, 1 or 2."""
+    runs = 0
+    for fixture in sorted(FIXTURES.glob("*.gkd")):
+        lines = fixture.read_text(encoding="utf-8").split("\n")
+        for no, line in enumerate(lines):
+            tokens = line.split()
+            for n in range(len(tokens)):
+                text = "\n".join(lines[:no] + [" ".join(tokens[:n])] + lines[no + 1:])
+                _, code = run("validate", write(tmp_path, text))
+                assert code in (0, 1, 2), (fixture.name, no + 1, tokens[:n])
+                runs += 1
+    assert runs > 100
+
+
 def test_unknown_suite():
     out, code = run("verify", str(FIXTURES / "pair2.gkd"), ["wobble"])
     assert code == 2

@@ -10,7 +10,7 @@ from groupoidalg.isotropy import Inclusion
 from groupoidalg.linalg import GF, QQ, Subspace, combine, solve_right
 from groupoidalg.twist import Cocycle, coboundary
 
-from conftest import battery, make_gb, make_z2, quaternion_fixture
+from conftest import battery, make_gb, make_z2, quaternion_fixture, twisted_battery
 
 GF2 = GF(2)
 GF3 = GF(3)
@@ -289,12 +289,8 @@ def test_projection_matrix_against_per_arrow_oracle():
     """E(y, x) at every unit pair, pairs in different orbits (B(y, x) = 0)
     included: over Q with trivial and quaternion twists, and over GF(7)
     under a coboundary twist that takes the value 2."""
-    cases = battery(QQ) + [("v4quat", *quaternion_fixture(QQ))]
-    for name, g, _ in battery(GF7):
-        values = {a: 1 if g.is_unit(a) else 3 for a in g.arrows()}
-        cases.append((name, g, coboundary(g, GF7, values)))
     empty_pairs = 0
-    for name, g, cocycle in cases:
+    for name, g, cocycle in twisted_battery():
         inc = Inclusion(g, cocycle)
         for y, x, _, _ in point_ideal_pairs(inc):
             assert inc.projection_matrix(y, x) == projection_oracle(inc, y, x), name

@@ -2,15 +2,18 @@
 restrictions, and germ spaces."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from groupoidalg.errors import BudgetExceeded, TrivialModuleError
 from groupoidalg.groupoid import pair_groupoid
+from groupoidalg.induction import induce
 from groupoidalg.isotropy import Inclusion
-from groupoidalg.linalg import GF, QQ, Subspace
+from groupoidalg.linalg import GF, QQ, Subspace, identity_matrix, mat_mul, rref
 from groupoidalg.modrep import (
     FdModule,
+    ModuleViolation,
     all_submodules,
     annihilator,
     check_module,
@@ -31,7 +34,7 @@ from groupoidalg.modrep import (
 from groupoidalg.steinberg import presentation_of_B
 from groupoidalg.twist import Cocycle
 
-from conftest import battery, make_gb, make_z2, quaternion_fixture
+from conftest import battery, make_gb, make_z2, quaternion_fixture, twisted_battery
 
 GF2 = GF(2)
 GF3 = GF(3)
@@ -375,3 +378,129 @@ def test_isotropy_quotient_module_general_W():
         mod, quot = isotropy_quotient_module(inc, reg, x, W)
         assert mod.dim == reg.dim - W.dim
         assert check_module(mod) is None
+
+
+# -- sparse action and validation against the dense oracles --------------------
+
+
+def dense_action_of(module, vec):
+    """The action matrix of vec, scanning every entry of every matrix."""
+    f = module.field
+    d = module.dim
+    out = [[f.zero()] * d for _ in range(d)]
+    for i, c in enumerate(vec):
+        if c == 0:
+            continue
+        m = module.matrices[i]
+        for r in range(d):
+            for col in range(d):
+                if m[r][col] != 0:
+                    out[r][col] = f.add(out[r][col], f.mul(c, m[r][col]))
+    return tuple(tuple(r) for r in out)
+
+
+def dense_check_module(module):
+    """One dense product and one dense action per ordered basis pair."""
+    alg = module.algebra
+    f = module.field
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            lhs = mat_mul(module.matrices[i], module.matrices[j], f)
+            if lhs != dense_action_of(module, alg.table[i][j]):
+                return ModuleViolation("structure-constants", (i, j))
+    vectors = [tuple(m[r][col] for r in range(module.dim))
+               for m in module.matrices for col in range(module.dim)]
+    if Subspace.span(vectors, module.dim, f).dim != module.dim:
+        return ModuleViolation("unitality", ())
+    return None
+
+
+def random_scalar(rng, field):
+    if field.p is not None:
+        return rng.randrange(field.p)
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def conjugated(module, rng):
+    """The module in a random unitriangular basis: P M P^-1 for each matrix."""
+    f, d = module.field, module.dim
+    p = [tuple(f.one() if r == c else random_scalar(rng, f) if c > r else f.zero()
+               for c in range(d)) for r in range(d)]
+    reduced, _ = rref([row + e for row, e in zip(p, identity_matrix(d, f))], f)
+    p_inv = [row[d:] for row in reduced]
+    mats = [mat_mul(mat_mul(p, m, f), p_inv, f) for m in module.matrices]
+    return FdModule(module.algebra, mats, f"conjugated {module.name}")
+
+
+def sparse_kernel_modules():
+    """Valid modules over B, isotropy algebras and twisted group algebras
+    of the twisted battery: regular, induced and column modules, and each
+    regular B-module in a random basis, so that rows have several nonzero
+    entries."""
+    rng = random.Random(10)
+    out = []
+    for name, g, c in twisted_battery():
+        inc = Inclusion(g, c)
+        out.append((f"regular B {name}", regular_module(inc.B)))
+        out.append((f"conjugated regular B {name}", conjugated(regular_module(inc.B), rng)))
+        for x in g.units:
+            pres = inc.isotropy_data(x, x).presentation
+            iso_regular = regular_module(pres)
+            out.append((f"regular B({x},{x}) {name}", iso_regular))
+            out.append((f"induced from {x} {name}", induce(inc, x, iso_regular).module))
+            group = inc.identify_with_twisted_group_algebra(x).group_presentation
+            out.append((f"regular group({x}) {name}", regular_module(group)))
+        if name in ("pair2", "pair3"):
+            out.append((f"column {name}", column_module(inc)))
+    return out
+
+
+def test_sparse_action_of_matches_dense_oracle():
+    rng = random.Random(11)
+    for label, mod in sparse_kernel_modules():
+        f = mod.field
+        for i in range(mod.algebra.dim):
+            e = mod.algebra.basis_vector(i)
+            assert mod.action_of(e) == dense_action_of(mod, e) == mod.matrices[i], label
+        for density in (0.3, 1.0):
+            for _ in range(4):
+                vec = tuple(random_scalar(rng, f) if rng.random() < density else f.zero()
+                            for _ in range(mod.algebra.dim))
+                assert mod.action_of(vec) == dense_action_of(mod, vec), label
+
+
+def test_sparse_check_module_matches_dense_oracle():
+    """Valid modules pass both checks; a random change of one matrix entry
+    gives the same verdict and the same first witness."""
+    rng = random.Random(12)
+    witnesses = 0
+    for label, mod in sparse_kernel_modules():
+        assert check_module(mod) is None, label
+        assert dense_check_module(mod) is None, label
+        if mod.dim == 0:
+            continue
+        for _ in range(4):
+            i = rng.randrange(mod.algebra.dim)
+            r, col = rng.randrange(mod.dim), rng.randrange(mod.dim)
+            mats = [list(map(list, m)) for m in mod.matrices]
+            mats[i][r][col] = mod.field.add(mats[i][r][col], mod.field.of(rng.randint(1, 4)))
+            broken = FdModule(mod.algebra, mats)
+            expected = dense_check_module(broken)
+            assert check_module(broken) == expected, label
+            witnesses += expected is not None
+    assert witnesses > 0
+
+
+def test_first_failing_pair_with_zero_product_is_found():
+    """Adding 1 at entry (0, 2) of the action of E_00 on pair(2)'s regular
+    module first breaks the pair (E_00, E_10), whose product is zero: the
+    sparse check compares M_i M_j against zero there and skips no pair."""
+    g = pair_groupoid(2)
+    reg = regular_module(presentation_of_B(g, Cocycle.trivial(g, QQ)))
+    mats = [list(map(list, m)) for m in reg.matrices]
+    mats[0][0][2] += 1
+    broken = FdModule(reg.algebra, mats)
+    expected = ModuleViolation("structure-constants", (0, 2))
+    assert all(c == 0 for c in reg.algebra.table[0][2])
+    assert dense_check_module(broken) == expected
+    assert check_module(broken) == expected

@@ -10,8 +10,10 @@ import pytest
 from groupoidalg.errors import BisectionRequired
 from groupoidalg.groupoid import pair_groupoid
 from groupoidalg.linalg import GF, QQ
+from groupoidalg.isotropy import Inclusion
 from groupoidalg.steinberg import (
     AlgebraElement,
+    AlgebraPresentation,
     algebra_identity,
     check_s_unital_identity,
     convolve,
@@ -22,11 +24,13 @@ from groupoidalg.steinberg import (
     embed_unit_function,
     partial_inverse,
     presentation_of_B,
+    twisted_group_algebra,
+    twisted_product_table,
     unit_indicator,
 )
-from groupoidalg.twist import Cocycle
+from groupoidalg.twist import Cocycle, restrict_to_isotropy
 
-from conftest import battery, quaternion_fixture
+from conftest import battery, quaternion_fixture, twisted_battery
 
 GF5 = GF(5)
 
@@ -316,3 +320,149 @@ def test_vector_roundtrip():
     c = Cocycle.trivial(g, QQ)
     el = AlgebraElement(g, c, {1: QQ.of(3), 2: QQ.of(-1)})
     assert element_from_vector(g, c, el.to_vector()) == el
+
+
+# -- sparse structure constants against the dense oracles ---------------------
+
+
+def dense_multiply(table, field, u, v):
+    """The dense product: every row entry of every basis pair is scanned."""
+    out = [field.zero()] * len(table)
+    for i, ui in enumerate(u):
+        if ui == 0:
+            continue
+        for j, vj in enumerate(v):
+            if vj == 0:
+                continue
+            c = field.mul(ui, vj)
+            for k, pk in enumerate(table[i][j]):
+                if pk != 0:
+                    out[k] = field.add(out[k], field.mul(c, pk))
+    return tuple(out)
+
+
+def dense_check_associativity(table, field):
+    """The first basis triple (i, j, k) with (ij)k != i(jk), over all m^3."""
+    m = len(table)
+    basis = [tuple(field.one() if a == i else field.zero() for a in range(m)) for i in range(m)]
+    for i, j, k in itertools.product(range(m), repeat=3):
+        lhs = dense_multiply(table, field, table[i][j], basis[k])
+        rhs = dense_multiply(table, field, basis[i], table[j][k])
+        if lhs != rhs:
+            return (i, j, k)
+    return None
+
+
+def dense_table_of_B(g, c):
+    f = c.field
+    zero_row = tuple(f.zero() for _ in range(g.n_arrows))
+    table = [[zero_row] * g.n_arrows for _ in range(g.n_arrows)]
+    for (a, b), (ab, w) in twisted_product_table(g, c).items():
+        row = list(zero_row)
+        row[ab] = w
+        table[a][b] = tuple(row)
+    return tuple(tuple(row) for row in table)
+
+
+def dense_group_table(g, c, x):
+    members = list(g.isotropy_group(x))
+    index = {a: i for i, a in enumerate(members)}
+    values = restrict_to_isotropy(c, x)
+    table = []
+    for a in members:
+        row = []
+        for b in members:
+            vec = [c.field.zero()] * len(members)
+            vec[index[g.comp[a][b]]] = values[(a, b)]
+            row.append(tuple(vec))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def dense_isotropy_table(inc, b_table, x):
+    quot = inc.isotropy_data(x, x).quotient
+    section = quot.section_basis
+    return tuple(
+        tuple(quot.project(dense_multiply(b_table, inc.field, s, t)) for t in section)
+        for s in section
+    )
+
+
+def presentation_cases():
+    """(label, presentation, dense oracle table): B, every isotropy algebra
+    and every twisted group algebra of the twisted battery."""
+    cases = []
+    for name, g, c in twisted_battery():
+        inc = Inclusion(g, c)
+        b_table = dense_table_of_B(g, c)
+        cases.append((f"B {name}", inc.B, b_table))
+        for x in g.units:
+            data = inc.isotropy_data(x, x)
+            cases.append((f"B({x},{x}) {name}", data.presentation,
+                          dense_isotropy_table(inc, b_table, x)))
+            group = twisted_group_algebra(
+                g.isotropy_table(x), g.isotropy_group(x), restrict_to_isotropy(c, x), c.field
+            )
+            cases.append((f"group({x}) {name}", group, dense_group_table(g, c, x)))
+    return cases
+
+
+def random_vector(rng, field, n, density):
+    def scalar():
+        if field.p is not None:
+            return rng.randrange(field.p)
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    return tuple(scalar() if rng.random() < density else field.zero() for _ in range(n))
+
+
+def products_of(table):
+    return {(i, j): dict(enumerate(table[i][j]))
+            for i in range(len(table)) for j in range(len(table))}
+
+
+def test_sparse_table_matches_dense_oracle():
+    """The dense view rebuilt from the sparse rows: same tuples and reprs,
+    zeros as field.zero() (Fraction(0) over Q)."""
+    for label, pres, oracle in presentation_cases():
+        assert pres.table == oracle, label
+        assert repr(pres.table) == repr(oracle), label
+        nonzero = sum(1 for row in oracle for prod in row if any(c != 0 for c in prod))
+        assert sum(len(row) for row in pres.rows) == nonzero, label
+
+
+def test_sparse_multiply_matches_dense_oracle():
+    rng = random.Random(4)
+    for label, pres, oracle in presentation_cases():
+        f = pres.field
+        basis = [pres.basis_vector(i) for i in range(pres.dim)]
+        for u, v in itertools.product(basis, repeat=2):
+            assert pres.multiply(u, v) == dense_multiply(oracle, f, u, v), label
+        for density in (0.2, 0.5, 1.0):
+            for _ in range(5):
+                u = random_vector(rng, f, pres.dim, density)
+                v = random_vector(rng, f, pres.dim, density)
+                assert pres.multiply(u, v) == dense_multiply(oracle, f, u, v), label
+
+
+def test_sparse_associativity_witness_matches_dense_oracle():
+    """Valid presentations give None; a random change of one structure
+    constant gives the same first failing triple as the m^3 scan."""
+    rng = random.Random(9)
+    perturbed = 0
+    for label, pres, oracle in presentation_cases():
+        f = pres.field
+        assert pres.check_associativity() is None, label
+        if pres.dim < 2:
+            continue
+        for _ in range(3):
+            i, j, k = (rng.randrange(pres.dim) for _ in range(3))
+            table = [list(map(list, row)) for row in oracle]
+            table[i][j][k] = f.add(table[i][j][k], f.of(rng.randint(1, 4)))
+            table = tuple(tuple(tuple(prod) for prod in row) for row in table)
+            broken = AlgebraPresentation(f, pres.labels, products_of(table), pres.unit)
+            assert broken.table == table, label
+            expected = dense_check_associativity(table, f)
+            assert broken.check_associativity() == expected, label
+            perturbed += expected is not None
+    assert perturbed > 0
