@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import TheoremViolation
 from .isotropy import Inclusion
-from .linalg import Subspace, operator_matrix, right_kernel, zero_vector
+from .linalg import Subspace, identity_matrix, operator_matrix, right_kernel, zero_vector
 from .modrep import (
     FdModule,
     all_invariant_subspaces,
@@ -85,10 +85,11 @@ def induced_ideal(inclusion: Inclusion, x: int, I: Subspace) -> Subspace:
             out = tuple(f.add(o, f.mul(s, r)) for o, r in zip(out, residual[akb]))
         return out
 
+    eye = identity_matrix(m, f)
     rows = []
     for alpha in range(m):
         for beta in range(m):
-            rows.extend(operator_matrix(lambda c: sandwich(alpha, c, beta), m, f))
+            rows.extend(operator_matrix(lambda c: sandwich(alpha, c, beta), eye))
     basis = right_kernel(rows, m, f)
     out = Subspace.span(basis, m, f)
     if not is_two_sided_ideal(inclusion.B, out):

@@ -22,7 +22,17 @@ from dataclasses import dataclass
 
 from .errors import TheoremViolation, UnitalityError
 from .isotropy import Inclusion
-from .linalg import QuotientSpace, Subspace, mat_mul, mat_vec, operator_matrix, right_kernel
+from .linalg import (
+    QuotientSpace,
+    Subspace,
+    combine,
+    identity_matrix,
+    mat_mul,
+    mat_vec,
+    operator_matrix,
+    right_kernel,
+    zero_vector,
+)
 from .modrep import (
     FdModule,
     annihilator,
@@ -59,77 +69,34 @@ class ImprimitivityBimodule:
             y: self.quotient.project(n.to_vector()) for y, n in self.chosen.items()
         }
 
+        # every operator acts on M_x in the coordinates of its section basis
+        section = self.quotient.section_basis
+        project = self.quotient.project
         self.left_action = [
-            self._left_matrix_on_quotient(i) for i in range(inclusion.m)
+            operator_matrix(lambda s: project(inclusion.multiply(e, s)), section)
+            for e in identity_matrix(inclusion.m, f)
         ]
         self.right_action = [
-            self._right_matrix_on_quotient(s) for s in self.data.quotient.section_basis
+            operator_matrix(lambda s: project(inclusion.multiply(s, rep)), section)
+            for rep in self.data.quotient.section_basis
         ]
-        self.mu = self._standard_inclusion_matrix()
-        self.nu = self._nu_matrix()
+        # mu: B(x,x) -> M_x, c + H -> c + BJ_x
+        self.mu = operator_matrix(project, self.data.quotient.section_basis)
+        # nu(xi) = E(x,x)(lift xi); independent of the lift since E kills BJ_x
+        emat = inclusion.projection_matrix(x, x)
+        self.nu = operator_matrix(lambda s: mat_vec(emat, s, f), section)
         self.pi = mat_mul(self.mu, self.nu, f)
         self._verify()
 
-    # -- construction ---------------------------------------------------------
-
-    def _left_matrix_on_quotient(self, i):
-        f = self.field
-        cols = []
-        for s in self.quotient.section_basis:
-            img = self.inclusion.multiply(self.inclusion.delta_vector(i), s)
-            cols.append(self.quotient.project(img))
-        d = self.quotient.dim
-        return tuple(tuple(cols[c][r] for c in range(d)) for r in range(d))
-
-    def _right_matrix_on_quotient(self, rep):
-        f = self.field
-        cols = []
-        for s in self.quotient.section_basis:
-            img = self.inclusion.multiply(s, rep)
-            cols.append(self.quotient.project(img))
-        d = self.quotient.dim
-        return tuple(tuple(cols[c][r] for c in range(d)) for r in range(d))
-
-    def _standard_inclusion_matrix(self):
-        cols = [
-            self.quotient.project(s) for s in self.data.quotient.section_basis
-        ]
-        d = self.quotient.dim
-        k = self.data.quotient.dim
-        return tuple(tuple(cols[c][r] for c in range(k)) for r in range(d))
-
-    def _nu_matrix(self):
-        # nu(xi) = E(x,x)(lift xi); independent of the lift since E kills BJ_x
-        emat = self.inclusion.projection_matrix(self.x, self.x)
-        cols = [
-            mat_vec(emat, s, self.field) for s in self.quotient.section_basis
-        ]
-        d = self.quotient.dim
-        k = self.data.quotient.dim
-        return tuple(tuple(cols[c][r] for c in range(d)) for r in range(k))
-
-    def left_apply(self, bvec, xi):
-        """Action of a coefficient vector of B on quotient coordinates."""
-        f = self.field
-        out = (f.zero(),) * self.quotient.dim
-        for i, c in enumerate(bvec):
-            if c != 0:
-                out = tuple(
-                    f.add(o, f.mul(c, e))
-                    for o, e in zip(out, mat_vec(self.left_action[i], xi, f))
-                )
-        return out
-
     def right_apply(self, xi, hcoords):
+        """The class xi times the element of B(x,x) with the given coordinates."""
         f = self.field
-        out = (f.zero(),) * self.quotient.dim
-        for k, c in enumerate(hcoords):
-            if c != 0:
-                out = tuple(
-                    f.add(o, f.mul(c, e))
-                    for o, e in zip(out, mat_vec(self.right_action[k], xi, f))
-                )
-        return out
+        zero = zero_vector(self.quotient.dim, f)
+        images = [
+            mat_vec(ra, xi, f) if c != 0 else zero
+            for c, ra in zip(hcoords, self.right_action)
+        ]
+        return combine(hcoords, images, f)
 
     # -- verification ----------------------------------------------------------
 
@@ -144,22 +111,19 @@ class ImprimitivityBimodule:
                 if mat_mul(la, ra, f) != mat_mul(ra, la, f):
                     raise TheoremViolation("left and right actions do not commute")
         # mu is injective and right-linear
-        if Subspace.span(tuple(zip(*self.mu)), d, f).dim != k:
+        mu_range = Subspace.span(zip(*self.mu), d, f)
+        if mu_range.dim != k:
             raise TheoremViolation("standard inclusion is not injective")
         for i, s in enumerate(self.data.quotient.section_basis):
             for j in range(k):
                 h = self.data.presentation.basis_vector(j)
-                lhs = self._apply(self.mu, self.data.presentation.multiply(
-                    self.data.quotient.project(s), h))
-                rhs = self.right_apply(self._apply(self.mu, self.data.quotient.project(s)), h)
+                lhs = mat_vec(self.mu, self.data.presentation.multiply(
+                    self.data.quotient.project(s), h), f)
+                rhs = self.right_apply(mat_vec(self.mu, self.data.quotient.project(s), f), h)
                 if lhs != rhs:
                     raise TheoremViolation("standard inclusion is not right-linear")
         # nu o mu = id, mu o nu = pi
-        comp = mat_mul(self.nu, self.mu, f)
-        ident = tuple(
-            tuple(f.one() if i == j else f.zero() for j in range(k)) for i in range(k)
-        )
-        if comp != ident:
+        if mat_mul(self.nu, self.mu, f) != identity_matrix(k, f):
             raise TheoremViolation("nu o mu is not the identity")
         if mat_mul(self.pi, self.pi, f) != self.pi:
             raise TheoremViolation("pi is not idempotent")
@@ -171,7 +135,7 @@ class ImprimitivityBimodule:
         # three-case formula on arrow classes
         for gamma in gpd.arrows():
             cls = self.quotient.project(self.inclusion.delta_vector(gamma))
-            img = self._apply(self.pi, cls)
+            img = mat_vec(self.pi, cls, f)
             if gpd.src[gamma] == self.x and gpd.tgt[gamma] == self.x:
                 if img != cls:
                     raise TheoremViolation("pi must fix isotropy classes")
@@ -179,13 +143,7 @@ class ImprimitivityBimodule:
                 if any(c != 0 for c in img):
                     raise TheoremViolation("pi must kill non-isotropy classes")
         # range(mu) = range(pi) = the J_x-killed part of the quotient
-        mu_range = Subspace.span(
-            [self._apply(self.mu, self.data.presentation.basis_vector(j)) for j in range(k)],
-            d, f,
-        )
-        pi_range = Subspace.span(
-            [self._apply(self.pi, self._basis(d, j)) for j in range(d)], d, f
-        )
+        pi_range = Subspace.span(zip(*self.pi), d, f)
         lx = self.left_action[self.x]
         rows = [
             tuple(f.sub(lx[r][c], f.one() if r == c else f.zero()) for c in range(d))
@@ -203,7 +161,7 @@ class ImprimitivityBimodule:
                     continue
                 n_star = partial_inverse(delta(gpd, self.inclusion.cocycle, gamma))
                 prod = convolve(n_star, delta(gpd, self.inclusion.cocycle, eta))
-                img = self._apply(self.pi, self.quotient.project(prod.to_vector()))
+                img = mat_vec(self.pi, self.quotient.project(prod.to_vector()), f)
                 if any(c != 0 for c in img):
                     raise TheoremViolation("pi must kill cross-orbit products")
         # freeness: (h_y)_y -> sum zeta_y h_y is bijective
@@ -216,16 +174,9 @@ class ImprimitivityBimodule:
         if Subspace.span(cols, d, f).dim != d:
             raise TheoremViolation("the zeta coordinates are not a free basis")
 
-    def _apply(self, matrix, vec):
-        return mat_vec(matrix, vec, self.field)
-
-    @staticmethod
-    def _basis(n, j):
-        return tuple(1 if i == j else 0 for i in range(n))
-
     def nu_of(self, xi):
         """The isotropy component of a bimodule class (coordinates in B(x,x))."""
-        return self._apply(self.nu, xi)
+        return mat_vec(self.nu, xi, self.field)
 
     def free_coordinates(self, xi):
         """Coordinates of xi over the free basis, one B(x,x)-block per orbit point.
@@ -385,18 +336,15 @@ def verify_ind_res_embedding(inclusion: Inclusion, V: FdModule, x: int) -> Embed
         return EmbeddingCertificate(x, 0, 0, V.dim)
     ind = induce(inclusion, x, res.module)
     bim = imprimitivity_bimodule(inclusion, x)
-    # columns of rho: block y, basis vector j -> action(n_y) (inclusion of v_j)
-    cols = []
-    for y in ind.orbit:
-        nvec = bim.chosen[y].to_vector()
-        act = V.action_of(nvec)
-        for j in range(res.subspace.dim):
-            vec = res.subspace.basis[j]
-            cols.append(mat_vec(act, vec, f))
-    d = V.dim
-    rho = tuple(tuple(cols[c][r] for c in range(len(cols))) for r in range(d))
+    # the free carrier's basis is zeta_y tensor w, blocks in orbit order;
+    # rho sends it to n_y w
+    acts = {y: V.action_of(bim.chosen[y].to_vector()) for y in ind.orbit}
+    rho = operator_matrix(
+        lambda yw: mat_vec(acts[yw[0]], yw[1], f),
+        [(y, w) for y in ind.orbit for w in res.subspace.basis],
+    )
     # injectivity
-    rank = Subspace.span(cols, d, f).dim
+    rank = Subspace.span(zip(*rho), V.dim, f).dim
     if rank != ind.module.dim:
         raise TheoremViolation("rho is not injective")
     # B-linearity on arrow generators
@@ -422,7 +370,7 @@ def submodule_transfer(inclusion: Inclusion, ind: InducedModule, Z: Subspace) ->
                 raise ValueError("subspace is not invariant under the induced action")
     k = ind.inducing.dim
     # membership rows: the residual of embed(x, v) against Z must vanish
-    rows = operator_matrix(lambda v: Z.reduce(ind.embed(ind.x, v)), k, f)
+    rows = operator_matrix(lambda v: Z.reduce(ind.embed(ind.x, v)), identity_matrix(k, f))
     W = Subspace.span(right_kernel(rows, k, f), k, f)
     # verify the forward image: Ind(W) = span of all blocks of W
     image = Subspace.span(
@@ -467,29 +415,25 @@ def verify_germ_induction_equivalence(inclusion: Inclusion, V: FdModule, x: int,
     n_star = partial_inverse(n)
     emat_y = inclusion.projection_matrix(y, y)
     # psi: germ at x -> germ at y, v -> n v
-    psi_cols = []
-    for s in gx.quotient.section_basis:
-        img = V.apply(n.to_vector(), s)
-        psi_cols.append(gy.quotient.project(img))
-    kx, ky = gx.quotient.dim, gy.quotient.dim
-    psi = tuple(tuple(psi_cols[c][r] for c in range(kx)) for r in range(ky))
-
-    dim = ind_x.module.dim
-    cols = [None] * dim
+    nvec = n.to_vector()
+    psi = operator_matrix(
+        lambda s: gy.quotient.project(V.apply(nvec, s)), gx.quotient.section_basis
+    )
+    # T acts on block z by the isotropy class of n_z(y)* n_z(x) n* after psi;
+    # the free carrier's basis is (z, e_j), blocks in orbit order
+    blocks = {}
     for z in ind_x.orbit:
         u = convolve(
             partial_inverse(bim_y.chosen[z]), convolve(bim_x.chosen[z], n_star)
         )
         h = mat_vec(emat_y, u.to_vector(), f)
-        act = gy.module.action_of(h)
-        block = mat_mul(act, psi, f)
-        for j in range(kx):
-            col = mat_vec(block, tuple(
-                f.one() if i == j else f.zero() for i in range(kx)
-            ), f)
-            cols[ind_x.block_index[z] + j] = ind_y.embed(z, col)
-    T = tuple(tuple(cols[c][r] for c in range(dim)) for r in range(dim))
-    if Subspace.span(cols, dim, f).dim != dim:
+        blocks[z] = mat_mul(gy.module.action_of(h), psi, f)
+    dim = ind_x.module.dim
+    T = operator_matrix(
+        lambda ze: ind_y.embed(ze[0], mat_vec(blocks[ze[0]], ze[1], f)),
+        [(z, e) for z in ind_x.orbit for e in identity_matrix(gx.quotient.dim, f)],
+    )
+    if Subspace.span(zip(*T), dim, f).dim != dim:
         raise TheoremViolation("germ intertwiner is not bijective")
     for gamma in gpd.arrows():
         if mat_mul(T, ind_x.module.matrices[gamma], f) != mat_mul(

@@ -182,11 +182,12 @@ class Inclusion:
 
     def _c_space(self, I, J, IB, BJ) -> Subspace:
         m, f = self.m, self.field
+        eye = identity_matrix(m, f)
         rows = []
         for a in J.basis:
-            rows.extend(operator_matrix(lambda c: IB.reduce(self.multiply(c, a)), m, f))
+            rows.extend(operator_matrix(lambda c: IB.reduce(self.multiply(c, a)), eye))
         for a in I.basis:
-            rows.extend(operator_matrix(lambda c: BJ.reduce(self.multiply(a, c)), m, f))
+            rows.extend(operator_matrix(lambda c: BJ.reduce(self.multiply(a, c)), eye))
         return Subspace.span(right_kernel(rows, m, f), m, f)
 
     def isotropy_data_for_ideals(self, I: Subspace, J: Subspace) -> IsotropyData:

@@ -9,7 +9,9 @@ All elimination goes through one incremental echelon engine: ``eliminate``
 reduces a vector against an RREF basis and ``insert_row`` adds one to it;
 ``rref``, subspace membership and invariant closures are built on them.
 All linear combinations of rows, matrix products included, go through
-``combine``, which skips zero coefficients and zero entries.
+``combine``, which skips zero coefficients and zero entries.  The matrix
+of a linear map is only ever taken through ``operator_matrix``: column k
+is the map applied to the k-th vector of a given domain basis.
 
 Scalars are `fractions.Fraction` over the rationals and plain ints in
 ``[0, p)`` over GF(p).  No floating point is used anywhere.
@@ -211,13 +213,15 @@ def zero_vector(n, field):
     return (field.zero(),) * n
 
 
-def operator_matrix(op, n, field):
-    """Matrix of a linear map given by its values: column k is op(e_k).
+def operator_matrix(op, domain):
+    """Matrix of a linear map given by its values: column k is op(domain[k]).
 
-    ``op`` takes a coefficient tuple of length n; the rows of the result
-    are the coordinates of its output.
+    ``domain`` lists the domain's basis in whatever form ``op`` takes
+    (``identity_matrix(n, field)`` for the standard basis of K^n); the
+    rows of the result are the coordinates of op's outputs.  An empty
+    domain gives the empty matrix.
     """
-    return tuple(zip(*(op(e) for e in identity_matrix(n, field))))
+    return tuple(zip(*(op(v) for v in domain)))
 
 
 def right_kernel(rows, ncols, field):

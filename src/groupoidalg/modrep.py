@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import sympy
 
@@ -36,6 +37,7 @@ from .linalg import (
     insert_row,
     mat_mul,
     mat_vec,
+    operator_matrix,
     right_kernel,
     solve_right,
 )
@@ -137,10 +139,7 @@ def check_module(module: FdModule):
             )
             if lhs != rhs:
                 return ModuleViolation("structure-constants", (i, j))
-    vectors = []
-    for i in range(alg.dim):
-        for col in range(module.dim):
-            vectors.append(tuple(module.matrices[i][r][col] for r in range(module.dim)))
+    vectors = [col for m in module.matrices for col in zip(*m)]
     if Subspace.span(vectors, module.dim, f).dim != module.dim:
         return ModuleViolation("unitality", ())
     return None
@@ -169,36 +168,37 @@ def direct_sum(m1: FdModule, m2: FdModule, name="") -> FdModule:
     return FdModule(m1.algebra, mats, name or f"{m1.name}+{m2.name}")
 
 
+def _span_module(algebra, actions, basis, coordinates, name, escape=None) -> FdModule:
+    """The module the actions induce on a span, in the coordinates given.
+
+    Column k of each action matrix is ``coordinates`` of the action applied
+    to ``basis[k]``: membership coordinates for a subspace, projection
+    coordinates for a quotient.  A None coordinate means the image left
+    the span, and ``escape`` is raised.
+    """
+    f = algebra.field
+
+    def column(act, v):
+        coords = coordinates(mat_vec(act, v, f))
+        if coords is None:
+            raise escape
+        return coords
+
+    mats = [operator_matrix(partial(column, act), basis) for act in actions]
+    return FdModule(algebra, mats, name)
+
+
 def submodule_module(module: FdModule, W: Subspace, name="") -> FdModule:
     """The action restricted to an invariant subspace, in its basis coords."""
-    f = module.field
-    mats = []
-    for i in range(module.algebra.dim):
-        cols = []
-        for w in W.basis:
-            img = mat_vec(module.matrices[i], w, f)
-            coords = W.membership(img)
-            if coords is None:
-                raise ValueError("subspace is not invariant")
-            cols.append(coords)
-        mats.append(tuple(tuple(cols[c][r] for c in range(W.dim)) for r in range(W.dim)))
-    return FdModule(module.algebra, mats, name)
+    return _span_module(module.algebra, module.matrices, W.basis, W.membership, name,
+                        ValueError("subspace is not invariant"))
 
 
 def quotient_module(module: FdModule, W: Subspace, name="") -> FdModule:
     """The action on carrier/W, in the canonical section coordinates."""
-    f = module.field
-    quot = QuotientSpace(Subspace.full(module.dim, f), W)
-    mats = []
-    for i in range(module.algebra.dim):
-        cols = []
-        for s in quot.section_basis:
-            img = mat_vec(module.matrices[i], s, f)
-            cols.append(quot.project(img))
-        mats.append(
-            tuple(tuple(cols[c][r] for c in range(quot.dim)) for r in range(quot.dim))
-        )
-    return FdModule(module.algebra, mats, name), quot
+    quot = QuotientSpace(Subspace.full(module.dim, module.field), W)
+    return _span_module(module.algebra, module.matrices, quot.section_basis,
+                        quot.project, name), quot
 
 
 # ---------------------------------------------------------------------------
@@ -389,34 +389,45 @@ class IrreducibilityVerdict:
         return self.status == "irreducible"
 
 
-def _commutant(module: FdModule) -> list:
-    """Basis of matrices commuting with every action matrix."""
-    f = module.field
-    d = module.dim
+def _flatten(mat):
+    """A square matrix as one row-major vector."""
+    return tuple(itertools.chain.from_iterable(mat))
+
+
+def _square(flat, d):
+    """The d x d matrix read row-major off a vector of length d * d."""
+    return tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(d))
+
+
+def _intertwiners(m1: FdModule, m2: FdModule) -> list:
+    """Basis of the T with T a1 = a2 T for every action pair, each T row-major.
+
+    The modules share an algebra and a dimension; with m1 = m2 this is the
+    commutant of the action.
+    """
+    f = m1.field
+    d = m1.dim
     rows = []
-    for m in module.matrices:
-        # T m - m T = 0, unknowns T[r][c] flattened row-major
+    for a1, a2 in zip(m1.matrices, m2.matrices):
+        # (T a1 - a2 T)[r][c] = 0, unknowns T[r][c] flattened row-major
         for r in range(d):
             for c in range(d):
                 row = [f.zero()] * (d * d)
                 for k in range(d):
-                    row[r * d + k] = f.add(row[r * d + k], m[k][c])
-                    row[k * d + c] = f.sub(row[k * d + c], m[r][k])
+                    row[r * d + k] = f.add(row[r * d + k], a1[k][c])
+                    row[k * d + c] = f.sub(row[k * d + c], a2[r][k])
                 rows.append(tuple(row))
-    basis = right_kernel(rows, d * d, f)
-    return [tuple(tuple(v[r * d + c] for c in range(d)) for r in range(d)) for v in basis]
+    return right_kernel(rows, d * d, f)
 
 
 def _minimal_polynomial(matrix, dim, field):
     """Coefficients (ascending) of the monic minimal polynomial."""
     powers = [identity_matrix(dim, field)]
-    flat = [tuple(itertools.chain.from_iterable(powers[0]))]
+    flat = [_flatten(powers[0])]
     while True:
         nxt = mat_mul(powers[-1], matrix, field)
-        target = tuple(itertools.chain.from_iterable(nxt))
-        cols = len(powers)
-        transposed = tuple(tuple(flat[j][i] for j in range(cols)) for i in range(dim * dim))
-        sol = solve_right(transposed, target, field)
+        target = _flatten(nxt)
+        sol = solve_right(tuple(zip(*flat)), target, field)
         if sol is not None:
             return [field.neg(c) for c in sol] + [field.one()]
         powers.append(nxt)
@@ -436,18 +447,10 @@ def _factor_over_Q(coeffs):
 
 
 def _evaluate_poly(coeffs, matrix, dim, field):
-    out = None
-    power = identity_matrix(dim, field)
-    for c in coeffs:
-        if c != 0:
-            term = tuple(tuple(field.mul(c, e) for e in row) for row in power)
-            out = term if out is None else tuple(
-                tuple(field.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(out, term)
-            )
-        power = mat_mul(power, matrix, field)
-    if out is None:
-        out = tuple(tuple(field.zero() for _ in range(dim)) for _ in range(dim))
-    return out
+    powers = [identity_matrix(dim, field)]
+    while len(powers) < len(coeffs):
+        powers.append(mat_mul(powers[-1], matrix, field))
+    return _square(combine(coeffs, [_flatten(p) for p in powers], field), dim)
 
 
 def _image_algebra_radical(module: FdModule):
@@ -460,12 +463,8 @@ def _image_algebra_radical(module: FdModule):
     f = module.field
     d = module.dim
     gens = list(module.matrices) + [identity_matrix(d, f)]
-    flat = [tuple(itertools.chain.from_iterable(m)) for m in gens]
-    span = Subspace.span(flat, d * d, f)
-    basis_mats = [
-        tuple(tuple(v[r * d + c] for c in range(d)) for r in range(d))
-        for v in span.basis
-    ]
+    span = Subspace.span([_flatten(m) for m in gens], d * d, f)
+    basis_mats = [_square(v, d) for v in span.basis]
     rows = []
     for bm in basis_mats:
         row = []
@@ -475,19 +474,7 @@ def _image_algebra_radical(module: FdModule):
         rows.append(tuple(row))
     # kernel coordinates are over the span basis
     kern = right_kernel(rows, len(basis_mats), f)
-    rad = []
-    for coords in kern:
-        mat = None
-        for c, bm in zip(coords, basis_mats):
-            if c == 0:
-                continue
-            term = tuple(tuple(f.mul(c, e) for e in row) for row in bm)
-            mat = term if mat is None else tuple(
-                tuple(f.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(mat, term)
-            )
-        if mat is not None:
-            rad.append(mat)
-    return rad
+    return [_square(combine(coords, span.basis, f), d) for coords in kern]
 
 
 def is_irreducible(module: FdModule, budget=ENUMERATION_BUDGET) -> IrreducibilityVerdict:
@@ -526,10 +513,12 @@ def is_irreducible(module: FdModule, budget=ENUMERATION_BUDGET) -> Irreducibilit
         if 0 < w.dim < module.dim:
             return IrreducibilityVerdict("reducible", True, w, "radical")
         raise TheoremViolation("radical action produced no proper submodule")
-    commutant = _commutant(module)
-    probes = list(commutant)
-    for a, b in itertools.combinations(commutant, 2):
-        probes.append(tuple(tuple(f.add(x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(a, b)))
+    commutant = _intertwiners(module, module)
+    pair = (f.one(), f.one())
+    probes = [_square(v, module.dim) for v in commutant] + [
+        _square(combine(pair, ab, f), module.dim)
+        for ab in itertools.combinations(commutant, 2)
+    ]
     scalar_only = len(commutant) == 1
     all_probes_irreducible = True
     for t in probes:
@@ -593,32 +582,31 @@ class Restriction:
     module: FdModule  # over the isotropy algebra presentation at x
 
 
+def _isotropy_actions(inclusion: Inclusion, module: FdModule, x: int):
+    """B(x, x), and the action on the carrier of each of its section representatives."""
+    data = inclusion.isotropy_data(x, x)
+    return data.presentation, [module.action_of(s) for s in data.quotient.section_basis]
+
+
+def _point_ideal_image(inclusion: Inclusion, module: FdModule, x: int) -> Subspace:
+    """J_x V: the span of the columns of the actions of J_x's basis."""
+    gens = [col for a in inclusion.point_ideal(x).basis.basis
+            for col in zip(*module.action_of(a))]
+    return Subspace.span(gens, module.dim, module.field)
+
+
 def restriction(inclusion: Inclusion, module: FdModule, x: int) -> Restriction:
     """Vectors killed by the point ideal, as a module over B(x, x).
 
     The subspace may be zero; the zero restriction is a legal outcome.
     """
     f = module.field
-    jx = inclusion.point_ideal(x).basis
-    rows = []
-    for a in jx.basis:
-        act = module.action_of(a)
-        rows.extend(act)
-    kern = right_kernel(rows, module.dim, f)
-    sub = Subspace.span(kern, module.dim, f)
-    data = inclusion.isotropy_data(x, x)
-    mats = []
-    for s in data.quotient.section_basis:
-        act = module.action_of(s)
-        cols = []
-        for w in sub.basis:
-            img = mat_vec(act, w, f)
-            coords = sub.membership(img)
-            if coords is None:
-                raise TheoremViolation("restriction subspace is not C(x,x)-stable")
-            cols.append(coords)
-        mats.append(tuple(tuple(cols[c][r] for c in range(sub.dim)) for r in range(sub.dim)))
-    return Restriction(x, sub, FdModule(data.presentation, mats, f"res{x}"))
+    rows = [row for a in inclusion.point_ideal(x).basis.basis for row in module.action_of(a)]
+    sub = Subspace.span(right_kernel(rows, module.dim, f), module.dim, f)
+    algebra, actions = _isotropy_actions(inclusion, module, x)
+    res = _span_module(algebra, actions, sub.basis, sub.membership, f"res{x}",
+                       TheoremViolation("restriction subspace is not C(x,x)-stable"))
+    return Restriction(x, sub, res)
 
 
 @dataclass
@@ -631,25 +619,11 @@ class GermSpace:
 
 
 def germ_space(inclusion: Inclusion, module: FdModule, x: int) -> GermSpace:
-    f = module.field
-    jx = inclusion.point_ideal(x).basis
-    gens = []
-    for a in jx.basis:
-        act = module.action_of(a)
-        for j in range(module.dim):
-            gens.append(tuple(act[r][j] for r in range(module.dim)))
-    jxv = Subspace.span(gens, module.dim, f)
-    quot = QuotientSpace(Subspace.full(module.dim, f), jxv)
-    data = inclusion.isotropy_data(x, x)
-    mats = []
-    for s in data.quotient.section_basis:
-        act = module.action_of(s)
-        cols = []
-        for w in quot.section_basis:
-            img = mat_vec(act, w, f)
-            cols.append(quot.project(img))
-        mats.append(tuple(tuple(cols[c][r] for c in range(quot.dim)) for r in range(quot.dim)))
-    return GermSpace(x, quot, FdModule(data.presentation, mats, f"germ{x}"))
+    quot = QuotientSpace(Subspace.full(module.dim, module.field),
+                         _point_ideal_image(inclusion, module, x))
+    algebra, actions = _isotropy_actions(inclusion, module, x)
+    germ = _span_module(algebra, actions, quot.section_basis, quot.project, f"germ{x}")
+    return GermSpace(x, quot, germ)
 
 
 def disintegration_action(inclusion: Inclusion, module: FdModule, y: int, x: int,
@@ -685,24 +659,13 @@ def isotropy_quotient_module(inclusion: Inclusion, module: FdModule, x: int,
     Returns (module over B(x,x), quotient space of the carrier).
     """
     f = module.field
-    jx = inclusion.point_ideal(x).basis
-    for a in jx.basis:
-        act = module.action_of(a)
-        for j in range(module.dim):
-            col = tuple(act[r][j] for r in range(module.dim))
-            if col not in W:
-                raise ValueError("W does not contain J_x V")
-    data = inclusion.isotropy_data(x, x)
+    if not W.contains_subspace(_point_ideal_image(inclusion, module, x)):
+        raise ValueError("W does not contain J_x V")
+    algebra, actions = _isotropy_actions(inclusion, module, x)
+    if any(mat_vec(act, w, f) not in W for act in actions for w in W.basis):
+        raise ValueError("W is not stable under C(x, x)")
     quot = QuotientSpace(Subspace.full(module.dim, f), W)
-    mats = []
-    for s in data.quotient.section_basis:
-        act = module.action_of(s)
-        for w in W.basis:
-            if mat_vec(act, w, f) not in W:
-                raise ValueError("W is not stable under C(x, x)")
-        cols = [quot.project(mat_vec(act, v, f)) for v in quot.section_basis]
-        mats.append(tuple(tuple(cols[c][r] for c in range(quot.dim)) for r in range(quot.dim)))
-    return FdModule(data.presentation, mats, f"quot{x}"), quot
+    return _span_module(algebra, actions, quot.section_basis, quot.project, f"quot{x}"), quot
 
 
 def find_module_isomorphism(m1: FdModule, m2: FdModule):
@@ -719,22 +682,12 @@ def find_module_isomorphism(m1: FdModule, m2: FdModule):
     d = m1.dim
     if d == 0:
         return ()
-    rows = []
-    for a1, a2 in zip(m1.matrices, m2.matrices):
-        # T a1 = a2 T, unknown T row-major
-        for r in range(d):
-            for c in range(d):
-                row = [f.zero()] * (d * d)
-                for k in range(d):
-                    row[r * d + k] = f.add(row[r * d + k], a1[k][c])
-                    row[k * d + c] = f.sub(row[k * d + c], a2[r][k])
-                rows.append(tuple(row))
-    basis = right_kernel(rows, d * d, f)
+    basis = _intertwiners(m1, m2)
     if not basis:
         return None
 
-    def to_matrix(flat):
-        return tuple(tuple(flat[r * d + c] for c in range(d)) for r in range(d))
+    def to_matrix(coords):
+        return _square(combine(coords, basis, f), d)
 
     def invertible(mat):
         return Subspace.span(mat, d, f).dim == d
@@ -743,14 +696,14 @@ def find_module_isomorphism(m1: FdModule, m2: FdModule):
         for coords in itertools.product(range(f.p), repeat=len(basis)):
             if all(c == 0 for c in coords):
                 continue
-            mat = to_matrix(combine(coords, basis, f))
+            mat = to_matrix(coords)
             if invertible(mat):
                 return mat
         return None
     for coords in itertools.product(range(-2, 3), repeat=min(len(basis), 3)):
         if all(c == 0 for c in coords):
             continue
-        mat = to_matrix(combine([f.of(c) for c in coords], basis, f))
+        mat = to_matrix([f.of(c) for c in coords])
         if invertible(mat):
             return mat
     return None

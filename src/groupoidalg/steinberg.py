@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import BisectionRequired, NoPartialInverse
 from .groupoid import FiniteGroupoid
-from .linalg import Field, Subspace, operator_matrix, right_kernel
+from .linalg import Field, Subspace, identity_matrix, operator_matrix, right_kernel
 from .twist import Cocycle, bundle_inverse_coefficient
 
 
@@ -290,11 +290,11 @@ class AlgebraPresentation:
 
     def left_mult_matrix(self, u):
         """Matrix of v -> u * v acting on coefficient columns."""
-        return operator_matrix(lambda v: self.multiply(u, v), self.dim, self.field)
+        return operator_matrix(lambda v: self.multiply(u, v), identity_matrix(self.dim, self.field))
 
     def right_mult_matrix(self, u):
         """Matrix of v -> v * u acting on coefficient columns."""
-        return operator_matrix(lambda v: self.multiply(v, u), self.dim, self.field)
+        return operator_matrix(lambda v: self.multiply(v, u), identity_matrix(self.dim, self.field))
 
     def basis_vector(self, i):
         f = self.field
@@ -343,13 +343,13 @@ class AlgebraPresentation:
         """The subspace of vectors commuting with every basis element."""
         f = self.field
         rows = []
-        for i in range(self.dim):
-            ei = self.basis_vector(i)
+        eye = identity_matrix(self.dim, f)
+        for ei in eye:
             rows.extend(operator_matrix(
                 lambda c: tuple(
                     f.sub(a, b) for a, b in zip(self.multiply(ei, c), self.multiply(c, ei))
                 ),
-                self.dim, f,
+                eye,
             ))
         basis = right_kernel(rows, self.dim, f)
         return Subspace.span(basis, self.dim, self.field)

@@ -6,12 +6,14 @@ throughout (all arithmetic is over Q or GF(p)).
 """
 
 import itertools
+import os
 import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import groupoidalg
 from groupoidalg.groupoid import pair_groupoid
 from groupoidalg.ideals import (
     effros_hahn_check,
@@ -587,12 +589,16 @@ def test_criterion_11_effros_hahn():
 def test_criterion_12_determinism():
     env_runs = []
     fixture = str(FIXTURES / "gb3_sign.gkd")
+    # the child process imports the package from where this one did
+    src = str(Path(groupoidalg.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for _ in range(2):
         proc = subprocess.run(
             [sys.executable, "-m", "groupoidalg.cli", "verify", fixture, "all"],
             capture_output=True,
             text=True,
             check=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         env_runs.append(proc.stdout)
     assert env_runs[0] == env_runs[1]

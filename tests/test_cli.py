@@ -6,8 +6,9 @@ import pytest
 
 from groupoidalg import cli
 from groupoidalg.cli import format_problem, main, parse, run
-from groupoidalg.errors import ProblemFileError
+from groupoidalg.errors import ProblemFileError, TheoremViolation
 from groupoidalg.groupoid import pair_groupoid
+from groupoidalg.isotropy import Inclusion
 from groupoidalg.linalg import GF, QQ
 from groupoidalg.twist import Cocycle
 
@@ -144,6 +145,21 @@ def test_internal_keyerror_is_not_an_unknown_command(monkeypatch):
         run("validate", str(FIXTURES / "pair2.gkd"))
 
 
+def test_isotropy_data_violation_fails_verify_inclusion_and_isotropy(monkeypatch):
+    """The regularity and C cap L = H checks live in Inclusion.isotropy_data;
+    the CLI reports their TheoremViolation as a failed internal check."""
+    def broken(self, I, J):
+        raise TheoremViolation("H = C intersect L failed for the given ideal pair")
+
+    monkeypatch.setattr(Inclusion, "isotropy_data_for_ideals", broken)
+    for command, args in [("verify", ["inclusion"]), ("isotropy", ["0"])]:
+        out, code = run(command, str(FIXTURES / "pair2.gkd"), args)
+        assert code == 1, out
+        assert out.endswith(
+            "internal_consistency: FAIL H = C intersect L failed for the given ideal pair\n"
+        )
+
+
 def test_internal_valueerror_is_not_an_input_error(monkeypatch):
     """A ValueError raised inside a handler is a bug, not bad input."""
     def broken(problem, args, report):
@@ -240,6 +256,21 @@ def test_module_commands(tmp_path):
     out, code = run("germs", path, ["col"])
     assert code == 0
     assert "prop_12_7: PASS" in out
+
+
+def test_restrict_and_germs_reject_a_non_module(tmp_path):
+    """All-ones action matrices break the structure constants: both commands
+    report module_axioms FAIL and stop before computing anything."""
+    text = (FIXTURES / "pair2.gkd").read_text(encoding="utf-8")
+    text += "[module] z 2 B\n" + "1 1\n" * 8
+    path = write(tmp_path, text)
+    for command, args, section in [("restrict", ["0", "z"], "-- restriction --"),
+                                   ("germs", ["z"], "-- germ spaces --")]:
+        out, code = run(command, path, args)
+        assert code == 1, out
+        assert "module_axioms: FAIL structure-constants at (0, 0)" in out
+        assert section not in out
+        assert "internal_consistency" not in out
 
 
 def test_module_input_errors_exit_two(tmp_path):
