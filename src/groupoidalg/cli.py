@@ -37,7 +37,6 @@ from .ideals import (
 )
 from .induction import (
     imprimitivity_bimodule,
-    induce,
     verify_ind_res_embedding,
     verify_res_ind_roundtrip,
 )
@@ -461,17 +460,16 @@ def cmd_induce(problem: ProblemFile, args, report: Report):
         raise ProblemFileError(f"induce expects a module over isotropy:{x}")
     if not _module_axioms_hold(V, report):
         return
-    ind = induce(inclusion, x, V)
-    report.section("induced module")
-    report.kv("orbit", " ".join(str(y) for y in ind.orbit))
     bim = imprimitivity_bimodule(inclusion, x)
+    report.section("induced module")
+    report.kv("orbit", " ".join(str(y) for y in bim.orbit))
     chosen = " ".join(
         f"{y}:{','.join(str(a) for a in sorted(bim.chosen[y].support()))}"
         for y in bim.orbit
     )
     report.kv("free basis sections", chosen)
-    report.kv("dim", ind.module.dim)
     cert = verify_res_ind_roundtrip(inclusion, x, V)
+    report.kv("dim", cert.induced_dim)
     report.check("thm_8_4", True, f"dim={cert.module_dim}")
 
 
@@ -489,11 +487,10 @@ def cmd_restrict(problem: ProblemFile, args, report: Report):
         raise ProblemFileError("restrict expects a module over B")
     if not _module_axioms_hold(V, report):
         return
-    res = restriction(inclusion, V, x)
+    emb = verify_ind_res_embedding(inclusion, V, x)
     report.section("restriction")
-    report.kv("dim", res.subspace.dim)
-    if res.subspace.dim:
-        emb = verify_ind_res_embedding(inclusion, V, x)
+    report.kv("dim", emb.restriction_dim)
+    if emb.restriction_dim:
         report.check("thm_10_1", True,
                      f"induced_dim={emb.induced_dim} image_dim={emb.image_dim} onto={'yes' if emb.onto else 'no'}")
 

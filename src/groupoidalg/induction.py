@@ -322,6 +322,7 @@ class EmbeddingCertificate:
     induced_dim: int
     image_dim: int
     target_dim: int
+    restriction_dim: int
 
     @property
     def onto(self) -> bool:
@@ -333,7 +334,7 @@ def verify_ind_res_embedding(inclusion: Inclusion, V: FdModule, x: int) -> Embed
     res = restriction(inclusion, V, x)
     f = inclusion.field
     if res.subspace.dim == 0:
-        return EmbeddingCertificate(x, 0, 0, V.dim)
+        return EmbeddingCertificate(x, 0, 0, V.dim, 0)
     ind = induce(inclusion, x, res.module)
     bim = imprimitivity_bimodule(inclusion, x)
     # the free carrier's basis is zeta_y tensor w, blocks in orbit order;
@@ -353,7 +354,7 @@ def verify_ind_res_embedding(inclusion: Inclusion, V: FdModule, x: int) -> Embed
         rhs = mat_mul(V.matrices[gamma], rho, f)
         if lhs != rhs:
             raise TheoremViolation("rho is not B-linear")
-    return EmbeddingCertificate(x, ind.module.dim, rank, V.dim)
+    return EmbeddingCertificate(x, ind.module.dim, rank, V.dim, res.subspace.dim)
 
 
 def submodule_transfer(inclusion: Inclusion, ind: InducedModule, Z: Subspace) -> Subspace:

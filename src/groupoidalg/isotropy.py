@@ -15,27 +15,21 @@ constructor asserts.  For y = x the quotient is a unital algebra
 canonically isomorphic to the twisted group algebra of the isotropy
 group at x; the isomorphism is produced as an explicit certificate.
 
-The general ideal-pair entry points (``c_space_for_ideals`` and
-``isotropy_data_for_ideals``) accept arbitrary s-unital ideals of A;
-the rest of the package only exercises them at point ideals.
+A = K^units is a product of fields, so its ideals are spanned by unit
+deltas (``c_space_for_ideals`` and ``isotropy_data_for_ideals`` take any
+such pair; the package uses point ideals), and a product of two deltas
+is one scaled delta or zero.  So all these spaces are delta spans, read
+off B's product index as sets of arrows with no elimination, and E(y, x)
+is the coordinate projection onto the arrows of C outside H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAUnit, TheoremViolation
+from .errors import ContainmentError, NotAUnit, TheoremViolation
 from .groupoid import FiniteGroupoid
-from .linalg import (
-    QuotientSpace,
-    Subspace,
-    combine,
-    identity_matrix,
-    mat_vec,
-    operator_matrix,
-    right_kernel,
-    rref,
-)
+from .linalg import QuotientSpace, Subspace, combine, mat_vec
 from .steinberg import AlgebraPresentation, presentation_of_B, twisted_group_algebra
 from .twist import Cocycle, restrict_to_isotropy
 
@@ -104,9 +98,9 @@ class Inclusion:
     Holds the presentation of B and caches per-pair isotropy data,
     projection matrices and isotropy identifications; every downstream
     construction (bimodules, induction, induced ideals) runs through it.
-    Linear constraints on B, such as those cutting out C(y, x), are the
-    matrices (``linalg.operator_matrix``) of maps built from B's product
-    on basis vectors.
+    Ideals of A, and every space built from a pair of them, are sets of
+    arrows read off ``B.rows``; they are handed out as ``Subspace`` delta
+    spans, whose pivots are those arrows.
     """
 
     def __init__(self, groupoid: FiniteGroupoid, cocycle: Cocycle):
@@ -136,69 +130,72 @@ class Inclusion:
         v[arrow] = self.field.one()
         return tuple(v)
 
-    def A_subspace(self) -> Subspace:
-        return Subspace.span(
-            [self.delta_vector(u) for u in self.groupoid.units], self.m, self.field
-        )
+    def _span(self, arrows) -> Subspace:
+        return Subspace.deltas(arrows, self.m, self.field)
 
-    def full_space(self) -> Subspace:
-        return Subspace.full(self.m, self.field)
-
-    def point_ideal(self, x) -> PointIdeal:
+    def _point_units(self, x) -> frozenset:
+        """The units spanning J_x: every unit but x."""
         if not self.groupoid.is_unit(x):
             raise NotAUnit(f"arrow {x} is not a unit")
-        vectors = [self.delta_vector(u) for u in self.groupoid.units if u != x]
-        return PointIdeal(x, Subspace.span(vectors, self.m, self.field))
+        return frozenset(self.groupoid.units) - {x}
+
+    def point_ideal(self, x) -> PointIdeal:
+        return PointIdeal(x, self._span(self._point_units(x)))
 
     def multiply(self, u, v):
         return self.B.multiply(u, v)
 
-    def subspace_product(self, S: Subspace, T: Subspace) -> Subspace:
-        """span{s t} over basis pairs; bilinearity makes this the full product."""
-        vectors = [self.multiply(s, t) for s in S.basis for t in T.basis]
-        return Subspace.span(vectors, self.m, self.field)
+    # -- the L, C, H spaces as arrow sets ----------------------------------------
 
-    # -- the L, C, H spaces ----------------------------------------------------
+    def _units_of(self, ideal: Subspace) -> frozenset:
+        """The units whose deltas span an ideal of A; any other subspace is refused."""
+        for row, pc in zip(ideal.basis, ideal.pivots):
+            if not self.groupoid.is_unit(pc) or any(c != 0 for c in row[pc + 1:]):
+                raise ContainmentError("subspace is not spanned by unit deltas: not an ideal of A")
+        return frozenset(ideal.pivots)
+
+    def _products(self, S, T) -> set:
+        """The arrows k with e_s e_t = c e_k for some s in S, t in T.
+
+        Each entry of ``B.rows`` holds one term: a product of two deltas is
+        one nonzero scaled delta, or zero and absent.
+        """
+        rows = self.B.rows
+        return {k for s in S for t, ((k, _),) in rows[s] if t in T}
+
+    def _arrow_sets(self, I, J):
+        """(C, H, L) for ideals I, J of A, all given as sets of arrows."""
+        rows, arrows = self.B.rows, range(self.m)
+        IB, BJ = self._products(I, arrows), self._products(arrows, J)
+        # c -> c u (u in J) and c -> u c (u in I) send delta_a to a scaled
+        # delta_a or to 0, so C is spanned by the deltas that neither sends
+        # outside IB, resp. BJ
+        escapes = {a for a in arrows for u, ((k, _),) in rows[a] if u in J and k not in IB}
+        escapes.update(a for u in I for a, ((k, _),) in rows[u] if k not in BJ)
+        return set(arrows) - escapes, self._products(IB, J), IB | BJ
 
     def JB(self, y) -> Subspace:
-        return self.subspace_product(self.point_ideal(y).basis, self.full_space())
+        return self._span(self._products(self._point_units(y), range(self.m)))
 
     def BJ(self, x) -> Subspace:
-        return self.subspace_product(self.full_space(), self.point_ideal(x).basis)
+        return self._span(self._products(range(self.m), self._point_units(x)))
 
     def left_right_spaces(self, y, x):
         """(J_y B, B J_x, L(y, x)) as subspaces of B."""
-        jb = self.JB(y)
-        bj = self.BJ(x)
-        return jb, bj, jb.add(bj)
+        jb, bj = self.JB(y), self.BJ(x)
+        return jb, bj, self._span(jb.pivots + bj.pivots)
 
     def c_space_for_ideals(self, I: Subspace, J: Subspace) -> Subspace:
         """{c : c J in I B, I c in B J} for ideals I, J of A (general entry point)."""
-        return self._c_space(I, J, *self._sided_products(I, J))
-
-    def _sided_products(self, I, J):
-        full = self.full_space()
-        return self.subspace_product(I, full), self.subspace_product(full, J)
-
-    def _c_space(self, I, J, IB, BJ) -> Subspace:
-        m, f = self.m, self.field
-        eye = identity_matrix(m, f)
-        rows = []
-        for a in J.basis:
-            rows.extend(operator_matrix(lambda c: IB.reduce(self.multiply(c, a)), eye))
-        for a in I.basis:
-            rows.extend(operator_matrix(lambda c: BJ.reduce(self.multiply(a, c)), eye))
-        return Subspace.span(right_kernel(rows, m, f), m, f)
+        return self._span(self._arrow_sets(self._units_of(I), self._units_of(J))[0])
 
     def isotropy_data_for_ideals(self, I: Subspace, J: Subspace) -> IsotropyData:
-        """C/H data for a general s-unital ideal pair of A; asserts H = C cap L."""
-        IB, BJ = self._sided_products(I, J)
-        C = self._c_space(I, J, IB, BJ)
-        L = IB.add(BJ)
-        H = self.subspace_product(IB, J)
-        if C.intersect(L) != H:
+        """C/H data for an ideal pair of A; asserts H = C cap L."""
+        C, H, L = self._arrow_sets(self._units_of(I), self._units_of(J))
+        if C & L != H:
             raise TheoremViolation("H = C intersect L failed for the given ideal pair")
-        return IsotropyData(None, None, C, H, L, QuotientSpace(C, H))
+        C, H = self._span(C), self._span(H)
+        return IsotropyData(None, None, C, H, self._span(L), QuotientSpace(C, H))
 
     def compute_C(self, y, x) -> Subspace:
         return self.c_space_for_ideals(
@@ -213,67 +210,59 @@ class Inclusion:
         data = self.isotropy_data_for_ideals(
             self.point_ideal(y).basis, self.point_ideal(x).basis
         )
-        if data.C.add(data.L).dim != self.m:
+        # dim(C + L) = dim C + dim L - dim H, since C cap L = H
+        if data.C.dim + data.L.dim - data.H.dim != self.m:
             raise TheoremViolation(f"regularity B = C + L failed at ({y}, {x})")
         data.y, data.x = y, x
         if y == x:
-            data.presentation, data.unit_coords = self._build_isotropy_presentation(
-                x, data.C, data.H, data.quotient
-            )
+            data.presentation, data.unit_coords = self._build_isotropy_presentation(x, data)
         self._data[key] = data
         return data
 
-    def _build_isotropy_presentation(self, x, C, H, quotient):
+    def _build_isotropy_presentation(self, x, data):
+        rows, quotient = self.B.rows, data.quotient
+        in_C, in_H = set(data.C.pivots), set(data.H.pivots)
         # well-definedness of the product on C/H: H C + C H inside H
-        for h in H.basis:
-            for c in C.basis:
-                if self.multiply(h, c) not in H or self.multiply(c, h) not in H:
+        for a in data.C.pivots:
+            for b, ((k, _),) in rows[a]:
+                if b in in_C and (a in in_H or b in in_H) and k not in in_H:
                     raise TheoremViolation("H is not an ideal of C")
-        section = quotient.section_basis
+        # the section basis is the deltas of the arrows in C outside H
+        index = {a: i for i, a in enumerate(quotient.section.pivots)}
         products = {}
-        for i, s in enumerate(section):
-            for j, t in enumerate(section):
-                prod = self.multiply(s, t)
-                if prod not in C:
+        for a, i in index.items():
+            for b, ((k, c),) in rows[a]:
+                if b in index and k not in in_C:
                     raise TheoremViolation("product left the C space")
-                products[(i, j)] = dict(enumerate(quotient.project(prod)))
-        unit = self.delta_vector(x)
-        if unit not in C:
+                if b in index and k in index:
+                    products[(i, index[b])] = {index[k]: c}
+        if x not in in_C:
             raise TheoremViolation("unit indicator fell outside C(x, x)")
-        unit_coords = quotient.project(unit)
+        unit_coords = quotient.project(self.delta_vector(x))
         labels = [f"c{i}" for i in range(quotient.dim)]
         pres = AlgebraPresentation(self.field, labels, products, unit_coords)
         if not pres.check_unit():
             raise TheoremViolation("unit class of the isotropy algebra failed")
         return pres, unit_coords
 
-    def isotropy_algebra(self, x) -> IsotropyData:
-        return self.isotropy_data(x, x)
-
     # -- the projection E(y, x) -------------------------------------------------
 
     def projection_matrix(self, y, x):
         """Matrix of E(y, x): rows are quotient coordinates, columns arrows.
 
-        Regularity (B = C + L) and H = C intersect L make the section basis
-        of C/H together with a basis of L a basis of B.  One row reduction
-        of [section ; L basis | identity] inverts that basis: the row with
-        pivot at arrow a writes delta_a as a combination of the stacked
-        rows, and its section coefficients are E(y, x)(delta_a).
+        Regularity (B = C + L) and H = C intersect L make the arrows of
+        the section basis (those of C outside H) and the arrows of L a
+        partition of all arrows.  E(y, x) kills L and fixes each section
+        delta, so it is the coordinate projection onto the section arrows.
         """
         key = (y, x)
         if key in self._emat:
             return self._emat[key]
         data = self.isotropy_data(y, x)
-        stack = data.quotient.section_basis + data.L.basis
-        eye = identity_matrix(len(stack), self.field)
-        reduced, pivots = rref([s + e for s, e in zip(stack, eye)], self.field)
-        if pivots != list(range(self.m)):
+        section = data.quotient.section.pivots
+        if len(section) + data.L.dim != self.m or not set(section).isdisjoint(data.L.pivots):
             raise TheoremViolation(f"section and L do not form a basis of B at ({y}, {x})")
-        d = data.quotient.dim
-        mat = tuple(
-            tuple(reduced[a][self.m + r] for a in range(self.m)) for r in range(d)
-        )
+        mat = data.quotient.section_basis
         self._emat[key] = mat
         return mat
 
@@ -324,9 +313,8 @@ class Inclusion:
                 f"dim B({x},{x}) = {data.dim} but isotropy group has {len(members)} arrows"
             )
         # L(x, x) must vanish on the isotropy group (null-space description)
-        for row in data.L.basis:
-            if any(row[g] != 0 for g in members):
-                raise TheoremViolation("L(x, x) does not vanish on the isotropy group")
+        if not set(data.L.pivots).isdisjoint(members):
+            raise TheoremViolation("L(x, x) does not vanish on the isotropy group")
         section = data.quotient.section_basis
         matrix = tuple(tuple(s[g] for g in members) for s in section)
         restriction = Subspace.span(matrix, len(members), self.field)

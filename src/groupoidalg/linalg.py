@@ -8,6 +8,8 @@ zeros in the kernel's pivot columns).
 All elimination goes through one incremental echelon engine: ``eliminate``
 reduces a vector against an RREF basis and ``insert_row`` adds one to it;
 ``rref``, subspace membership and invariant closures are built on them.
+Spans of standard basis vectors (``Subspace.deltas``) need none: their
+RREF bases are written down directly.
 All linear combinations of rows, matrix products included, go through
 ``combine``, which skips zero coefficients and zero entries.  The matrix
 of a linear map is only ever taken through ``operator_matrix``: column k
@@ -292,7 +294,16 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim, field) -> "Subspace":
-        return cls.span(identity_matrix(ambient_dim, field), ambient_dim, field)
+        return cls.deltas(range(ambient_dim), ambient_dim, field)
+
+    @classmethod
+    def deltas(cls, support, ambient_dim, field) -> "Subspace":
+        """The span of the deltas at the given coordinates: sorted, they are
+        already its RREF basis, so its pivots are the support."""
+        support = sorted(set(support))
+        one, zero = (field.one(),), zero_vector(ambient_dim, field)
+        basis = [zero[:a] + one + zero[a + 1:] for a in support]
+        return cls(ambient_dim, field, basis, support)
 
     @property
     def dim(self) -> int:

@@ -228,10 +228,9 @@ def test_element_section_and_validate(tmp_path):
     assert "element f support: 1 2" in out
 
 
-def test_module_commands(tmp_path):
-    g = pair_groupoid(2)
-    field = GF(3)
-    text = format_problem(field, g, None)
+def module_problem(tmp_path):
+    """pair(2) over GF(3) with a module over B(0, 0) and one over B."""
+    text = format_problem(GF(3), pair_groupoid(2), None)
     # the isotropy algebra at unit 0 is one dimensional: the scalar field
     text += "[module] triv 1 isotropy:0\n" + "1\n"
     # column module over B: action of arrow (i,j) maps e_j to e_i
@@ -242,8 +241,11 @@ def test_module_commands(tmp_path):
         mat[i][j] = 1
         rows.extend(" ".join(str(v) for v in r) for r in mat)
     text += "[module] col 2 B\n" + "\n".join(rows) + "\n"
-    path = write(tmp_path, text)
+    return write(tmp_path, text)
 
+
+def test_module_commands(tmp_path):
+    path = module_problem(tmp_path)
     out, code = run("induce", path, ["0", "triv"])
     assert code == 0
     assert "thm_8_4: PASS" in out
@@ -256,6 +258,50 @@ def test_module_commands(tmp_path):
     out, code = run("germs", path, ["col"])
     assert code == 0
     assert "prop_12_7: PASS" in out
+
+
+def test_induce_and_restrict_build_once(tmp_path, monkeypatch):
+    """induce builds the induced module once and restrict the restriction
+    once; the dims in the reports come from the certificates."""
+    from groupoidalg import induction
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(induction, "induce", counted("induce", induction.induce))
+    restriction = counted("restriction", induction.restriction)
+    monkeypatch.setattr(induction, "restriction", restriction)
+    monkeypatch.setattr(cli, "restriction", restriction)
+    path = module_problem(tmp_path)
+    out, code = run("induce", path, ["0", "triv"])
+    assert code == 0
+    assert out.endswith("-- induced module --\norbit: 0 3\nfree basis sections: 0:0 3:2\n"
+                        "dim: 2\nthm_8_4: PASS dim=1\n")
+    assert calls.count("induce") == 1
+    calls.clear()
+    out, code = run("restrict", path, ["0", "col"])
+    assert code == 0
+    assert out.endswith("-- restriction --\ndim: 1\n"
+                        "thm_10_1: PASS induced_dim=2 image_dim=2 onto=yes\n")
+    assert calls.count("restriction") == 1
+
+
+def test_induce_prints_its_sections_before_a_roundtrip_failure(tmp_path, monkeypatch):
+    """The orbit and free basis lines come from the bimodule, so they are
+    printed even when the round-trip check then fails."""
+    def broken(inclusion, x, V):
+        raise TheoremViolation("embedding does not fill the restriction")
+
+    monkeypatch.setattr(cli, "verify_res_ind_roundtrip", broken)
+    out, code = run("induce", module_problem(tmp_path), ["0", "triv"])
+    assert code == 1
+    assert out.endswith("-- induced module --\norbit: 0 3\nfree basis sections: 0:0 3:2\n"
+                        "internal_consistency: FAIL embedding does not fill the restriction\n")
 
 
 def test_restrict_and_germs_reject_a_non_module(tmp_path):

@@ -5,9 +5,22 @@ import random
 
 import pytest
 
-from groupoidalg.errors import NotAUnit
+from groupoidalg.errors import ContainmentError, NotAUnit
+from groupoidalg.groupoid import pair_groupoid
 from groupoidalg.isotropy import Inclusion
-from groupoidalg.linalg import GF, QQ, Subspace, combine, solve_right
+from groupoidalg.linalg import (
+    GF,
+    QQ,
+    QuotientSpace,
+    Subspace,
+    combine,
+    identity_matrix,
+    operator_matrix,
+    right_kernel,
+    rref,
+    solve_right,
+)
+from groupoidalg.steinberg import AlgebraPresentation
 from groupoidalg.twist import Cocycle, coboundary
 
 from conftest import battery, make_gb, make_z2, quaternion_fixture, twisted_battery
@@ -21,6 +34,126 @@ def inclusion_battery(field, names=None):
     return [
         (name, Inclusion(g, c)) for name, g, c in battery(field, names)
     ]
+
+
+# -- the dense oracle: every space by elimination over all m arrows --------------
+
+
+def full_space(inc):
+    return Subspace.span(identity_matrix(inc.m, inc.field), inc.m, inc.field)
+
+
+def subspace_product(inc, S, T):
+    """span{s t} over basis pairs; bilinearity makes this the full product."""
+    vectors = [inc.multiply(s, t) for s in S.basis for t in T.basis]
+    return Subspace.span(vectors, inc.m, inc.field)
+
+
+def dense_spaces(inc, I, J):
+    """(C, H, L, C/H) for ideals I, J of A: C as the common kernel of the
+    matrices of c -> c a mod IB (a in J) and c -> a c mod BJ (a in I)."""
+    m, f = inc.m, inc.field
+    full = full_space(inc)
+    ib, bj = subspace_product(inc, I, full), subspace_product(inc, full, J)
+    eye = identity_matrix(m, f)
+    rows = []
+    for a in J.basis:
+        rows.extend(operator_matrix(lambda c: ib.reduce(inc.multiply(c, a)), eye))
+    for a in I.basis:
+        rows.extend(operator_matrix(lambda c: bj.reduce(inc.multiply(a, c)), eye))
+    C = Subspace.span(right_kernel(rows, m, f), m, f)
+    H = subspace_product(inc, ib, J)
+    return C, H, ib.add(bj), QuotientSpace(C, H)
+
+
+def dense_projection_matrix(inc, quotient, L):
+    """E by one row reduction of [section ; L basis | identity]: the row
+    with pivot at arrow a writes delta_a over the stacked rows, and its
+    section coefficients are E(delta_a)."""
+    stack = quotient.section_basis + L.basis
+    eye = identity_matrix(len(stack), inc.field)
+    reduced, pivots = rref([s + e for s, e in zip(stack, eye)], inc.field)
+    assert pivots == list(range(inc.m))
+    return tuple(
+        tuple(reduced[a][inc.m + r] for a in range(inc.m)) for r in range(quotient.dim)
+    )
+
+
+def dense_presentation(inc, x, quotient):
+    """(rows, unit_coords) of B(x, x) from products of dense section vectors."""
+    section = quotient.section_basis
+    products = {
+        (i, j): dict(enumerate(quotient.project(inc.multiply(s, t))))
+        for i, s in enumerate(section)
+        for j, t in enumerate(section)
+    }
+    unit_coords = quotient.project(inc.delta_vector(x))
+    labels = [f"c{i}" for i in range(quotient.dim)]
+    return AlgebraPresentation(inc.field, labels, products, unit_coords).rows, unit_coords
+
+
+def assert_matches_dense_oracle(inc, data, I, J, name):
+    C, H, L, quotient = dense_spaces(inc, I, J)
+    assert (data.C, data.H, data.L) == (C, H, L), name
+    assert data.quotient.section_basis == quotient.section_basis, name
+    return quotient, L
+
+
+def ideal_of_A(inc, units):
+    return Subspace.span([inc.delta_vector(u) for u in units], inc.m, inc.field)
+
+
+def test_isotropy_data_against_dense_oracle():
+    """C, H, L, the section basis, E and the B(x, x) presentation at every
+    unit pair of the twisted battery (over GF(7) the twist takes the value
+    2), and C, H, L and the section at the ideal pairs (0, A), (A, 0),
+    (span delta_u0, span delta_u1) and (A, A)."""
+    for name, g, cocycle in twisted_battery():
+        inc = Inclusion(g, cocycle)
+        for y, x, I, J in point_ideal_pairs(inc):
+            data = inc.isotropy_data(y, x)
+            quotient, L = assert_matches_dense_oracle(inc, data, I, J, name)
+            assert inc.projection_matrix(y, x) == dense_projection_matrix(inc, quotient, L), name
+            if y == x:
+                rows, unit_coords = dense_presentation(inc, x, quotient)
+                assert data.presentation.rows == rows, name
+                assert data.unit_coords == unit_coords, name
+        units = g.units
+        zero, A = ideal_of_A(inc, []), ideal_of_A(inc, units)
+        pairs = [(zero, A), (A, zero), (A, A)]
+        if len(units) > 1:
+            pairs.append((ideal_of_A(inc, units[:1]), ideal_of_A(inc, units[1:2])))
+        for I, J in pairs:
+            data = inc.isotropy_data_for_ideals(I, J)
+            assert_matches_dense_oracle(inc, data, I, J, name)
+            assert inc.c_space_for_ideals(I, J) == data.C, name
+
+
+def test_pair20_closed_form():
+    """pair(20) over Q, m = 400, at unit 0: C is the 19 x 19 block plus
+    delta_0, H the block, L every arrow but 0, and E(0, 0) reads off delta_0."""
+    g = pair_groupoid(20)
+    inc = Inclusion(g, Cocycle.trivial(g, QQ))
+    data = inc.isotropy_data(0, 0)
+    assert (data.C.dim, data.H.dim, data.L.dim) == (19**2 + 1, 19**2, 399)
+    assert inc.projection_matrix(0, 0) == (inc.delta_vector(0),)
+
+
+def test_ideal_pair_entry_points_refuse_non_ideals():
+    """A subspace not spanned by unit deltas is not an ideal of A."""
+    inc = Inclusion(*battery(QQ, ["gb"])[0][1:])
+    g = inc.groupoid
+    u0, u1 = g.units[:2]
+    non_unit = next(a for a in g.arrows() if not g.is_unit(a))
+    A = ideal_of_A(inc, g.units)
+    mixed = Subspace.span([combine((1, 1), (inc.delta_vector(u0), inc.delta_vector(u1)), QQ)],
+                          inc.m, QQ)
+    for S in (mixed, Subspace.span([inc.delta_vector(non_unit)], inc.m, QQ)):
+        for I, J in ((S, A), (A, S)):
+            with pytest.raises(ContainmentError):
+                inc.c_space_for_ideals(I, J)
+            with pytest.raises(ContainmentError):
+                inc.isotropy_data_for_ideals(I, J)
 
 
 # -- point ideals and the L spaces ----------------------------------------------
@@ -103,8 +236,8 @@ def brute_force_C(inc, I, J):
     f = inc.field
     p = f.p
     m = inc.m
-    ib = inc.subspace_product(I, inc.full_space())
-    bj = inc.subspace_product(inc.full_space(), J)
+    ib = subspace_product(inc, I, full_space(inc))
+    bj = subspace_product(inc, full_space(inc), J)
     hits = []
     for coords in itertools.product(range(p), repeat=m):
         v = tuple(f.of(c) for c in coords)
@@ -173,8 +306,8 @@ def test_h_space_identities():
         for x in inc.groupoid.units:
             data = inc.isotropy_data(x, x)
             jx = inc.point_ideal(x).basis
-            left = inc.subspace_product(jx, data.C)
-            right = inc.subspace_product(data.C, jx)
+            left = subspace_product(inc, jx, data.C)
+            right = subspace_product(inc, data.C, jx)
             assert left == data.H, name
             assert right == data.H, name
 

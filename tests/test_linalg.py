@@ -256,6 +256,23 @@ def test_quotient_containment_error():
         quotient(s, t)
 
 
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["Q", "GF3"])
+def test_delta_spans_match_elimination(field):
+    """Subspace.deltas agrees with span, value types included, and the
+    quotient of two delta spans has the remaining deltas as its section."""
+    def delta(a):
+        return tuple(field.of(int(j == a)) for j in range(6))
+
+    numerator, kernel = Subspace.deltas([4, 1, 3, 1], 6, field), Subspace.deltas([3], 6, field)
+    assert numerator.pivots == (1, 3, 4)
+    assert numerator == span([delta(a) for a in (1, 3, 4)], 6, field)
+    assert repr(numerator.basis) == repr(span([delta(a) for a in (4, 3, 1)], 6, field).basis)
+    assert Subspace.full(6, field) == span([delta(a) for a in range(6)], 6, field)
+    q = quotient(numerator, kernel)
+    assert repr(q.section_basis) == repr(Subspace.deltas([1, 4], 6, field).basis)
+    assert q.project(combine((2, 5), (delta(4), delta(3)), field)) == (field.zero(), field.of(2))
+
+
 def test_quotient_section_zero_on_kernel_pivots():
     kernel = span([(1, 2, 0, 1), (0, 0, 1, 2)], 4, GF3)
     q = quotient(Subspace.full(4, GF3), kernel)
