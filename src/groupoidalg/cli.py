@@ -54,18 +54,19 @@ from .normalizers import certify_normalizer, verify_inverse_semigroup
 from .steinberg import AlgebraElement, convolve, delta, partial_inverse
 from .twist import Cocycle, validate_cocycle
 
-COMMANDS = (
-    "validate",
-    "algebra",
-    "isotropy",
-    "induce",
-    "restrict",
-    "germs",
-    "ideals",
-    "verify",
-    "effros-hahn",
-    "q1215",
-)
+# each command and its arguments: <required>, [optional]
+USAGE = {
+    "validate": "",
+    "algebra": "",
+    "isotropy": "<x>",
+    "induce": "<x> <module>",
+    "restrict": "<x> <module>",
+    "germs": "<module>",
+    "ideals": "",
+    "verify": "[suite]",
+    "effros-hahn": "",
+    "q1215": "",
+}
 
 IDEAL_ENUM_FIELDS = (2, 3)
 IDEAL_ENUM_MAX_DIM = 12
@@ -410,8 +411,6 @@ def cmd_algebra(problem: ProblemFile, args, report: Report):
 
 
 def cmd_isotropy(problem: ProblemFile, args, report: Report):
-    if len(args) != 1:
-        raise ProblemFileError("isotropy needs a unit: isotropy <x>")
     x = _integer(args[0], "unit")
     inclusion = _validated_inclusion(problem, report)
     if inclusion is None:
@@ -447,8 +446,6 @@ def cmd_isotropy(problem: ProblemFile, args, report: Report):
 
 
 def cmd_induce(problem: ProblemFile, args, report: Report):
-    if len(args) != 2:
-        raise ProblemFileError("induce needs: induce <x> <module>")
     x = _integer(args[0], "unit")
     if not problem.groupoid.is_unit(x):
         raise ProblemFileError(f"{x} is not a unit")
@@ -474,8 +471,6 @@ def cmd_induce(problem: ProblemFile, args, report: Report):
 
 
 def cmd_restrict(problem: ProblemFile, args, report: Report):
-    if len(args) != 2:
-        raise ProblemFileError("restrict needs: restrict <x> <module>")
     x = _integer(args[0], "unit")
     if not problem.groupoid.is_unit(x):
         raise ProblemFileError(f"{x} is not a unit")
@@ -496,8 +491,6 @@ def cmd_restrict(problem: ProblemFile, args, report: Report):
 
 
 def cmd_germs(problem: ProblemFile, args, report: Report):
-    if len(args) != 1:
-        raise ProblemFileError("germs needs a module name")
     inclusion = _validated_inclusion(problem, report)
     if inclusion is None:
         return
@@ -715,6 +708,9 @@ def run(command, problem_path, args=()) -> tuple[str, int]:
         problem = parse(problem_path)
         if command not in _DISPATCH:
             return f"unknown command: {command}\n", 2
+        usage = USAGE[command]
+        if not usage.count("<") <= len(args) <= len(usage.split()):
+            raise ProblemFileError(f"usage: {command} {usage}".rstrip())
         _DISPATCH[command](problem, list(args), report)
     except ProblemFileError as exc:
         return f"input error: {exc}\n", 2
@@ -730,7 +726,7 @@ def main(argv=None) -> int:
         description="exact computations with twisted convolution algebras of "
                     "finite groupoids",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=USAGE)
     parser.add_argument("problem", help="path to a .gkd problem file")
     parser.add_argument("args", nargs="*", help="command arguments")
     try:

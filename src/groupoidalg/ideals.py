@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import TheoremViolation
 from .isotropy import Inclusion
-from .linalg import Subspace, identity_matrix, operator_matrix, right_kernel, zero_vector
+from .linalg import Subspace, right_kernel
 from .modrep import (
     FdModule,
     all_invariant_subspaces,
@@ -35,7 +35,6 @@ from .modrep import (
     quotient_module,
     regular_module,
 )
-from .steinberg import twisted_product_table
 
 
 @dataclass
@@ -57,40 +56,29 @@ class Ideal:
 def induced_ideal(inclusion: Inclusion, x: int, I: Subspace) -> Subspace:
     """The ideal of B induced from an ideal I of the isotropy algebra at x.
 
-    One block of constraint rows per basis pair (alpha, beta): the matrix
-    of c -> I.reduce(E(x,x)(delta_alpha c delta_beta)).  Each product
-    delta_alpha e_k delta_beta is a single scaled delta read off the
-    product law, so a column costs one residual of E on an arrow.
+    The kernel of one block of constraint rows per basis pair
+    (alpha, beta): the matrix of c -> I.reduce(E(x,x)(delta_alpha c delta_beta)).
+    Both products are read off ``B.rows``: rows[alpha] holds
+    (k, ((alpha k, w1),)) and rows[alpha k] holds (beta, ((alpha k beta, w2),)),
+    so column k of the block is w1 w2 times the residual of E on the arrow
+    alpha k beta.  Only the rows that some nonzero entry touches are kept.
     """
     data = inclusion.isotropy_data(x, x)
     if not is_two_sided_ideal(data.presentation, I):
         raise ValueError("I is not a two-sided ideal of the isotropy algebra")
-    f = inclusion.field
-    m = inclusion.m
-    law = twisted_product_table(inclusion.groupoid, inclusion.cocycle)
+    f, m, rows = inclusion.field, inclusion.m, inclusion.B.rows
     # residual[k] = I.reduce(E(x,x)(delta_k)), by linearity of the reduction
     residual = [I.reduce(col) for col in zip(*inclusion.projection_matrix(x, x))]
-    zero = zero_vector(data.quotient.dim, f)
-
-    def sandwich(alpha, c, beta):
-        out = zero
-        for k, ck in enumerate(c):
-            if ck == 0 or (alpha, k) not in law:
-                continue
-            ak, w1 = law[(alpha, k)]
-            if (ak, beta) not in law:
-                continue
-            akb, w2 = law[(ak, beta)]
-            s = f.mul(ck, f.mul(w1, w2))
-            out = tuple(f.add(o, f.mul(s, r)) for o, r in zip(out, residual[akb]))
-        return out
-
-    eye = identity_matrix(m, f)
-    rows = []
-    for alpha in range(m):
-        for beta in range(m):
-            rows.extend(operator_matrix(lambda c: sandwich(alpha, c, beta), eye))
-    basis = right_kernel(rows, m, f)
+    constraints = {}
+    for alpha, row in enumerate(rows):
+        for k, ((ak, w1),) in row:
+            for beta, ((akb, w2),) in rows[ak]:
+                w = f.mul(w1, w2)
+                for r, res in enumerate(residual[akb]):
+                    if res != 0:
+                        constraint = constraints.setdefault((alpha, beta, r), [f.zero()] * m)
+                        constraint[k] = f.mul(w, res)
+    basis = right_kernel(list(constraints.values()), m, f)
     out = Subspace.span(basis, m, f)
     if not is_two_sided_ideal(inclusion.B, out):
         raise TheoremViolation("induced ideal is not two-sided")
@@ -158,10 +146,8 @@ def enumerate_ideals(inclusion: Inclusion, budget=2**20):
     Exhaustive over GF(2)/GF(3) within the budget; sorted by (dim, basis)
     so reports are deterministic.
     """
-    B = inclusion.B
-    basis = [B.basis_vector(i) for i in range(B.dim)]
-    mats = [B.left_mult_matrix(e) for e in basis] + [B.right_mult_matrix(e) for e in basis]
-    return all_invariant_subspaces(mats, inclusion.m, inclusion.field, budget)
+    left, right = inclusion.B.mult_matrices()
+    return all_invariant_subspaces(left + right, inclusion.m, inclusion.field, budget)
 
 
 def irreducible_quotients_of_regular(inclusion: Inclusion, budget=2**20):

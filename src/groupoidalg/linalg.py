@@ -12,8 +12,11 @@ Spans of standard basis vectors (``Subspace.deltas``) need none: their
 RREF bases are written down directly.
 All linear combinations of rows, matrix products included, go through
 ``combine``, which skips zero coefficients and zero entries.  The matrix
-of a linear map is only ever taken through ``operator_matrix``: column k
-is the map applied to the k-th vector of a given domain basis.
+of a linear map given by its values on a domain basis is taken through
+``operator_matrix``: column k is the map applied to the k-th basis
+vector.  Matrices and constraint rows that come from a product law (the
+multiplication matrices, the center, induced ideals) are read straight
+off ``AlgebraPresentation.rows`` instead.
 
 Scalars are `fractions.Fraction` over the rationals and plain ints in
 ``[0, p)`` over GF(p).  No floating point is used anywhere.

@@ -146,8 +146,8 @@ def check_module(module: FdModule):
 
 
 def regular_module(algebra: AlgebraPresentation, name="regular") -> FdModule:
-    mats = [algebra.left_mult_matrix(algebra.basis_vector(i)) for i in range(algebra.dim)]
-    return FdModule(algebra, mats, name)
+    left, _ = algebra.mult_matrices()
+    return FdModule(algebra, left, name)
 
 
 def direct_sum(m1: FdModule, m2: FdModule, name="") -> FdModule:

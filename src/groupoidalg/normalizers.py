@@ -262,9 +262,13 @@ class SemigroupReport:
 def verify_inverse_semigroup(sample, max_size: int = 4096) -> SemigroupReport:
     """Close a sample of certified normalizers under products and stars.
 
-    Verifies: closure is finite, partial inverses are unique inside the
-    closure, idempotents commute, and (nm)* = m* n*.  The zero element is
-    kept in the closure (products of sections routinely vanish).
+    Verifies: closure is finite, the partial-inverse law n n* n = n,
+    n* n n* = n* holds for every element, idempotents commute, and
+    (nm)* = m* n*.  The zero element is kept in the closure (products of
+    sections routinely vanish).  Partial inverses are then unique inside
+    the closure without a further check: a regular semigroup whose
+    idempotents commute is an inverse semigroup (Howie, Fundamentals of
+    Semigroup Theory, 1995, Thm 5.1.1).
     """
     violations = []
     star = {}
@@ -304,12 +308,6 @@ def verify_inverse_semigroup(sample, max_size: int = 4096) -> SemigroupReport:
         s = star[el]
         if convolve(convolve(el, s), el) != el or convolve(convolve(s, el), s) != s:
             violations.append(("partial-inverse-law", el))
-        # uniqueness within the closure
-        for t in elements:
-            if t is s or t == s:
-                continue
-            if convolve(convolve(el, t), el) == el and convolve(convolve(t, el), t) == t:
-                violations.append(("non-unique-partial-inverse", (el, t)))
 
     idem = [e for e in elements if convolve(e, e) == e]
     for i, e in enumerate(idem):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import BisectionRequired, NoPartialInverse
 from .groupoid import FiniteGroupoid
-from .linalg import Field, Subspace, identity_matrix, operator_matrix, right_kernel
+from .linalg import Field, Subspace, right_kernel
 from .twist import Cocycle, bundle_inverse_coefficient
 
 
@@ -237,9 +237,8 @@ class AlgebraPresentation:
     nonzero terms.  ``table`` is the dense view (``table[i][j]`` the
     coefficient tuple of basis_i * basis_j), built on first read.  The
     identity's coordinates, when present, are stored in ``unit``.
-    Operators on the algebra (left and right multiplication, the
-    commutator maps behind ``center``) are built column by column from
-    the images of basis vectors under ``multiply``.
+    The multiplication matrices and the constraint rows behind ``center``
+    are read straight off ``rows``; no operator is built by ``multiply``.
     """
 
     def __init__(self, field: Field, labels, products, unit=None):
@@ -288,13 +287,21 @@ class AlgebraPresentation:
                         out[k] = f.add(out[k], f.mul(c, pk))
         return tuple(out)
 
-    def left_mult_matrix(self, u):
-        """Matrix of v -> u * v acting on coefficient columns."""
-        return operator_matrix(lambda v: self.multiply(u, v), identity_matrix(self.dim, self.field))
+    def mult_matrices(self):
+        """(left, right): for each basis element i, the matrices of v -> e_i v and v -> v e_i.
 
-    def right_mult_matrix(self, u):
-        """Matrix of v -> v * u acting on coefficient columns."""
-        return operator_matrix(lambda v: self.multiply(v, u), identity_matrix(self.dim, self.field))
+        Read off ``rows``: a product e_a e_b = sum p_k e_k puts p_k at
+        (k, b) of left[a] and at (k, a) of right[b].
+        """
+        zero, n = self.field.zero(), self.dim
+        left = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        right = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        for a, row in enumerate(self.rows):
+            for b, terms in row:
+                for k, p in terms:
+                    left[a][k][b] = p
+                    right[b][k][a] = p
+        return [tuple(map(tuple, m)) for m in left], [tuple(map(tuple, m)) for m in right]
 
     def basis_vector(self, i):
         f = self.field
@@ -340,35 +347,25 @@ class AlgebraPresentation:
         return True
 
     def center(self) -> Subspace:
-        """The subspace of vectors commuting with every basis element."""
+        """The subspace of vectors c with e_i c = c e_i for every basis element i.
+
+        The kernel of one constraint row per (i, k) that a product touches:
+        the k-th coordinate of e_i c - c e_i.  A product e_a e_b = sum p_k e_k
+        puts +p_k at column b of row (a, k) and -p_k at column a of row (b, k).
+        """
         f = self.field
-        rows = []
-        eye = identity_matrix(self.dim, f)
-        for ei in eye:
-            rows.extend(operator_matrix(
-                lambda c: tuple(
-                    f.sub(a, b) for a, b in zip(self.multiply(ei, c), self.multiply(c, ei))
-                ),
-                eye,
-            ))
-        basis = right_kernel(rows, self.dim, f)
-        return Subspace.span(basis, self.dim, self.field)
+        constraints = {}
+        for a, row in enumerate(self.rows):
+            for b, terms in row:
+                for k, p in terms:
+                    for i, col, c in ((a, b, p), (b, a, f.neg(p))):
+                        r = constraints.setdefault((i, k), [f.zero()] * self.dim)
+                        r[col] = f.add(r[col], c)
+        basis = right_kernel(list(constraints.values()), self.dim, f)
+        return Subspace.span(basis, self.dim, f)
 
     def __repr__(self):
         return f"AlgebraPresentation(dim={self.dim}, {self.field})"
-
-
-def twisted_product_table(groupoid: FiniteGroupoid, cocycle: Cocycle):
-    """Sparse single-term products: (a, b) -> (ab, w(a, b)) for composable pairs.
-
-    Convolution of two delta sections is always a single scaled delta,
-    which makes this table the whole multiplication law of the algebra.
-    """
-    _require_validated(cocycle)
-    out = {}
-    for a, b in groupoid.composable_pairs():
-        out[(a, b)] = (groupoid.comp[a][b], cocycle(a, b))
-    return out
 
 
 def presentation_of_B(groupoid: FiniteGroupoid, cocycle: Cocycle) -> AlgebraPresentation:
@@ -380,7 +377,7 @@ def presentation_of_B(groupoid: FiniteGroupoid, cocycle: Cocycle) -> AlgebraPres
     _require_validated(cocycle)
     f = cocycle.field
     products = {
-        pair: {ab: w} for pair, (ab, w) in twisted_product_table(groupoid, cocycle).items()
+        (a, b): {groupoid.comp[a][b]: cocycle(a, b)} for a, b in groupoid.composable_pairs()
     }
     unit = [f.zero()] * groupoid.n_arrows
     for u in groupoid.units:

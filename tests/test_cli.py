@@ -135,6 +135,17 @@ def test_unknown_command():
     assert out == "unknown command: nonsense\n"
 
 
+@pytest.mark.parametrize("command,args", [
+    ("algebra", ["7"]), ("validate", ["x", "y"]), ("verify", ["all", "junk"]),
+    ("ideals", ["1"]), ("q1215", ["z"]), ("effros-hahn", ["1"]), ("isotropy", []),
+    ("isotropy", ["0", "1"]), ("induce", ["0"]), ("restrict", ["0", "m", "n"]), ("germs", []),
+])
+def test_wrong_argument_count_is_input_error(command, args):
+    out, code = run(command, str(FIXTURES / "pair2.gkd"), args)
+    usage = f"{command} {cli.USAGE[command]}".rstrip()
+    assert (code, out) == (2, f"input error: usage: {usage}\n")
+
+
 def test_internal_keyerror_is_not_an_unknown_command(monkeypatch):
     """A KeyError raised inside a handler is a bug, not bad input."""
     def broken(problem, args, report):

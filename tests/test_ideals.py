@@ -18,7 +18,15 @@ from groupoidalg.ideals import (
 )
 from groupoidalg.induction import induce
 from groupoidalg.isotropy import Inclusion
-from groupoidalg.linalg import GF, QQ, Subspace
+from groupoidalg.linalg import (
+    GF,
+    QQ,
+    Subspace,
+    identity_matrix,
+    operator_matrix,
+    right_kernel,
+    zero_vector,
+)
 from groupoidalg.modrep import (
     all_submodules,
     annihilator,
@@ -32,7 +40,7 @@ from groupoidalg.modrep import (
 )
 from groupoidalg.twist import Cocycle, coboundary
 
-from conftest import battery, make_gb, make_z2, quaternion_fixture
+from conftest import battery, make_gb, make_z2, quaternion_fixture, twisted_battery
 
 GF2 = GF(2)
 GF3 = GF(3)
@@ -117,6 +125,56 @@ def test_twisted_induced_ideal_against_exhaustive_oracle():
         assert any(I.dim > 0 for I in ideals)
         for I in ideals:
             assert induced_ideal(inc, x, I) == brute_force_induced_ideal(inc, x, I)
+
+
+def sandwich_induced_ideal(inc, x, I):
+    """Oracle: the kernel of the m^2 blocks c -> I.reduce(E(x,x)(delta_a c delta_b)),
+    each block's matrix taken column by column through a product of deltas
+    read off the groupoid's composition and the cocycle."""
+    f, m, g, w = inc.field, inc.m, inc.groupoid, inc.cocycle
+    residual = [I.reduce(col) for col in zip(*inc.projection_matrix(x, x))]
+    zero = zero_vector(inc.isotropy_data(x, x).quotient.dim, f)
+
+    def sandwich(alpha, c, beta):
+        out = zero
+        for k, ck in enumerate(c):
+            if ck == 0 or g.src[alpha] != g.tgt[k] or g.src[k] != g.tgt[beta]:
+                continue
+            ak = g.comp[alpha][k]
+            s = f.mul(ck, f.mul(w(alpha, k), w(ak, beta)))
+            out = tuple(f.add(o, f.mul(s, r)) for o, r in zip(out, residual[g.comp[ak][beta]]))
+        return out
+
+    eye = identity_matrix(m, f)
+    rows = []
+    for alpha in range(m):
+        for beta in range(m):
+            rows.extend(operator_matrix(lambda c: sandwich(alpha, c, beta), eye))
+    return Subspace.span(right_kernel(rows, m, f), m, f)
+
+
+def test_induced_ideal_matches_sandwich_oracle():
+    """At every unit of the twisted battery: I = 0 and I = B(x,x), and over
+    GF(7) every ideal of B(x,x)."""
+    for name, g, c in twisted_battery():
+        inc = Inclusion(g, c)
+        for x in g.units:
+            iso = inc.isotropy_data(x, x).presentation
+            if c.field.p is None:
+                ideals = [Subspace.zero(iso.dim, c.field), Subspace.full(iso.dim, c.field)]
+            else:
+                ideals = [s for s in all_submodules(regular_module(iso))
+                          if is_two_sided_ideal(iso, s)]
+            for I in ideals:
+                assert induced_ideal(inc, x, I) == sandwich_induced_ideal(inc, x, I), (name, x, I)
+
+
+def test_induced_ideal_closed_forms_on_pair12():
+    """M_12(Q) is simple: 0 induces 0 and the improper ideal induces B."""
+    g = pair_groupoid(12)
+    inc = Inclusion(g, Cocycle.trivial(g, QQ))
+    assert induced_ideal(inc, 0, Subspace.zero(1, QQ)).dim == 0
+    assert induced_ideal(inc, 0, Subspace.full(1, QQ)) == Subspace.full(inc.m, QQ)
 
 
 def test_primitive_from_isotropy_simple_algebra():

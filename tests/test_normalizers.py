@@ -24,7 +24,7 @@ from groupoidalg.steinberg import (
 )
 from groupoidalg.twist import Cocycle
 
-from conftest import battery, make_z2, quaternion_fixture
+from conftest import battery, make_z2, quaternion_fixture, twisted_battery
 
 GF5 = GF(5)
 
@@ -231,6 +231,29 @@ def test_inverse_semigroup_quaternion_closure():
     idems = report.idempotents()
     supports = sorted(tuple(e.support()) for e in idems)
     assert supports == [(), (0,)]
+
+
+def non_unique_partial_inverses(report):
+    """Oracle: the pairs (n, t) of the closure with t != n* and t a partial
+    inverse of n, by the O(n^2) scan over every element pair."""
+    out = []
+    for el in report.elements:
+        s = report.star[el]
+        for t in report.elements:
+            if t == s:
+                continue
+            if convolve(convolve(el, t), el) == el and convolve(convolve(t, el), t) == t:
+                out.append((el, t))
+    return out
+
+
+def test_partial_inverses_unique_on_every_battery_closure():
+    """The uniqueness scan finds nothing wherever the closure checks pass:
+    a regular semigroup with commuting idempotents is inverse."""
+    for name, g, c in twisted_battery():
+        report = verify_inverse_semigroup(singleton_certificates(g, c))
+        assert report.ok, name
+        assert non_unique_partial_inverses(report) == [], name
 
 
 def test_synthesize_for_bisection_sections():

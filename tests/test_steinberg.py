@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from groupoidalg.errors import BisectionRequired
-from groupoidalg.groupoid import pair_groupoid
-from groupoidalg.linalg import GF, QQ
+from groupoidalg.groupoid import group_groupoid, pair_groupoid
+from groupoidalg.linalg import GF, QQ, Subspace, identity_matrix, operator_matrix, right_kernel
 from groupoidalg.isotropy import Inclusion
 from groupoidalg.steinberg import (
     AlgebraElement,
@@ -25,7 +25,6 @@ from groupoidalg.steinberg import (
     partial_inverse,
     presentation_of_B,
     twisted_group_algebra,
-    twisted_product_table,
     unit_indicator,
 )
 from groupoidalg.twist import Cocycle, restrict_to_isotropy
@@ -357,9 +356,9 @@ def dense_table_of_B(g, c):
     f = c.field
     zero_row = tuple(f.zero() for _ in range(g.n_arrows))
     table = [[zero_row] * g.n_arrows for _ in range(g.n_arrows)]
-    for (a, b), (ab, w) in twisted_product_table(g, c).items():
+    for a, b in g.composable_pairs():
         row = list(zero_row)
-        row[ab] = w
+        row[g.comp[a][b]] = c(a, b)
         table[a][b] = tuple(row)
     return tuple(tuple(row) for row in table)
 
@@ -466,3 +465,65 @@ def test_sparse_associativity_witness_matches_dense_oracle():
             assert broken.check_associativity() == expected, label
             perturbed += expected is not None
     assert perturbed > 0
+
+
+def dense_mult_matrices(pres, right=False):
+    """Oracle: the matrix of v -> e_i v (v -> v e_i if ``right``) for each i,
+    by ``multiply`` on the standard basis vectors."""
+    eye = identity_matrix(pres.dim, pres.field)
+    if right:
+        return [operator_matrix(lambda v: pres.multiply(v, u), eye) for u in eye]
+    return [operator_matrix(lambda v: pres.multiply(u, v), eye) for u in eye]
+
+
+def dense_center(pres):
+    """Oracle: the kernel of the stacked matrices of c -> e_i c - c e_i."""
+    f = pres.field
+    eye = identity_matrix(pres.dim, f)
+    rows = []
+    for ei in eye:
+        rows.extend(operator_matrix(
+            lambda c: tuple(
+                f.sub(a, b) for a, b in zip(pres.multiply(ei, c), pres.multiply(c, ei))
+            ),
+            eye,
+        ))
+    return Subspace.span(right_kernel(rows, pres.dim, f), pres.dim, f)
+
+
+def random_presentations(rng):
+    """Presentations whose products have several terms, over Q and GF(7)."""
+    out = []
+    for f in (QQ, GF(7)):
+        for dim in (1, 2, 3, 4):
+            table = tuple(
+                tuple(random_vector(rng, f, dim, 0.4) for _ in range(dim)) for _ in range(dim)
+            )
+            out.append((f"random {dim} {f}", AlgebraPresentation(
+                f, [f"e{i}" for i in range(dim)], products_of(table)
+            )))
+    return out
+
+
+def test_mult_matrices_match_dense_oracle():
+    cases = [(label, pres) for label, pres, _ in presentation_cases()]
+    for label, pres in cases + random_presentations(random.Random(11)):
+        oracle = (dense_mult_matrices(pres), dense_mult_matrices(pres, right=True))
+        assert pres.mult_matrices() == oracle, label
+        assert repr(pres.mult_matrices()) == repr(oracle), label
+
+
+def test_center_matches_dense_oracle():
+    cases = [(label, pres) for label, pres, _ in presentation_cases()]
+    for label, pres in cases + random_presentations(random.Random(12)):
+        assert pres.center() == dense_center(pres), label
+
+
+def test_center_closed_forms():
+    """M_12(Q) has the scalars as its center; K[S3] has the three class sums."""
+    g = pair_groupoid(12)
+    assert presentation_of_B(g, Cocycle.trivial(g, QQ)).center().dim == 1
+    perms = list(itertools.permutations(range(3)))
+    table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+    s3 = group_groupoid(table)
+    assert presentation_of_B(s3, Cocycle.trivial(s3, QQ)).center().dim == 3
