@@ -4,7 +4,10 @@ For a unit x, the bimodule is the quotient M_x = B / BJ_x.  It is a
 left B-module, a right module over the isotropy algebra B(x, x), and
 free as such with one generator per orbit point: the class zeta_y of a
 chosen section n_y picked in N(y, x) (the lexicographically least arrow
-of the hom-set; at y = x the unit indicator at x).  Induction takes a
+of the hom-set; at y = x the unit indicator at x).  BJ_x is the delta span
+of the arrows out of other units, so M_x has the deltas of the arrows out
+of x as its basis, and its operators are read off B's product index at
+those arrows, with no product projected onto the quotient.  Induction takes a
 unital left B(x, x)-module V to the left B-module carried by one copy
 of V per orbit point, with a basis arrow acting from the source block
 to the target block through the isotropy class of n_tgt* . arrow . n_src.
@@ -40,11 +43,15 @@ from .modrep import (
     germ_space,
     restriction,
 )
-from .steinberg import convolve, delta, partial_inverse, unit_indicator
+from .steinberg import convolve, delta, partial_inverse
 
 
 class ImprimitivityBimodule:
-    """M_x = B / BJ_x with both actions and the free-basis bookkeeping."""
+    """M_x = B / BJ_x with both actions and the free-basis bookkeeping.
+
+    Both actions are ``B.mult_matrices`` compressed to the arrows out of x,
+    the right one taken at the isotropy arrows, B(x, x)'s section basis.
+    """
 
     def __init__(self, inclusion: Inclusion, x: int):
         self.inclusion = inclusion
@@ -53,38 +60,31 @@ class ImprimitivityBimodule:
         gpd._require_unit(x)
         f = inclusion.field
         self.field = f
-        bj = inclusion.BJ(x)
-        self.quotient = QuotientSpace(Subspace.full(inclusion.m, f), bj)
+        self.quotient = QuotientSpace(Subspace.full(inclusion.m, f), inclusion.BJ(x))
         self.orbit = tuple(gpd.orbit(x))
         self.data = inclusion.isotropy_data(x, x)
 
-        self.chosen = {}
-        for y in self.orbit:
-            if y == x:
-                self.chosen[y] = unit_indicator(gpd, inclusion.cocycle, [x])
-            else:
-                arrow = min(gpd.hom_set(y, x))
-                self.chosen[y] = delta(gpd, inclusion.cocycle, arrow)
+        # the section at y = x is delta_x, elsewhere the least arrow x -> y
+        self.chosen = {
+            y: delta(gpd, inclusion.cocycle, x if y == x else min(gpd.hom_set(y, x)))
+            for y in self.orbit
+        }
         self.zeta = {
             y: self.quotient.project(n.to_vector()) for y, n in self.chosen.items()
         }
 
-        # every operator acts on M_x in the coordinates of its section basis
-        section = self.quotient.section_basis
-        project = self.quotient.project
-        self.left_action = [
-            operator_matrix(lambda s: project(inclusion.multiply(e, s)), section)
-            for e in identity_matrix(inclusion.m, f)
-        ]
-        self.right_action = [
-            operator_matrix(lambda s: project(inclusion.multiply(s, rep)), section)
-            for rep in self.data.quotient.section_basis
-        ]
-        # mu: B(x,x) -> M_x, c + H -> c + BJ_x
-        self.mu = operator_matrix(project, self.data.quotient.section_basis)
+        # every operator acts on M_x in the coordinates of its section
+        # basis, the deltas of the arrows out of x
+        arrows = self.quotient.section.pivots
+        isotropy = self.data.quotient.section.pivots
+        self.left_action, right = inclusion.B.mult_matrices(arrows)
+        self.right_action = [right[g] for g in isotropy]
+        # mu: B(x,x) -> M_x, c + H -> c + BJ_x, the inclusion of isotropy arrows
+        one, zero = f.one(), f.zero()
+        self.mu = tuple(tuple(one if a == g else zero for g in isotropy) for a in arrows)
         # nu(xi) = E(x,x)(lift xi); independent of the lift since E kills BJ_x
         emat = inclusion.projection_matrix(x, x)
-        self.nu = operator_matrix(lambda s: mat_vec(emat, s, f), section)
+        self.nu = tuple(tuple(row[a] for a in arrows) for row in emat)
         self.pi = mat_mul(self.mu, self.nu, f)
         self._verify()
 
@@ -114,16 +114,14 @@ class ImprimitivityBimodule:
         mu_range = Subspace.span(zip(*self.mu), d, f)
         if mu_range.dim != k:
             raise TheoremViolation("standard inclusion is not injective")
-        for i, s in enumerate(self.data.quotient.section_basis):
-            for j in range(k):
-                h = self.data.presentation.basis_vector(j)
-                lhs = mat_vec(self.mu, self.data.presentation.multiply(
-                    self.data.quotient.project(s), h), f)
-                rhs = self.right_apply(mat_vec(self.mu, self.data.quotient.project(s), f), h)
-                if lhs != rhs:
+        basis = identity_matrix(k, f)
+        for c in basis:
+            for h in basis:
+                lhs = mat_vec(self.mu, self.data.presentation.multiply(c, h), f)
+                if lhs != self.right_apply(mat_vec(self.mu, c, f), h):
                     raise TheoremViolation("standard inclusion is not right-linear")
         # nu o mu = id, mu o nu = pi
-        if mat_mul(self.nu, self.mu, f) != identity_matrix(k, f):
+        if mat_mul(self.nu, self.mu, f) != basis:
             raise TheoremViolation("nu o mu is not the identity")
         if mat_mul(self.pi, self.pi, f) != self.pi:
             raise TheoremViolation("pi is not idempotent")
@@ -145,10 +143,7 @@ class ImprimitivityBimodule:
         # range(mu) = range(pi) = the J_x-killed part of the quotient
         pi_range = Subspace.span(zip(*self.pi), d, f)
         lx = self.left_action[self.x]
-        rows = [
-            tuple(f.sub(lx[r][c], f.one() if r == c else f.zero()) for c in range(d))
-            for r in range(d)
-        ]
+        rows = [tuple(map(f.sub, lr, er)) for lr, er in zip(lx, identity_matrix(d, f))]
         killed = Subspace.span(right_kernel(rows, d, f), d, f)
         if not (mu_range == pi_range == killed):
             raise TheoremViolation("range(mu) must equal range(pi) and the killed part")
@@ -167,10 +162,7 @@ class ImprimitivityBimodule:
         # freeness: (h_y)_y -> sum zeta_y h_y is bijective
         if d != len(self.orbit) * k:
             raise TheoremViolation("bimodule dimension is not orbit x isotropy")
-        cols = []
-        for y in self.orbit:
-            for j in range(k):
-                cols.append(self.right_apply(self.zeta[y], self.data.presentation.basis_vector(j)))
+        cols = [self.right_apply(self.zeta[y], h) for y in self.orbit for h in basis]
         if Subspace.span(cols, d, f).dim != d:
             raise TheoremViolation("the zeta coordinates are not a free basis")
 
@@ -182,24 +174,21 @@ class ImprimitivityBimodule:
         """Coordinates of xi over the free basis, one B(x,x)-block per orbit point.
 
         Computed with the partial inverses of the chosen sections:
-        block_y = nu(n_y* . xi).
+        block_y = nu(n_y* . xi), and n_y* = c delta_a acts as c left_action[a].
         """
+        f = self.field
         blocks = {}
-        for y in self.orbit:
-            n_star = partial_inverse(self.chosen[y]).to_vector()
-            lifted = self.quotient.inject(xi)
-            vec = self.inclusion.multiply(n_star, lifted)
-            blocks[y] = self.nu_of(self.quotient.project(vec))
+        for y, n in self.chosen.items():
+            ((a, c),) = partial_inverse(n).coeffs.items()
+            moved = mat_vec(self.left_action[a], xi, f)
+            blocks[y] = self.nu_of(tuple(f.mul(c, v) for v in moved))
         return blocks
 
 
 def imprimitivity_bimodule(inclusion: Inclusion, x: int) -> ImprimitivityBimodule:
-    cache = getattr(inclusion, "_bimodules", None)
-    if cache is None:
-        cache = inclusion._bimodules = {}
-    if x not in cache:
-        cache[x] = ImprimitivityBimodule(inclusion, x)
-    return cache[x]
+    if x not in inclusion._bimodules:
+        inclusion._bimodules[x] = ImprimitivityBimodule(inclusion, x)
+    return inclusion._bimodules[x]
 
 
 @dataclass
@@ -290,11 +279,8 @@ def verify_res_ind_roundtrip(inclusion: Inclusion, x: int, V: FdModule) -> Round
     f = inclusion.field
     if res.subspace.dim != V.dim:
         raise TheoremViolation("restriction of the induced module has the wrong size")
-    for j in range(V.dim):
-        image = ind.embed(x, V.basis_vector(j))
-        if image not in res.subspace:
-            raise TheoremViolation("embedded vector escapes the restriction")
-    # bijectivity onto the restriction
+    # bijectivity onto the restriction; RREF bases are canonical, so the
+    # equality also shows that every embedded vector lies in the restriction
     embedded = Subspace.span(
         [ind.embed(x, V.basis_vector(j)) for j in range(V.dim)], ind.module.dim, f
     )

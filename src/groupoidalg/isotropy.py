@@ -114,6 +114,7 @@ class Inclusion:
         self._data = {}
         self._emat = {}
         self._iso_cache = {}
+        self._bimodules = {}
 
     # -- elementary vectors and subspaces -------------------------------------
 

@@ -15,17 +15,19 @@ All linear combinations of rows, matrix products included, go through
 of a linear map given by its values on a domain basis is taken through
 ``operator_matrix``: column k is the map applied to the k-th basis
 vector.  Matrices and constraint rows that come from a product law (the
-multiplication matrices, the center, induced ideals) are read straight
-off ``AlgebraPresentation.rows`` instead.
+multiplication matrices, whole or compressed as the bimodule's actions,
+the center, induced ideals) are read straight off ``AlgebraPresentation.rows``.
 
 Scalars are `fractions.Fraction` over the rationals and plain ints in
-``[0, p)`` over GF(p).  No floating point is used anywhere.
+``[0, p)`` over GF(p), p < 2**64.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import bisect
 from fractions import Fraction
+
+from sympy import isprime
 
 from .errors import ContainmentError, DimensionMismatch
 
@@ -40,7 +42,9 @@ class Field:
 
     def __init__(self, p: int | None = None):
         if p is not None:
-            if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+            if p >= 2**64:  # where sympy's isprime stops being deterministic
+                raise ValueError("GF(p) needs a prime p < 2**64")
+            if not isprime(p):
                 raise ValueError(f"{p} is not prime")
         self.p = p
 

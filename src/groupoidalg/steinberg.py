@@ -287,20 +287,25 @@ class AlgebraPresentation:
                         out[k] = f.add(out[k], f.mul(c, pk))
         return tuple(out)
 
-    def mult_matrices(self):
+    def mult_matrices(self, support=None):
         """(left, right): for each basis element i, the matrices of v -> e_i v and v -> v e_i.
 
         Read off ``rows``: a product e_a e_b = sum p_k e_k puts p_k at
-        (k, b) of left[a] and at (k, a) of right[b].
+        (k, b) of left[a] and at (k, a) of right[b].  A sorted ``support``
+        compresses every matrix to the span of those basis elements: rows and
+        columns run over ``support``, and only terms with both indices in it count.
         """
-        zero, n = self.field.zero(), self.dim
-        left = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        right = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        index = {k: r for r, k in enumerate(range(self.dim) if support is None else support)}
+        zero, n = self.field.zero(), len(index)
+        left = [[[zero] * n for _ in range(n)] for _ in range(self.dim)]
+        right = [[[zero] * n for _ in range(n)] for _ in range(self.dim)]
         for a, row in enumerate(self.rows):
             for b, terms in row:
                 for k, p in terms:
-                    left[a][k][b] = p
-                    right[b][k][a] = p
+                    if k in index and b in index:
+                        left[a][index[k]][index[b]] = p
+                    if k in index and a in index:
+                        right[b][index[k]][index[a]] = p
         return [tuple(map(tuple, m)) for m in left], [tuple(map(tuple, m)) for m in right]
 
     def basis_vector(self, i):

@@ -1,5 +1,6 @@
 """Problem-file parsing, command execution, exit codes, determinism."""
 
+import time
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,25 @@ def test_malformed_field_line_is_input_error(tmp_path, line):
     out, code = run("validate", write(tmp_path, text.replace("[field] Q", line, 1)))
     assert code == 2
     assert out.startswith("input error:")
+
+
+@pytest.mark.parametrize("prime", [str(2 * 10**399), "1000000016000000063"])
+def test_bad_prime_field_is_a_prompt_input_error(tmp_path, prime):
+    """A 400-digit even p and the product 1000000007 * 1000000009 are
+    refused at once, not by trial division."""
+    text = (FIXTURES / "pair2.gkd").read_text(encoding="utf-8")
+    path = write(tmp_path, text.replace("[field] Q", f"[field] GF {prime}", 1))
+    start = time.perf_counter()
+    out, code = run("validate", path)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out.startswith("input error:")
+
+
+def test_largest_prime_below_two_to_the_64_validates(tmp_path):
+    text = (FIXTURES / "pair2.gkd").read_text(encoding="utf-8")
+    out, code = run("validate", write(tmp_path, text.replace("[field] Q", f"[field] GF {2**64 - 59}", 1)))
+    assert code == 0, out
 
 
 def test_validate_survives_every_truncated_line(tmp_path):

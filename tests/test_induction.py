@@ -1,5 +1,8 @@
 """Imprimitivity bimodules, induction, roundtrips, and lattice transfer."""
 
+import random
+from fractions import Fraction
+
 from groupoidalg.groupoid import pair_groupoid
 from groupoidalg.induction import (
     imprimitivity_bimodule,
@@ -10,7 +13,16 @@ from groupoidalg.induction import (
     verify_res_ind_roundtrip,
 )
 from groupoidalg.isotropy import Inclusion
-from groupoidalg.linalg import GF, QQ, Subspace, mat_vec
+from groupoidalg.linalg import (
+    GF,
+    QQ,
+    QuotientSpace,
+    Subspace,
+    identity_matrix,
+    mat_mul,
+    mat_vec,
+    operator_matrix,
+)
 from groupoidalg.modrep import (
     all_submodules,
     direct_sum,
@@ -20,10 +32,10 @@ from groupoidalg.modrep import (
     restriction,
     submodule_module,
 )
-from groupoidalg.steinberg import convolve, delta
+from groupoidalg.steinberg import convolve, delta, partial_inverse, unit_indicator
 from groupoidalg.twist import Cocycle
 
-from conftest import battery, make_gb, make_z2, quaternion_fixture
+from conftest import battery, make_gb, make_z2, quaternion_fixture, twisted_battery
 
 GF2 = GF(2)
 GF3 = GF(3)
@@ -49,6 +61,74 @@ def module_battery(inclusion, x):
 
 
 # -- the bimodule ------------------------------------------------------------------
+
+
+def dense_bimodule(inc, x):
+    """Oracle: M_x = B / BJ_x with its operators built column by column,
+    each column a dense product in B projected onto M_x by elimination.
+
+    Returns the quotient, the chosen sections and (left action, right
+    action, mu, nu, pi)."""
+    f, g = inc.field, inc.groupoid
+    quotient = QuotientSpace(Subspace.full(inc.m, f), inc.BJ(x))
+    data = inc.isotropy_data(x, x)
+    section, iso_section = quotient.section_basis, data.quotient.section_basis
+    chosen = {
+        y: unit_indicator(g, inc.cocycle, [x]) if y == x
+        else delta(g, inc.cocycle, min(g.hom_set(y, x)))
+        for y in g.orbit(x)
+    }
+    left = [
+        operator_matrix(lambda s: quotient.project(inc.multiply(e, s)), section)
+        for e in identity_matrix(inc.m, f)
+    ]
+    right = [
+        operator_matrix(lambda s: quotient.project(inc.multiply(s, rep)), section)
+        for rep in iso_section
+    ]
+    mu = operator_matrix(quotient.project, iso_section)
+    emat = inc.projection_matrix(x, x)
+    nu = operator_matrix(lambda s: mat_vec(emat, s, f), section)
+    return quotient, chosen, (left, right, mu, nu, mat_mul(mu, nu, f))
+
+
+def dense_free_coordinates(inc, quotient, chosen, nu, xi):
+    """Oracle: block_y = nu(n_y* . xi) by a dense product in B."""
+    blocks = {}
+    for y, n in chosen.items():
+        vec = inc.multiply(partial_inverse(n).to_vector(), quotient.inject(xi))
+        blocks[y] = mat_vec(nu, quotient.project(vec), inc.field)
+    return blocks
+
+
+def test_bimodule_matches_dense_oracle():
+    """Actions, mu, nu, pi, the chosen sections and the free coordinates
+    read off B's product index agree with the dense construction at every
+    unit of the twisted battery (the quaternion twist and the GF(7)
+    coboundary with value 2 included)."""
+    rng = random.Random(8)
+    names = []
+    for name, g, c in twisted_battery():
+        inc = Inclusion(g, c)
+        f = inc.field
+        for x in g.units:
+            bim = imprimitivity_bimodule(inc, x)
+            quotient, chosen, operators = dense_bimodule(inc, x)
+            assert bim.quotient.section == quotient.section, (name, x)
+            assert bim.chosen == chosen, (name, x)
+            ours = (bim.left_action, bim.right_action, bim.mu, bim.nu, bim.pi)
+            assert ours == operators, (name, x)
+            assert repr(ours) == repr(operators), (name, x)
+            d = quotient.dim
+            if f.p is None:
+                mixed = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d))
+            else:
+                mixed = tuple(rng.randrange(f.p) for _ in range(d))
+            for xi in list(identity_matrix(d, f)) + [mixed]:
+                expected = dense_free_coordinates(inc, quotient, chosen, operators[3], xi)
+                assert bim.free_coordinates(xi) == expected, (name, x)
+        names.append(name)
+    assert "v4quat" in names and "pair3/GF7" in names
 
 
 def test_pair_groupoid_bimodule_dimensions():

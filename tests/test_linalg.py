@@ -5,14 +5,17 @@ minor expansion, intersections by the kernel of the stacked system, and
 quotients by the project/inject roundtrip.
 """
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groupoidalg
 from groupoidalg.errors import ContainmentError, DimensionMismatch
 from groupoidalg.linalg import (
     GF,
@@ -387,3 +390,35 @@ def test_echelon_engine_properties(field, data):
     assert ([tuple(r) for r in grown], grown_pivots) == expected
     if field.p is None:
         assert all(isinstance(v, Fraction) for row in grown for v in row)
+
+
+def test_package_uses_no_floating_point():
+    """The package claims exact arithmetic only: no float or complex
+    literal, and no call to ``float`` or ``math.sqrt``, in any module."""
+    offenders = []
+    for path in sorted(Path(groupoidalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                offenders.append((path.name, node.lineno, repr(node.value)))
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "float", "math.sqrt", "sqrt"
+            ):
+                offenders.append((path.name, node.lineno, ast.unparse(node)))
+    assert offenders == []
+
+
+@pytest.mark.parametrize("p", [2**64 - 59, 2**61 - 1, 1000000007])
+def test_large_primes_make_fields(p):
+    assert GF(p).p == p
+
+
+@pytest.mark.parametrize("p", [1000000007 * 1000000009, 2**64 - 1, 1, 0, -7])
+def test_composites_and_small_values_are_not_prime(p):
+    with pytest.raises(ValueError, match="is not prime"):
+        GF(p)
+
+
+@pytest.mark.parametrize("p", [2**64, 2 * 10**399])
+def test_values_from_two_to_the_64_are_refused(p):
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        GF(p)

@@ -513,6 +513,34 @@ def test_mult_matrices_match_dense_oracle():
         assert repr(pres.mult_matrices()) == repr(oracle), label
 
 
+def test_compressed_mult_matrices_restrict_the_full_ones():
+    """mult_matrices(support) is the submatrix of every full matrix on the
+    rows and columns in ``support``: on B over the twisted battery (at the
+    arrows out of each unit, and at random supports) and on random
+    multi-term presentations."""
+    rng = random.Random(13)
+    cases = []
+    for name, g, c in twisted_battery():
+        B = Inclusion(g, c).B
+        fibers = [[a for a in g.arrows() if g.src[a] == x] for x in g.units]
+        cases.append((f"B {name}", B, fibers))
+    for label, pres in random_presentations(random.Random(14)):
+        cases.append((label, pres, [list(range(pres.dim))]))
+    assert len(cases) == len(twisted_battery()) + 8
+    for label, pres, supports in cases:
+        full = pres.mult_matrices()
+        for _ in range(3):
+            supports.append(sorted(rng.sample(range(pres.dim), rng.randint(0, pres.dim))))
+        for support in supports:
+            expected = tuple(
+                [tuple(tuple(m[k][b] for b in support) for k in support) for m in side]
+                for side in full
+            )
+            compressed = pres.mult_matrices(support)
+            assert compressed == expected, (label, support)
+            assert repr(compressed) == repr(expected), (label, support)
+
+
 def test_center_matches_dense_oracle():
     cases = [(label, pres) for label, pres, _ in presentation_cases()]
     for label, pres in cases + random_presentations(random.Random(12)):
