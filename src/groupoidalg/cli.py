@@ -164,7 +164,10 @@ def parse(path) -> ProblemFile:
                 section_arg = toks[1]
                 if section_arg in modules:
                     fail(f"duplicate module name {section_arg}", no)
-                modules[section_arg] = (_integer(toks[2], "module dim", no), toks[3], [])
+                dim = _integer(toks[2], "module dim", no)
+                if dim < 0:
+                    fail(f"module dim must be non-negative, got {dim}", no)
+                modules[section_arg] = (dim, toks[3], [])
             continue
         if section is None:
             fail("content before any section", no)

@@ -16,7 +16,9 @@ The constructors verify the structural facts they rely on (injectivity
 and linearity of the standard inclusion, the three-case projection
 formula, freeness) and the verifier functions produce certificates for
 the restriction/induction roundtrip, the embedding of an induced
-restriction, and the transfer of submodule lattices.
+restriction, and the transfer of submodule lattices.  Each linearity claim
+is one ``modrep.intertwines`` call, each invariance claim one
+``Subspace.contains_all`` call over the images.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .modrep import (
     annihilator,
     check_module,
     germ_space,
+    intertwines,
     restriction,
 )
 from .steinberg import convolve, delta, partial_inverse
@@ -101,35 +104,34 @@ class ImprimitivityBimodule:
     # -- verification ----------------------------------------------------------
 
     def _verify(self):
+        """Check the facts the constructions rely on.  Products n_gamma* delta_eta
+        with gamma, eta out of x and tgt(gamma) != tgt(eta) need no check:
+        n_gamma* = c delta_(gamma^-1) has source tgt(gamma), so each one is 0."""
         f = self.field
         gpd = self.inclusion.groupoid
         d = self.quotient.dim
         k = self.data.quotient.dim
         # bimodule law: left and right actions commute
         for la in self.left_action:
-            for ra in self.right_action:
-                if mat_mul(la, ra, f) != mat_mul(ra, la, f):
-                    raise TheoremViolation("left and right actions do not commute")
+            if not intertwines(la, self.right_action, self.right_action, f):
+                raise TheoremViolation("left and right actions do not commute")
         # mu is injective and right-linear
         mu_range = Subspace.span(zip(*self.mu), d, f)
         if mu_range.dim != k:
             raise TheoremViolation("standard inclusion is not injective")
-        basis = identity_matrix(k, f)
-        for c in basis:
-            for h in basis:
-                lhs = mat_vec(self.mu, self.data.presentation.multiply(c, h), f)
-                if lhs != self.right_apply(mat_vec(self.mu, c, f), h):
-                    raise TheoremViolation("standard inclusion is not right-linear")
+        _, right_mult = self.data.presentation.mult_matrices()
+        if not intertwines(self.mu, right_mult, self.right_action, f):
+            raise TheoremViolation("standard inclusion is not right-linear")
         # nu o mu = id, mu o nu = pi
+        basis = identity_matrix(k, f)
         if mat_mul(self.nu, self.mu, f) != basis:
             raise TheoremViolation("nu o mu is not the identity")
         if mat_mul(self.pi, self.pi, f) != self.pi:
             raise TheoremViolation("pi is not idempotent")
         # pi is A-linear
-        for u in gpd.units:
-            la = self.left_action[u]
-            if mat_mul(self.pi, la, f) != mat_mul(la, self.pi, f):
-                raise TheoremViolation("pi is not A-linear")
+        unit_actions = [self.left_action[u] for u in gpd.units]
+        if not intertwines(self.pi, unit_actions, unit_actions, f):
+            raise TheoremViolation("pi is not A-linear")
         # three-case formula on arrow classes
         for gamma in gpd.arrows():
             cls = self.quotient.project(self.inclusion.delta_vector(gamma))
@@ -147,18 +149,6 @@ class ImprimitivityBimodule:
         killed = Subspace.span(right_kernel(rows, d, f), d, f)
         if not (mu_range == pi_range == killed):
             raise TheoremViolation("range(mu) must equal range(pi) and the killed part")
-        # vanishing of mixed products n* m across distinct orbit points
-        for gamma in gpd.arrows():
-            if gpd.src[gamma] != self.x:
-                continue
-            for eta in gpd.arrows():
-                if gpd.src[eta] != self.x or gpd.tgt[eta] == gpd.tgt[gamma]:
-                    continue
-                n_star = partial_inverse(delta(gpd, self.inclusion.cocycle, gamma))
-                prod = convolve(n_star, delta(gpd, self.inclusion.cocycle, eta))
-                img = mat_vec(self.pi, self.quotient.project(prod.to_vector()), f)
-                if any(c != 0 for c in img):
-                    raise TheoremViolation("pi must kill cross-orbit products")
         # freeness: (h_y)_y -> sum zeta_y h_y is bijective
         if d != len(self.orbit) * k:
             raise TheoremViolation("bimodule dimension is not orbit x isotropy")
@@ -209,10 +199,6 @@ class InducedModule:
         for i, c in enumerate(v):
             out[base + i] = c
         return tuple(out)
-
-    def block(self, y: int, vec):
-        base = self.block_index[y]
-        return tuple(vec[base + i] for i in range(self.inducing.dim))
 
 
 def induce(inclusion: Inclusion, x: int, V: FdModule) -> InducedModule:
@@ -288,15 +274,10 @@ def verify_res_ind_roundtrip(inclusion: Inclusion, x: int, V: FdModule) -> Round
         raise TheoremViolation("embedding does not fill the restriction")
     # B(x,x)-linearity via the defining action (c + H) w = c w
     data = inclusion.isotropy_data(x, x)
-    for kidx, s in enumerate(data.quotient.section_basis):
-        act_carrier = ind.module.action_of(s)
-        for j in range(V.dim):
-            lhs = mat_vec(act_carrier, ind.embed(x, V.basis_vector(j)), f)
-            rhs = ind.embed(
-                x, mat_vec(V.matrices[kidx], V.basis_vector(j), f)
-            )
-            if lhs != rhs:
-                raise TheoremViolation("embedding is not isotropy-linear")
+    embedding = operator_matrix(lambda v: ind.embed(x, v), identity_matrix(V.dim, f))
+    acts = [ind.module.action_of(s) for s in data.quotient.section_basis]
+    if not intertwines(embedding, V.matrices, acts, f):
+        raise TheoremViolation("embedding is not isotropy-linear")
     return RoundtripCertificate(x, V.dim, ind.module.dim, res.subspace.dim)
 
 
@@ -335,11 +316,8 @@ def verify_ind_res_embedding(inclusion: Inclusion, V: FdModule, x: int) -> Embed
     if rank != ind.module.dim:
         raise TheoremViolation("rho is not injective")
     # B-linearity on arrow generators
-    for gamma in inclusion.groupoid.arrows():
-        lhs = mat_mul(rho, ind.module.matrices[gamma], f)
-        rhs = mat_mul(V.matrices[gamma], rho, f)
-        if lhs != rhs:
-            raise TheoremViolation("rho is not B-linear")
+    if not intertwines(rho, ind.module.matrices, V.matrices, f):
+        raise TheoremViolation("rho is not B-linear")
     return EmbeddingCertificate(x, ind.module.dim, rank, V.dim, res.subspace.dim)
 
 
@@ -351,10 +329,8 @@ def submodule_transfer(inclusion: Inclusion, ind: InducedModule, Z: Subspace) ->
     """
     f = inclusion.field
     mod = ind.module
-    for m in mod.matrices:
-        for w in Z.basis:
-            if mat_vec(m, w, f) not in Z:
-                raise ValueError("subspace is not invariant under the induced action")
+    if not Z.contains_all(mat_vec(m, w, f) for m in mod.matrices for w in Z.basis):
+        raise ValueError("subspace is not invariant under the induced action")
     k = ind.inducing.dim
     # membership rows: the residual of embed(x, v) against Z must vanish
     rows = operator_matrix(lambda v: Z.reduce(ind.embed(ind.x, v)), identity_matrix(k, f))
@@ -422,9 +398,6 @@ def verify_germ_induction_equivalence(inclusion: Inclusion, V: FdModule, x: int,
     )
     if Subspace.span(zip(*T), dim, f).dim != dim:
         raise TheoremViolation("germ intertwiner is not bijective")
-    for gamma in gpd.arrows():
-        if mat_mul(T, ind_x.module.matrices[gamma], f) != mat_mul(
-            ind_y.module.matrices[gamma], T, f
-        ):
-            raise TheoremViolation("germ intertwiner is not B-linear")
+    if not intertwines(T, ind_x.module.matrices, ind_y.module.matrices, f):
+        raise TheoremViolation("germ intertwiner is not B-linear")
     return GermEquivalenceCertificate(x, y, dim)

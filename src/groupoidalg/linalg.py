@@ -7,9 +7,11 @@ zeros in the kernel's pivot columns).
 
 All elimination goes through one incremental echelon engine: ``eliminate``
 reduces a vector against an RREF basis and ``insert_row`` adds one to it;
-``rref``, subspace membership and invariant closures are built on them.
-Spans of standard basis vectors (``Subspace.deltas``) need none: their
-RREF bases are written down directly.
+``rref``, residuals and invariant closures are built on them.  Membership
+(``Subspace.contains_all``) needs no elimination: it checks the equations
+an RREF basis puts on its non-pivot columns.  Spans of standard basis
+vectors (``Subspace.deltas``) need none either: their RREF bases are
+written down directly.
 All linear combinations of rows, matrix products included, go through
 ``combine``, which skips zero coefficients and zero entries.  The matrix
 of a linear map given by its values on a domain basis is taken through
@@ -47,10 +49,6 @@ class Field:
             if not isprime(p):
                 raise ValueError(f"{p} is not prime")
         self.p = p
-
-    @property
-    def is_prime_field(self) -> bool:
-        return self.p is not None
 
     def zero(self):
         return 0 if self.p is not None else Fraction(0)
@@ -273,16 +271,18 @@ class Subspace:
     """A linear subspace of K^n held as a canonical RREF basis.
 
     Because the basis is canonical, two subspaces are equal as sets if and
-    only if their basis tuples are identical.
+    only if their basis tuples are identical.  Instances are immutable; the
+    membership equations are read off the basis on first use.
     """
 
-    __slots__ = ("ambient_dim", "field", "basis", "pivots")
+    __slots__ = ("ambient_dim", "field", "basis", "pivots", "_equations")
 
     def __init__(self, ambient_dim, field, basis, pivots):
         self.ambient_dim = ambient_dim
         self.field = field
         self.basis = tuple(basis)
         self.pivots = tuple(pivots)
+        self._equations = None
 
     @classmethod
     def span(cls, vectors, ambient_dim, field) -> "Subspace":
@@ -328,23 +328,40 @@ class Subspace:
             raise DimensionMismatch(f"vector length {len(v)} vs {self.ambient_dim}")
         return tuple(eliminate(v, self.basis, self.pivots, self.field))
 
-    def membership(self, v):
-        """Coordinates of v over the basis if v lies here, else None.
+    def contains_all(self, vectors) -> bool:
+        """Whether every vector lies here: the package's one membership test.
 
-        Over an RREF basis the candidate coordinates are just the entries
-        of v at the pivot columns.
-        """
-        residual = self.reduce(v)
-        if any(c != 0 for c in residual):
-            return None
-        return tuple(v[pc] for pc in self.pivots)
+        v[pivots] are v's only possible coordinates, so v lies here exactly when
+        v[c] = sum_r basis[r][c] v[pivot_r] at every non-pivot column c."""
+        f, n, zero = self.field, self.ambient_dim, self.field.zero()
+        if self._equations is None:
+            rows, pivot_set = tuple(zip(self.pivots, self.basis)), set(self.pivots)
+            self._equations = tuple(
+                (c, tuple((pc, row[c]) for pc, row in rows if row[c] != 0))
+                for c in range(n) if c not in pivot_set
+            )
+        for v in vectors:
+            if len(v) != n:
+                raise DimensionMismatch(f"vector length {len(v)} vs {n}")
+            for c, terms in self._equations:
+                acc = zero
+                for pc, a in terms:
+                    if v[pc] != 0:
+                        acc = f.add(acc, f.mul(a, v[pc]))
+                if v[c] != acc:
+                    return False
+        return True
+
+    def membership(self, v):
+        """Coordinates of v over the basis (its pivot entries) if v lies here, else None."""
+        return tuple(v[pc] for pc in self.pivots) if self.contains_all((v,)) else None
 
     def __contains__(self, v):
-        return self.membership(v) is not None
+        return self.contains_all((v,))
 
     def contains_subspace(self, other) -> bool:
         self._check_ambient(other)
-        return all(v in self for v in other.basis)
+        return self.contains_all(other.basis)
 
     def from_coordinates(self, coords):
         if not self.basis:

@@ -13,6 +13,7 @@ maps onto the whole carrier).  On top of that this module provides:
   polynomials of commutant elements;
 * annihilators, quotient/sub/direct-sum constructions and module
   isomorphism search;
+* ``intertwines``, the package's one module-map test (T a1 = a2 T).
 * restrictions to a unit (the part killed by the point ideal) and germ
   spaces (the quotient by the point ideal's image) with the
   disintegration action of the isotropy bimodules on them.
@@ -103,6 +104,12 @@ class FdModule:
     def __repr__(self):
         name = f" {self.name!r}" if self.name else ""
         return f"FdModule(dim={self.dim}, over dim-{self.algebra.dim} algebra{name})"
+
+
+def intertwines(T, acts1, acts2, field) -> bool:
+    """Whether T a1 = a2 T for every pair (a1, a2): the one module-map test."""
+    return all(mat_mul(T, a1, field) == mat_mul(a2, T, field)
+               for a1, a2 in zip(acts1, acts2, strict=True))
 
 
 def check_module(module: FdModule):
@@ -561,12 +568,9 @@ def annihilator(module: FdModule) -> Subspace:
 
 
 def is_two_sided_ideal(algebra: AlgebraPresentation, S: Subspace) -> bool:
-    for v in S.basis:
-        for i in range(algebra.dim):
-            e = algebra.basis_vector(i)
-            if algebra.multiply(e, v) not in S or algebra.multiply(v, e) not in S:
-                return False
-    return True
+    es = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    return S.contains_all(p for v in S.basis for e in es
+                          for p in (algebra.multiply(e, v), algebra.multiply(v, e)))
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +666,7 @@ def isotropy_quotient_module(inclusion: Inclusion, module: FdModule, x: int,
     if not W.contains_subspace(_point_ideal_image(inclusion, module, x)):
         raise ValueError("W does not contain J_x V")
     algebra, actions = _isotropy_actions(inclusion, module, x)
-    if any(mat_vec(act, w, f) not in W for act in actions for w in W.basis):
+    if not W.contains_all(mat_vec(act, w, f) for act in actions for w in W.basis):
         raise ValueError("W is not stable under C(x, x)")
     quot = QuotientSpace(Subspace.full(module.dim, f), W)
     return _span_module(algebra, actions, quot.section_basis, quot.project, f"quot{x}"), quot

@@ -366,6 +366,18 @@ def test_module_input_errors_exit_two(tmp_path):
     assert (code, out) == (2, "input error: line 2: unit must be an integer, got 'a'\n")
 
 
+def test_negative_module_dim_is_input_error(tmp_path):
+    """A negative [module] dimension is refused at its header line."""
+    text = (FIXTURES / "pair2.gkd").read_text(encoding="utf-8")
+    line = text.count("\n") + 1
+    path = write(tmp_path, text + "[module] z -1 B\n")
+    for command, args in [("validate", []), ("restrict", ["0", "z"]), ("germs", ["z"])]:
+        out, code = run(command, path, args)
+        assert (code, out) == (
+            2, f"input error: line {line}: module dim must be non-negative, got -1\n"
+        ), command
+
+
 def test_effros_hahn_and_q1215_commands():
     out, code = run("effros-hahn", str(FIXTURES / "gb3_gf2.gkd"))
     assert code == 0

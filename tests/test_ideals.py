@@ -66,6 +66,20 @@ def test_improper_ideal_induces_everything():
     assert induced_ideal(inc, 0, full).dim == inc.m
 
 
+def test_ideal_checks_refuse_a_non_ideal():
+    """span(delta_t) in the group algebra of Z2 is not an ideal: t delta_t = delta_e."""
+    g = make_z2()
+    inc = Inclusion(g, Cocycle.trivial(g, GF3))
+    t = next(a for a in g.arrows() if not g.is_unit(a))
+    line = Subspace.deltas([t], inc.m, GF3)
+    with pytest.raises(ValueError, match="^subspace is not closed under two-sided multiplication$"):
+        Ideal(inc.B, line)
+    with pytest.raises(ValueError, match="^I is not a two-sided ideal of the isotropy algebra$"):
+        induced_ideal(inc, 0, line)
+    with pytest.raises(ValueError, match="^not a two-sided ideal$"):
+        effros_hahn_check(inc, line)
+
+
 def test_zero_ideal_induces_zero_for_pair_groupoid():
     g = pair_groupoid(2)
     inc = Inclusion(g, Cocycle.trivial(g, GF3))

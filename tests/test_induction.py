@@ -1,10 +1,17 @@
 """Imprimitivity bimodules, induction, roundtrips, and lattice transfer."""
 
+import dataclasses
 import random
+import re
 from fractions import Fraction
 
+import pytest
+
+from groupoidalg import induction
+from groupoidalg.errors import TheoremViolation
 from groupoidalg.groupoid import pair_groupoid
 from groupoidalg.induction import (
+    ImprimitivityBimodule,
     imprimitivity_bimodule,
     induce,
     submodule_transfer,
@@ -24,6 +31,7 @@ from groupoidalg.linalg import (
     operator_matrix,
 )
 from groupoidalg.modrep import (
+    FdModule,
     all_submodules,
     direct_sum,
     is_irreducible,
@@ -578,3 +586,138 @@ def test_germ_induction_equivalence_along_orbit():
                 continue
             cert = verify_germ_induction_equivalence(inc, regB, x, y)
             assert cert.dim > 0, name
+
+
+# -- the cross-orbit products that ImprimitivityBimodule._verify leaves out -------------
+
+
+def cross_orbit_products(inc, x):
+    """Oracle for the check the bimodule does not make: the products
+    n_gamma* delta_eta over arrows gamma, eta out of x with different targets.
+    Returns how many there are and the nonzero ones."""
+    g, c = inc.groupoid, inc.cocycle
+    gx = [a for a in g.arrows() if g.src[a] == x]
+    pairs = [(gamma, eta) for gamma in gx for eta in gx if g.tgt[gamma] != g.tgt[eta]]
+    nonzero = [
+        (gamma, eta) for gamma, eta in pairs
+        if not convolve(partial_inverse(delta(g, c, gamma)), delta(g, c, eta)).is_zero()
+    ]
+    return len(pairs), nonzero
+
+
+def test_cross_orbit_products_vanish_on_every_battery_groupoid():
+    """n_gamma* = c delta_(gamma^-1) has source tgt(gamma) != tgt(eta), so
+    every such product is zero, whatever the twist."""
+    total = 0
+    for name, g, c in twisted_battery():
+        inc = Inclusion(g, c)
+        for x in g.units:
+            count, nonzero = cross_orbit_products(inc, x)
+            assert nonzero == [], (name, x)
+            total += count
+    assert total == 68
+
+
+# -- each module-map and invariance check refuses corrupted input ------------------------
+
+
+def exactly(message):
+    return "^" + re.escape(message) + "$"
+
+
+def bumped(mat, r, c, field):
+    """mat with one added to its (r, c) entry."""
+    rows = [list(row) for row in mat]
+    rows[r][c] = field.add(rows[r][c], field.one())
+    return tuple(map(tuple, rows))
+
+
+def corrupt_induce(monkeypatch, change):
+    """Make ``induction.induce`` return its module with the action matrices
+    replaced by change(x, matrices), x the inducing unit."""
+    original = induction.induce
+
+    def corrupted(inclusion, x, V):
+        ind = original(inclusion, x, V)
+        mats = change(x, ind.module.matrices)
+        return dataclasses.replace(ind, module=FdModule(inclusion.B, mats, ind.module.name))
+
+    monkeypatch.setattr(induction, "induce", corrupted)
+
+
+def test_bimodule_law_refuses_a_corrupted_right_action():
+    g = pair_groupoid(2)
+    bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), 0)
+    bim.right_action = [bumped(bim.right_action[0], 0, 0, QQ)]
+    with pytest.raises(TheoremViolation, match=exactly("left and right actions do not commute")):
+        bim._verify()
+
+
+def test_mu_right_linearity_refuses_a_corrupted_mu():
+    g = make_z2()
+    bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), 0)
+    bim.mu = bumped(bim.mu, 0, 0, QQ)  # still injective
+    with pytest.raises(TheoremViolation, match=exactly("standard inclusion is not right-linear")):
+        bim._verify()
+
+
+def test_pi_linearity_refuses_a_corrupted_pi():
+    """pi = diag(1, 0) on pair2 at unit 0 becomes [[1, 1], [0, 0]]: still
+    idempotent, but it mixes classes with different targets."""
+    g = pair_groupoid(2)
+    bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), 0)
+    assert bim.pi == ((1, 0), (0, 0))
+    bim.pi = bumped(bim.pi, 0, 1, QQ)
+    with pytest.raises(TheoremViolation, match=exactly("pi is not A-linear")):
+        bim._verify()
+
+
+def test_roundtrip_refuses_a_corrupted_induced_module(monkeypatch):
+    g = make_z2()
+    inc = Inclusion(g, Cocycle.trivial(g, QQ))
+    V = regular_module(inc.isotropy_data(0, 0).presentation)
+    corrupt_induce(monkeypatch, lambda x, mats: (bumped(mats[0], 0, 0, QQ),) + mats[1:])
+    with pytest.raises(TheoremViolation, match=exactly("embedding is not isotropy-linear")):
+        verify_res_ind_roundtrip(inc, 0, V)
+
+
+def test_embedding_refuses_a_corrupted_induced_module(monkeypatch):
+    from test_modrep import column_module
+
+    g = pair_groupoid(2)
+    inc = Inclusion(g, Cocycle.trivial(g, QQ))
+    col = column_module(inc)
+    corrupt_induce(monkeypatch, lambda x, mats: (bumped(mats[0], 0, 0, QQ),) + mats[1:])
+    with pytest.raises(TheoremViolation, match=exactly("rho is not B-linear")):
+        verify_ind_res_embedding(inc, col, 0)
+
+
+def test_germ_equivalence_refuses_a_change_of_basis(monkeypatch):
+    """Conjugating Ind_y by I + E_01 keeps its annihilator and dimension, so
+    only the intertwiner check can see it."""
+    g = pair_groupoid(2)
+    inc = Inclusion(g, Cocycle.trivial(g, QQ))
+    x, y = g.units
+
+    def conjugated(unit, mats):
+        if unit != y:
+            return mats
+        d = len(mats[0])
+        P = bumped(identity_matrix(d, QQ), 0, 1, QQ)
+        P_inv = tuple(tuple(-a if (r, c) == (0, 1) else a for c, a in enumerate(row))
+                      for r, row in enumerate(P))
+        return tuple(mat_mul(mat_mul(P, m, QQ), P_inv, QQ) for m in mats)
+
+    corrupt_induce(monkeypatch, conjugated)
+    with pytest.raises(TheoremViolation, match=exactly("germ intertwiner is not B-linear")):
+        verify_germ_induction_equivalence(inc, regular_module(inc.B), x, y)
+
+
+def test_submodule_transfer_refuses_a_non_invariant_subspace():
+    g = pair_groupoid(2)
+    inc = Inclusion(g, Cocycle.trivial(g, GF3))
+    ind = induce(inc, 0, regular_module(inc.isotropy_data(0, 0).presentation))
+    Z = Subspace.deltas([0], ind.module.dim, GF3)
+    with pytest.raises(ValueError,
+                       match=exactly("subspace is not invariant under the induced action")):
+        submodule_transfer(inc, ind, Z)

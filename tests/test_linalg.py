@@ -178,6 +178,63 @@ def test_membership_dimension_mismatch():
         s.membership((1, 0, 0))
 
 
+@st.composite
+def membership_inputs(draw, field):
+    """(S, v, T): a subspace of K^n (a span of up to four drawn rows, or the
+    zero or the full subspace), a vector that is a combination of S's basis
+    or arbitrary, and the span of v and up to two more drawn vectors."""
+    n = draw(st.integers(1, 5))
+    if field.p is None:
+        scalar = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        scalar = st.builds(field.of, st.integers(0, field.p - 1))
+    vector = st.tuples(*[scalar] * n)
+    kind = draw(st.sampled_from(["span", "zero", "full"]))
+    if kind == "zero":
+        S = Subspace.zero(n, field)
+    elif kind == "full":
+        S = Subspace.full(n, field)
+    else:
+        S = span(draw(st.lists(vector, max_size=4)), n, field)
+    if S.dim and draw(st.booleans()):
+        coeffs = draw(st.lists(scalar, min_size=S.dim, max_size=S.dim))
+        v = combine(coeffs, S.basis, field)
+    else:
+        v = draw(vector)
+    T = span([v] + draw(st.lists(vector, max_size=2)), n, field)
+    return S, v, T
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF3, GF(101)],
+                         ids=["Q", "GF2", "GF3", "GF101"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_membership_agrees_with_elimination(field, data):
+    """``in``, ``membership``, ``contains_all`` and ``contains_subspace`` read
+    their answer off the RREF equations; the residual of ``reduce`` is the
+    oracle."""
+    S, v, T = data.draw(membership_inputs(field))
+    n = S.ambient_dim
+    inside = all(c == 0 for c in S.reduce(v))
+    assert (v in S) is inside
+    assert S.contains_all([v]) is inside
+    coords = S.membership(v)
+    assert (coords is not None) is inside
+    if inside:
+        assert S.from_coordinates(coords) == v
+    assert S.contains_subspace(T) is all(all(c == 0 for c in S.reduce(w)) for w in T.basis)
+    assert S.contains_all(T.basis) is S.contains_subspace(T)
+    assert S.contains_all([]) is True
+    assert Subspace.full(n, field).contains_subspace(S)
+    assert S.contains_subspace(Subspace.zero(n, field))
+    longer = tuple(v) + (field.zero(),)
+    for check in (S.membership, S.__contains__, lambda w: S.contains_all([w])):
+        with pytest.raises(DimensionMismatch):
+            check(longer)
+    with pytest.raises(DimensionMismatch):
+        S.contains_subspace(Subspace.zero(n + 1, field))
+
+
 # -- intersection ----------------------------------------------------------------
 
 
@@ -405,6 +462,58 @@ def test_package_uses_no_floating_point():
             ):
                 offenders.append((path.name, node.lineno, ast.unparse(node)))
     assert offenders == []
+
+
+def _is_product(node):
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "mat_mul"
+
+
+def mat_mul_comparisons(source):
+    """(line, text) of every == / != between two ``mat_mul(...)`` calls, each
+    written out or held in a name that the enclosing function binds to one."""
+    found = set()
+    for scope in ast.walk(ast.parse(source)):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef)):
+            continue
+        nodes = list(ast.walk(scope))
+        products = set()  # names count only inside the function binding them
+        if isinstance(scope, ast.FunctionDef):
+            products = {target.id for node in nodes if isinstance(node, ast.Assign)
+                        and _is_product(node.value) for target in node.targets
+                        if isinstance(target, ast.Name)}
+        for node in nodes:
+            if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
+            ):
+                operands = [node.left, *node.comparators]
+                if sum(_is_product(o) or (isinstance(o, ast.Name) and o.id in products)
+                       for o in operands) >= 2:
+                    found.add((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_module_maps_are_checked_only_by_intertwines():
+    """Comparing two matrix products is a module-map test, and the package
+    has one: ``modrep.intertwines``.  No other function may compare two
+    ``mat_mul`` calls."""
+    package = Path(groupoidalg.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        allowed = range(0)
+        if path.name == "modrep.py":
+            (fn,) = [node for node in ast.walk(ast.parse(source))
+                     if isinstance(node, ast.FunctionDef) and node.name == "intertwines"]
+            allowed = range(fn.lineno, fn.end_lineno + 1)
+        offenders += [(path.name, line, text) for line, text in mat_mul_comparisons(source)
+                      if line not in allowed]
+    assert offenders == []
+    # the guard sees both forms of the loops it replaces
+    inline = "for a in acts:\n    if mat_mul(T, a, f) != mat_mul(a, T, f):\n        raise E\n"
+    assert mat_mul_comparisons(inline) == [(2, "mat_mul(T, a, f) != mat_mul(a, T, f)")]
+    named = "def check(T, acts, f):\n    for a in acts:\n        lhs = mat_mul(T, a, f)\n" \
+        "        rhs = mat_mul(a, T, f)\n        if lhs != rhs:\n            raise E\n"
+    assert mat_mul_comparisons(named) == [(5, "lhs != rhs")]
 
 
 @pytest.mark.parametrize("p", [2**64 - 59, 2**61 - 1, 1000000007])

@@ -2,6 +2,7 @@
 restrictions, and germ spaces."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from groupoidalg.modrep import (
     find_module_isomorphism,
     generated_submodule,
     germ_space,
+    intertwines,
     is_irreducible,
     is_two_sided_ideal,
     isotropy_quotient_module,
@@ -204,6 +206,19 @@ def test_trivial_z2_module_annihilator():
     assert is_two_sided_ideal(inc.B, ann)
 
 
+def test_one_sided_ideals_are_not_two_sided():
+    """In M_2 = B(pair2) the deltas with source 0 span a left ideal and those
+    with target 0 a right ideal; neither is two-sided."""
+    g = pair_groupoid(2)
+    inc = Inclusion(g, Cocycle.trivial(g, QQ))
+    left = Subspace.deltas([a for a in g.arrows() if g.src[a] == 0], inc.m, QQ)
+    right = Subspace.deltas([a for a in g.arrows() if g.tgt[a] == 0], inc.m, QQ)
+    assert not is_two_sided_ideal(inc.B, left)
+    assert not is_two_sided_ideal(inc.B, right)
+    assert is_two_sided_ideal(inc.B, Subspace.zero(inc.m, QQ))
+    assert is_two_sided_ideal(inc.B, Subspace.full(inc.m, QQ))
+
+
 def test_direct_sum_annihilator_is_intersection():
     g = make_gb()
     inc = Inclusion(g, Cocycle.trivial(g, GF3))
@@ -378,6 +393,63 @@ def test_isotropy_quotient_module_general_W():
         mod, quot = isotropy_quotient_module(inc, reg, x, W)
         assert mod.dim == reg.dim - W.dim
         assert check_module(mod) is None
+
+
+def test_isotropy_quotient_module_refuses_unstable_or_small_W():
+    g = make_z2()
+    inc = Inclusion(g, Cocycle.trivial(g, QQ))
+    reg = regular_module(inc.B)
+    W = Subspace.deltas([0], reg.dim, QQ)  # the unit's line; t moves it
+    with pytest.raises(ValueError, match="^" + re.escape("W is not stable under C(x, x)") + "$"):
+        isotropy_quotient_module(inc, reg, 0, W)
+    gb = make_gb()
+    inc = Inclusion(gb, Cocycle.trivial(gb, GF3))
+    reg = regular_module(inc.B)
+    with pytest.raises(ValueError, match="^W does not contain J_x V$"):
+        isotropy_quotient_module(inc, reg, 0, Subspace.zero(reg.dim, GF3))
+
+
+# -- the module-map test --------------------------------------------------------
+
+
+def test_intertwines_is_one_sided():
+    """T a1 = a2 T does not give T a2 = a1 T: the two action lists keep
+    their sides."""
+    T = ((1, 1), (0, 1))
+    a1 = ((1, 0), (0, 0))
+    a2 = ((1, 2), (0, 0))  # T a1 T^-1 over GF(3)
+    assert intertwines(T, [a1], [a2], GF3)
+    assert not intertwines(T, [a2], [a1], GF3)
+    assert intertwines(identity_matrix(2, GF3), [a1, a2], [a1, a2], GF3)
+    assert intertwines(T, [], [], GF3)
+
+
+def test_intertwines_between_carriers_of_different_dimension():
+    """The diagonal line of the regular Z2-module carries the trivial
+    character and not the sign character."""
+    g = make_z2()
+    inc = Inclusion(g, Cocycle.trivial(g, QQ))
+    reg = regular_module(inc.B)
+    one, minus = ((QQ.one(),),), ((QQ.of(-1),),)
+    diagonal = ((QQ.one(),), (QQ.one(),))
+    assert intertwines(diagonal, [one, one], reg.matrices, QQ)
+    assert not intertwines(diagonal, [one, minus], reg.matrices, QQ)
+
+
+def test_intertwines_checks_every_pair():
+    """One failing pair among several is enough, and the lists must pair up."""
+    for name, g, c in battery(GF3, ["pair2", "gb"]):
+        inc = Inclusion(g, c)
+        reg = regular_module(inc.B)
+        d = reg.dim
+        assert intertwines(identity_matrix(d, GF3), reg.matrices, reg.matrices, GF3), name
+        last = reg.matrices[-1]
+        broken = reg.matrices[:-1] + (tuple(
+            tuple(GF3.add(a, 1) if (r, col) == (0, 0) else a for col, a in enumerate(row))
+            for r, row in enumerate(last)),)
+        assert not intertwines(identity_matrix(d, GF3), reg.matrices, broken, GF3), name
+        with pytest.raises(ValueError):
+            intertwines(identity_matrix(d, GF3), reg.matrices, reg.matrices[:-1], GF3)
 
 
 # -- sparse action and validation against the dense oracles --------------------
