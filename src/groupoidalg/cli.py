@@ -32,6 +32,7 @@ from .ideals import (
     effros_hahn_check,
     enumerate_ideals,
     germ_annihilator_decomposition,
+    left_ideals,
     primitive_ideals,
     question_12_15_experiment,
 )
@@ -523,14 +524,15 @@ def _ideal_enumeration_allowed(inclusion: Inclusion, report: Report) -> bool:
 
 def _report_thm_12_14(inclusion: Inclusion, report: Report, list_ideals: bool):
     """Theorem 12.14 on every proper ideal (i) and every primitive ideal (ii)."""
-    proper = [i for i in enumerate_ideals(inclusion) if i.dim < inclusion.m]
+    lattice = left_ideals(inclusion)
+    proper = [i for i in enumerate_ideals(inclusion, lattice) if i.dim < inclusion.m]
     ok = True
     for i, ideal in enumerate(proper):
         ok = effros_hahn_check(inclusion, ideal).ok and ok
         if list_ideals:
             report.kv(f"ideal {i} dim", ideal.dim)
     report.check("thm_12_14_i", ok, f"ideals={len(proper)}")
-    prims = primitive_ideals(inclusion)
+    prims = primitive_ideals(inclusion, lattice)
     ok = True
     for ideal, witness in prims:
         ok = effros_hahn_check(inclusion, ideal, witness).primitive_single_unit is not None and ok
@@ -549,7 +551,7 @@ def cmd_ideals(problem: ProblemFile, args, report: Report):
         report.kv(f"induced ideal dim at {x}", dec.per_unit[x].dim)
     if not _ideal_enumeration_allowed(inclusion, report):
         return
-    ideals = enumerate_ideals(inclusion)
+    ideals = enumerate_ideals(inclusion, left_ideals(inclusion))
     report.kv("ideal count", len(ideals))
     for i, ideal in enumerate(ideals):
         report.kv(f"ideal {i} dim", ideal.dim)
@@ -571,7 +573,7 @@ def cmd_q1215(problem: ProblemFile, args, report: Report):
     report.section("induced primitivity")
     if not _ideal_enumeration_allowed(inclusion, report):
         return
-    prims = primitive_ideals(inclusion)
+    prims = primitive_ideals(inclusion, left_ideals(inclusion))
     all_yes = True
     for i, (ideal, witness) in enumerate(prims):
         rep = question_12_15_experiment(inclusion, ideal, witness)

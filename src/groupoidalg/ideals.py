@@ -27,7 +27,7 @@ from .isotropy import Inclusion
 from .linalg import Subspace, right_kernel
 from .modrep import (
     FdModule,
-    all_invariant_subspaces,
+    all_submodules,
     annihilator,
     germ_space,
     is_irreducible,
@@ -140,33 +140,39 @@ def germ_annihilator_decomposition(inclusion: Inclusion, V: FdModule) -> GermDec
 # ideal enumeration and the decomposition reports
 
 
-def enumerate_ideals(inclusion: Inclusion, budget=2**20):
-    """All two-sided ideals of B (invariant subspaces of the bimodule action).
+def left_ideals(inclusion: Inclusion, budget=2**20):
+    """Every left ideal of B: the submodule lattice of its regular module.
 
-    Exhaustive over GF(2)/GF(3) within the budget; sorted by (dim, basis)
-    so reports are deterministic.
+    Exhaustive over GF(p) within the budget; sorted by (dim, basis) so
+    reports are deterministic.  The ideals and the primitive ideals are
+    both read off this one lattice.
     """
-    left, right = inclusion.B.mult_matrices()
-    return all_invariant_subspaces(left + right, inclusion.m, inclusion.field, budget)
+    return all_submodules(regular_module(inclusion.B), budget)
 
 
-def irreducible_quotients_of_regular(inclusion: Inclusion, budget=2**20):
+def enumerate_ideals(inclusion: Inclusion, lattice):
+    """The two-sided ideals of B: the left ideals (``lattice``, as
+    ``left_ideals`` returns it) that are right ideals too, in lattice order."""
+    return [s for s in lattice if is_two_sided_ideal(inclusion.B, s)]
+
+
+def irreducible_quotients_of_regular(inclusion: Inclusion, lattice):
     """All simple quotients regular/M for maximal submodules M, with their data.
 
+    ``lattice`` is every left ideal of B, as ``left_ideals`` returns it.
     Every irreducible module of a unital finite-dimensional algebra is a
     quotient of the regular module by a maximal submodule, so this list
     meets every primitive ideal.
     Returns a list of (maximal_submodule, simple_module) pairs.
     """
     reg = regular_module(inclusion.B)
-    subs = all_invariant_subspaces(reg.matrices, reg.dim, inclusion.field, budget)
     full_dim = reg.dim
     out = []
-    for M in subs:
+    for M in lattice:
         if M.dim == full_dim:
             continue
         is_maximal = not any(
-            M.dim < W.dim < full_dim and W.contains_subspace(M) for W in subs
+            M.dim < W.dim < full_dim and W.contains_subspace(M) for W in lattice
         )
         if is_maximal:
             simple, _ = quotient_module(reg, M, name=f"simple/{M.dim}")
@@ -174,14 +180,15 @@ def irreducible_quotients_of_regular(inclusion: Inclusion, budget=2**20):
     return out
 
 
-def primitive_ideals(inclusion: Inclusion, budget=2**20):
+def primitive_ideals(inclusion: Inclusion, lattice):
     """Primitive ideals of B as {annihilator of simple quotient}, deduplicated.
 
+    ``lattice`` is every left ideal of B, as ``left_ideals`` returns it.
     Returns a sorted list of (ideal, witness simple module) pairs; the
     witness is any irreducible module with that annihilator.
     """
     seen = {}
-    for _, simple in irreducible_quotients_of_regular(inclusion, budget):
+    for _, simple in irreducible_quotients_of_regular(inclusion, lattice):
         ann = annihilator(simple)
         if ann.basis not in seen:
             seen[ann.basis] = (ann, simple)

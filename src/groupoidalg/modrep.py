@@ -5,12 +5,14 @@ compatible with the structure constants and unital (the actions span
 maps onto the whole carrier).  On top of that this module provides:
 
 * generated submodules and, over GF(p) within a budget, the full lattice
-  of invariant subspaces;
-* irreducibility verdicts: exact over GF(p) by exhaustive seed scan;
-  over the rationals a three-valued verdict (reducible with witness,
-  certified irreducible, or inconclusive) built from basis-cyclicity,
-  the trace-form radical of the image algebra, and factoring minimal
-  polynomials of commutant elements;
+  of invariant subspaces, joined from the cyclic closures of every scalar
+  line, all computed in one memoised pass;
+* irreducibility verdicts: exact over GF(p) from the same pass, which
+  stops at the first proper closure; over the rationals a three-valued
+  verdict (reducible with witness, certified irreducible, or
+  inconclusive) built from basis-cyclicity, the trace-form radical of
+  the image algebra, and factoring minimal polynomials of commutant
+  elements;
 * annihilators, quotient/sub/direct-sum constructions and module
   isomorphism search;
 * ``intertwines``, the package's one module-map test (T a1 = a2 T).
@@ -212,79 +214,8 @@ def quotient_module(module: FdModule, W: Subspace, name="") -> FdModule:
 # invariant subspace enumeration
 
 
-def _gf2_column_masks(matrices, dim):
-    """Per matrix, the list of column bitmasks (bit r set when M[r][c] = 1)."""
-    out = []
-    for m in matrices:
-        cols = []
-        for c in range(dim):
-            mask = 0
-            for r in range(dim):
-                if m[r][c] % 2:
-                    mask |= 1 << r
-            cols.append(mask)
-        out.append(cols)
-    return out
-
-
-def _gf2_closure(column_masks, seeds, dim):
-    """Invariant closure over GF(2) on int bitmask vectors.
-
-    Returns the echelon rows (ints with distinct leading bits, fully
-    reduced).  Vectors are ints, so the inner loop is XOR only.
-    """
-    rows = []  # fully reduced: distinct leading bits, cleared everywhere else
-
-    def insert(v):
-        for r in rows:
-            high = r.bit_length() - 1
-            if (v >> high) & 1:
-                v ^= r
-        if v == 0:
-            return 0
-        high = v.bit_length() - 1
-        for i, r in enumerate(rows):
-            if (r >> high) & 1:
-                rows[i] = r ^ v
-        rows.append(v)
-        return v
-
-    stack = list(seeds)
-    while stack:
-        v = stack.pop()
-        v = insert(v)
-        if not v:
-            continue
-        if len(rows) == dim:
-            return [1 << i for i in range(dim)]
-        for cols in column_masks:
-            img = 0
-            vv = v
-            while vv:
-                c = (vv & -vv).bit_length() - 1
-                img ^= cols[c]
-                vv &= vv - 1
-            stack.append(img)
-    return rows
-
-
-def _gf2_rows_to_subspace(rows, dim, field):
-    vecs = [tuple((r >> i) & 1 for i in range(dim)) for r in rows]
-    return Subspace.span(vecs, dim, field)
-
-
 def closure_under(matrices, seeds, dim, field) -> Subspace:
     """Smallest subspace containing the seeds and invariant under the matrices."""
-    if field.p == 2 and dim:
-        masks = _gf2_column_masks(matrices, dim)
-        ints = []
-        for s in seeds:
-            mask = 0
-            for i, c in enumerate(s):
-                if c % 2:
-                    mask |= 1 << i
-            ints.append(mask)
-        return _gf2_rows_to_subspace(_gf2_closure(masks, ints, dim), dim, field)
     basis, pivots = [], []
     columns = [tuple(zip(*m)) for m in matrices]
     stack = [tuple(s) for s in seeds]
@@ -314,6 +245,170 @@ def normalized_vectors(dim, p):
             yield prefix + tail
 
 
+def _bitmask_vectors(matrices, dim):
+    """Vector operations over GF(2) on int bitmasks, bit dim-1-i holding coordinate i.
+
+    Returns (encode, line, images, insert, subspace).  An echelon row is
+    (pivot bit, vector): its highest set bit, its first nonzero coordinate.
+    """
+    # per matrix, the image of each bit as a mask
+    columns = [[sum(1 << (dim - 1 - r) for r in range(dim) if m[r][dim - 1 - b] % 2)
+                for b in range(dim)] for m in matrices]
+
+    def encode(seed):
+        return sum(1 << (dim - 1 - i) for i, c in enumerate(seed) if c)
+
+    def line(v):
+        # v's position in normalized_vectors (1 is the only unit): the
+        # 2^dim - 2^b vectors with a later first coordinate come first
+        return (1 << dim) - 3 * (1 << (v.bit_length() - 1)) + v
+
+    def images(v):
+        out = []
+        for cols in columns:
+            img, rest = 0, v
+            while rest:
+                low = rest & -rest
+                img ^= cols[low.bit_length() - 1]
+                rest ^= low
+            out.append(img)
+        return out
+
+    def insert(rows, v) -> bool:
+        # add v to the fully reduced rows in place; False when already spanned
+        for high, r in rows:
+            if v & high:
+                v ^= r
+        if not v:
+            return False
+        high = 1 << (v.bit_length() - 1)
+        for i, (pivot, r) in enumerate(rows):
+            if r & high:
+                rows[i] = (pivot, r ^ v)
+        rows.append((high, v))
+        return True
+
+    def subspace(rows, field):
+        rows = sorted(rows, reverse=True)
+        basis = [tuple((r >> (dim - 1 - i)) & 1 for i in range(dim)) for _, r in rows]
+        return Subspace(dim, field, basis, [dim - r.bit_length() for _, r in rows])
+
+    return encode, line, images, insert, subspace
+
+
+def _residue_vectors(matrices, dim, p):
+    """Vector operations over an odd GF(p) on int lists reduced mod p.
+
+    Returns (encode, line, images, insert, subspace).  An echelon row is
+    (pivot, vector), with a 1 at its first nonzero coordinate, the pivot.
+    """
+    # per matrix, column c as its nonzero (row, entry) pairs
+    columns = [[[(r, m[r][c] % p) for r in range(dim) if m[r][c] % p] for c in range(dim)]
+               for m in matrices]
+    # position in normalized_vectors of the first vector with a given lead,
+    # less its base-p code (coordinate 0 most significant)
+    offset = [(p**dim - p**(dim - lead)) // (p - 1) - p**(dim - 1 - lead) for lead in range(dim)]
+
+    def encode(seed):
+        return list(seed)
+
+    def line(v):
+        # position in normalized_vectors of v's multiple with a leading 1
+        lead = next(i for i, x in enumerate(v) if x)
+        inv = pow(v[lead], -1, p)
+        code = 0
+        for x in v:
+            code = code * p + x * inv % p
+        return offset[lead] + code
+
+    def images(v):
+        support = [(c, a) for c, a in enumerate(v) if a]
+        out = []
+        for cols in columns:
+            img = [0] * dim
+            for c, a in support:
+                for r, b in cols[c]:
+                    img[r] += a * b
+            out.append([x % p for x in img])
+        return out
+
+    def insert(rows, v) -> bool:
+        # add v to the fully reduced rows in place; False when already spanned
+        for pivot, r in rows:
+            c = v[pivot]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, r)]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is None:
+            return False
+        inv = pow(v[lead], -1, p)
+        v = [x * inv % p for x in v]
+        for i, (pivot, r) in enumerate(rows):
+            c = r[lead]
+            if c:
+                rows[i] = (pivot, [(x - c * y) % p for x, y in zip(r, v)])
+        rows.append((lead, v))
+        return True
+
+    def subspace(rows, field):
+        rows = sorted(rows)
+        return Subspace(dim, field, [tuple(r) for _, r in rows], [pivot for pivot, _ in rows])
+
+    return encode, line, images, insert, subspace
+
+
+def _cyclic_closures(matrices, dim, field):
+    """(seed, closure) for every seed of ``normalized_vectors``, in that order.
+
+    One memoised pass over the scalar lines, resting on
+    closure(v) = span(v) + sum_i closure(M_i v).  An image whose line
+    already has a stored closure adds it: that closure is invariant, so it
+    is not spun again.  An image on a later line than the closure being
+    built gets its own closure first, built and stored the same way; an
+    image on an earlier line with no stored closure is spun in place.
+    Lines strictly increase up the stack of closures in progress, so none
+    waits on itself.  Scalars are ints, never `Field` calls; equal
+    closures share one `Subspace`.
+    """
+    p = field.p
+    encode, line, images, insert, subspace = (
+        _bitmask_vectors(matrices, dim) if p == 2 else _residue_vectors(matrices, dim, p))
+    memo = [None] * ((p**dim - 1) // (p - 1))  # line -> (echelon rows, Subspace)
+    shared = {}  # canonical echelon rows -> the memo entry of that closure
+
+    def absorb(rows, closure):
+        if len(closure[0]) == dim:  # the whole space: nothing to reduce
+            rows[:] = closure[0]
+            return
+        for _, r in closure[0]:
+            insert(rows, r)
+
+    for position, seed in enumerate(normalized_vectors(dim, p)):
+        # closures in progress: (line, echelon rows, images still to add)
+        stack = [(position, [], [encode(seed)])] if memo[position] is None else []
+        while stack:
+            own, rows, pending = stack[-1]
+            if pending and len(rows) < dim:
+                u = pending.pop()
+                if insert(rows, u):
+                    q = line(u)
+                    if memo[q] is not None:
+                        absorb(rows, memo[q])
+                    elif q > own:
+                        stack.append((q, [], [u]))
+                    else:
+                        pending.extend(images(u))
+                continue
+            stack.pop()
+            key = frozenset((pivot, r if p == 2 else tuple(r)) for pivot, r in rows)
+            if key not in shared:
+                shared[key] = (rows, subspace(rows, field))
+            memo[own] = shared[key]
+            if stack:
+                absorb(stack[-1][1], memo[own])
+        yield seed, memo[position][1]
+
+
 def _require_enum_budget(field, dim, budget):
     if field.p is None:
         raise BudgetExceeded("exhaustive enumeration requires a prime field")
@@ -327,42 +422,26 @@ def all_invariant_subspaces(matrices, dim, field, budget=ENUMERATION_BUDGET,
                             max_count=20000):
     """Every subspace invariant under the matrices, as a sorted list.
 
-    Enumerates cyclic closures of all projective seed vectors, then
-    closes the collection under sums (every invariant subspace is a join
-    of cyclic ones).  Exact and exhaustive; refuses beyond the budget.
+    Every invariant subspace is a sum of cyclic closures, so the distinct
+    closures of one memoised pass over the projective seeds (the atoms)
+    are joined in turn into every subspace found so far that does not
+    already contain them.  Exact and exhaustive; refuses beyond the budget.
     """
     _require_enum_budget(field, dim, budget)
     zero = Subspace.zero(dim, field)
-    if dim == 0:
-        return [zero]
     found = {zero.basis: zero}
-    if field.p == 2:
-        masks = _gf2_column_masks(matrices, dim)
-        seen_rows = set()
-        for seed in range(1, 2**dim):
-            rows = _gf2_closure(masks, [seed], dim)
-            key = tuple(sorted(rows))
-            if key not in seen_rows:
-                seen_rows.add(key)
-                w = _gf2_rows_to_subspace(rows, dim, field)
-                found.setdefault(w.basis, w)
-    else:
-        for seed in normalized_vectors(dim, field.p):
-            w = closure_under(matrices, [seed], dim, field)
-            found.setdefault(w.basis, w)
-    worklist = list(found.values())
-    while worklist:
-        fresh = []
-        items = list(found.values())
-        for a in worklist:
-            for b in items:
-                s = a.add(b)
-                if s.basis not in found:
-                    found[s.basis] = s
-                    fresh.append(s)
-                    if len(found) > max_count:
-                        raise BudgetExceeded("invariant subspace lattice too large")
-        worklist = fresh
+    atoms = {}
+    for _, w in _cyclic_closures(matrices, dim, field):
+        atoms.setdefault(id(w), w)
+    for atom in atoms.values():
+        for s in list(found.values()):
+            if s.contains_subspace(atom):
+                continue
+            joined = s.add(atom)
+            if joined.basis not in found:
+                found[joined.basis] = joined
+                if len(found) > max_count:
+                    raise BudgetExceeded("invariant subspace lattice too large")
     return sorted(found.values(), key=lambda s: (s.dim, s.basis))
 
 
@@ -487,8 +566,9 @@ def _image_algebra_radical(module: FdModule):
 def is_irreducible(module: FdModule, budget=ENUMERATION_BUDGET) -> IrreducibilityVerdict:
     """Irreducibility verdict; exact over GF(p), three-valued over Q.
 
-    Over GF(p) every scalar line is tried as a generator, so the answer
-    is exact.  Over the rationals the reducible verdicts always carry an
+    Over GF(p) the memoised pass tries every scalar line as a generator in
+    ``normalized_vectors`` order and stops at the first proper closure,
+    which is the witness, so the answer is exact.  Over the rationals the reducible verdicts always carry an
     explicit invariant subspace; "irreducible" is only reported with a
     sound certificate (dimension one, or semisimple image with scalar
     commutant, or the division-commutant route used by regular modules
@@ -502,8 +582,7 @@ def is_irreducible(module: FdModule, budget=ENUMERATION_BUDGET) -> Irreducibilit
 
     if f.p is not None:
         _require_enum_budget(f, module.dim, budget)
-        for seed in normalized_vectors(module.dim, f.p):
-            w = closure_under(module.matrices, [seed], module.dim, f)
+        for _, w in _cyclic_closures(module.matrices, module.dim, f):
             if w.dim != module.dim:
                 return IrreducibilityVerdict("reducible", True, w, "seed-scan")
         return IrreducibilityVerdict("irreducible", True, method="seed-scan")
@@ -568,9 +647,35 @@ def annihilator(module: FdModule) -> Subspace:
 
 
 def is_two_sided_ideal(algebra: AlgebraPresentation, S: Subspace) -> bool:
-    es = [algebra.basis_vector(i) for i in range(algebra.dim)]
-    return S.contains_all(p for v in S.basis for e in es
-                          for p in (algebra.multiply(e, v), algebra.multiply(v, e)))
+    """Whether e_i v and v e_i lie in S for every basis element e_i and v in S's basis.
+
+    The products are read off ``algebra.rows``, touching only nonzero
+    terms: e_i v = sum_j v_j e_i e_j from rows[i], and every v e_j at once
+    from rows[a] for each a with v_a != 0.
+    """
+    f, rows, zero = algebra.field, algebra.rows, algebra.field.zero()
+
+    def combination(scaled_terms):
+        out = [zero] * algebra.dim
+        for c, terms in scaled_terms:
+            for k, pk in terms:
+                out[k] = f.add(out[k], f.mul(c, pk))
+        return out
+
+    def products():
+        for v in S.basis:
+            for row in rows:
+                left = [(v[j], terms) for j, terms in row if v[j] != 0]
+                if left:
+                    yield combination(left)
+            right = {}
+            for a, va in enumerate(v):
+                if va != 0:
+                    for j, terms in rows[a]:
+                        right.setdefault(j, []).append((va, terms))
+            yield from map(combination, right.values())
+
+    return S.contains_all(products())
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from groupoidalg.ideals import (
     effros_hahn_check,
     enumerate_ideals,
     induced_ideal,
+    left_ideals,
     primitive_ideals,
     question_12_15_experiment,
 )
@@ -560,14 +561,15 @@ def test_criterion_11_effros_hahn():
     for name, g, c in battery(GF2, fixtures):
         inc = Inclusion(g, c)
         assert inc.m <= 12, name
-        ideals = enumerate_ideals(inc)
+        lattice = left_ideals(inc)
+        ideals = enumerate_ideals(inc, lattice)
         for ideal in ideals:
             if ideal.dim == inc.m:
                 continue
             rep = effros_hahn_check(inc, ideal)
             assert rep.ok, name
             total_ideals += 1
-        for ideal, witness in primitive_ideals(inc):
+        for ideal, witness in primitive_ideals(inc, lattice):
             rep = effros_hahn_check(inc, ideal, witness)
             assert rep.primitive_single_unit is not None, name
             q = question_12_15_experiment(inc, ideal, witness)

@@ -12,6 +12,7 @@ from groupoidalg.ideals import (
     enumerate_ideals,
     germ_annihilator_decomposition,
     induced_ideal,
+    left_ideals,
     primitive_from_isotropy,
     primitive_ideals,
     question_12_15_experiment,
@@ -28,6 +29,7 @@ from groupoidalg.linalg import (
     zero_vector,
 )
 from groupoidalg.modrep import (
+    all_invariant_subspaces,
     all_submodules,
     annihilator,
     germ_space,
@@ -199,7 +201,7 @@ def test_primitive_from_isotropy_simple_algebra():
     ideal = primitive_from_isotropy(inc, x, W)
     assert ideal.dim == 0
     # simplicity cross-check: full enumeration finds only 0 and B
-    assert [i.dim for i in enumerate_ideals(inc)] == [0, 4]
+    assert [i.dim for i in enumerate_ideals(inc, left_ideals(inc))] == [0, 4]
 
 
 def test_primitive_from_isotropy_gb_sign_module():
@@ -226,7 +228,7 @@ def test_primitive_from_isotropy_gb_sign_module():
 def test_two_characters_of_z2_give_two_primitives():
     g = make_z2()
     inc = Inclusion(g, Cocycle.trivial(g, GF3))
-    prims = primitive_ideals(inc)
+    prims = primitive_ideals(inc, left_ideals(inc))
     assert len(prims) == 2
     assert sorted(i.dim for i, _ in prims) == [1, 1]
     assert len({i.basis for i, _ in prims}) == 2
@@ -277,7 +279,7 @@ def test_effros_hahn_augmentation_type_ideal():
     """An ideal living over the twisted unit decomposes through unit 0."""
     gb = make_gb()
     inc = Inclusion(gb, Cocycle.trivial(gb, GF3))
-    prims = primitive_ideals(inc)
+    prims = primitive_ideals(inc, left_ideals(inc))
     # pick a primitive ideal whose witness has support at unit 0
     found = False
     for ideal, witness in prims:
@@ -292,7 +294,7 @@ def test_effros_hahn_augmentation_type_ideal():
 def test_effros_hahn_all_ideals_gf2():
     for name, g, c in battery(GF2, ["pair2", "z2", "gb", "du"]):
         inc = Inclusion(g, c)
-        for ideal in enumerate_ideals(inc):
+        for ideal in enumerate_ideals(inc, left_ideals(inc)):
             if ideal.dim == inc.m:
                 continue
             rep = effros_hahn_check(inc, ideal)
@@ -304,7 +306,7 @@ def test_question_12_15_all_primitives():
         GF3, ["pair2", "z2", "gb"]
     ):
         inc = Inclusion(g, c)
-        for ideal, witness in primitive_ideals(inc):
+        for ideal, witness in primitive_ideals(inc, left_ideals(inc)):
             rep = question_12_15_experiment(inc, ideal, witness)
             assert rep.answer == "YES", name
             assert rep.unit is not None
@@ -313,7 +315,7 @@ def test_question_12_15_all_primitives():
 def test_question_12_15_pair3_unique_primitive():
     g = pair_groupoid(3)
     inc = Inclusion(g, Cocycle.trivial(g, GF2))
-    prims = primitive_ideals(inc)
+    prims = primitive_ideals(inc, left_ideals(inc))
     assert len(prims) == 1
     ideal, witness = prims[0]
     assert ideal.dim == 0
@@ -325,7 +327,7 @@ def test_question_12_15_pair3_unique_primitive():
 def test_question_12_15_quaternion_gf3():
     g, c = quaternion_fixture(GF3)
     inc = Inclusion(g, c)
-    prims = primitive_ideals(inc)
+    prims = primitive_ideals(inc, left_ideals(inc))
     assert len(prims) == 1
     ideal, witness = prims[0]
     assert ideal.dim == 0
@@ -406,3 +408,45 @@ def test_cor_12_11_specialization():
                 for j in range(reg.dim)
             )
             assert side1 == side2
+
+
+# -- ideals read off the left-ideal lattice ---------------------------------------
+
+
+def bimodule_ideals(inclusion):
+    """The enumeration ``enumerate_ideals`` replaced: the subspaces invariant
+    under every left and right multiplication of B at once."""
+    left, right = inclusion.B.mult_matrices()
+    return all_invariant_subspaces(left + right, inclusion.m, inclusion.field)
+
+
+def small_field_battery():
+    """Every twisted-battery groupoid over GF(2) and GF(3): the trivial twist,
+    the quaternion sign cocycle on V4, and over GF(3) the coboundary of
+    b = 2 on the non-units."""
+    cases = []
+    for field in (GF2, GF3):
+        cases += [(f"{name}/{field}", g, c) for name, g, c in battery(field)]
+        cases.append((f"v4quat/{field}", *quaternion_fixture(field)))
+    for name, g, _ in battery(GF3):
+        values = {a: 1 if g.is_unit(a) else 2 for a in g.arrows()}
+        cases.append((f"{name}/GF3/coboundary", g, coboundary(g, GF3, values)))
+    return cases
+
+
+def test_ideals_from_left_ideals_match_bimodule_enumeration():
+    for name, g, c in small_field_battery():
+        inc = Inclusion(g, c)
+        assert enumerate_ideals(inc, left_ideals(inc)) == bimodule_ideals(inc), name
+
+
+@pytest.mark.parametrize("n,p,count", [(2, 5, 8), (2, 7, 10), (3, 2, 16), (4, 2, 67)])
+def test_matrix_algebra_left_ideals_are_subspaces(n, p, count):
+    """The left ideals of M_n(F_p) are the matrices with rows in a fixed
+    subspace of F_p^n, one per subspace: 1 + (p + 1) + 1 of them for n = 2,
+    16 for F_2^3 and 67 for F_2^4.  Only 0 and B are two-sided."""
+    g = pair_groupoid(n)
+    inc = Inclusion(g, Cocycle.trivial(g, GF(p)))
+    lattice = left_ideals(inc)
+    assert len(lattice) == count
+    assert [I.dim for I in enumerate_ideals(inc, lattice)] == [0, n * n]

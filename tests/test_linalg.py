@@ -464,6 +464,50 @@ def test_package_uses_no_floating_point():
     assert offenders == []
 
 
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def per_seed_scans(source, driver=None):
+    """(line, text) of every call that scans seeds one closure at a time: a
+    ``normalized_vectors`` call outside the function named ``driver``, and
+    a ``closure_under`` call anywhere inside a loop or comprehension."""
+    tree = ast.parse(source)
+    allowed = range(0)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == driver:
+            allowed = range(node.lineno, node.end_lineno + 1)
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and ast.unparse(node.func) == "normalized_vectors"
+                and node.lineno not in allowed):
+            found.add((node.lineno, ast.unparse(node)))
+        if isinstance(node, LOOPS):
+            found |= {(call.lineno, ast.unparse(call)) for call in ast.walk(node)
+                      if isinstance(call, ast.Call) and ast.unparse(call.func) == "closure_under"}
+    return sorted(found)
+
+
+def test_cyclic_closures_come_from_one_memoised_pass():
+    """Every cyclic closure over GF(p) comes from ``modrep._cyclic_closures``:
+    only it may walk ``normalized_vectors``, and no loop in the package may
+    call ``closure_under``, so the per-seed scans cannot come back."""
+    offenders = []
+    for path in sorted(Path(groupoidalg.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        offenders += [(path.name, line, text)
+                      for line, text in per_seed_scans(source, "_cyclic_closures")]
+    assert offenders == []
+    # the guard sees the scans it replaces, written as a loop or a comprehension
+    scan = "for seed in normalized_vectors(d, p):\n    w = closure_under(ms, [seed], d, f)\n"
+    assert per_seed_scans(scan) == [(1, "normalized_vectors(d, p)"),
+                                    (2, "closure_under(ms, [seed], d, f)")]
+    comprehension = "ws = {closure_under(ms, [s], d, f).basis for s in seeds}\n"
+    assert per_seed_scans(comprehension) == [(1, "closure_under(ms, [s], d, f)")]
+    driver = "def walk(d, p):\n    yield from normalized_vectors(d, p)\n"
+    assert per_seed_scans(driver, "walk") == []
+
+
 def _is_product(node):
     return isinstance(node, ast.Call) and ast.unparse(node.func) == "mat_mul"
 

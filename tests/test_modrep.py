@@ -6,6 +6,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidalg.errors import BudgetExceeded, TrivialModuleError
 from groupoidalg.groupoid import pair_groupoid
@@ -15,9 +17,12 @@ from groupoidalg.linalg import GF, QQ, Subspace, identity_matrix, mat_mul, rref
 from groupoidalg.modrep import (
     FdModule,
     ModuleViolation,
+    _cyclic_closures,
+    all_invariant_subspaces,
     all_submodules,
     annihilator,
     check_module,
+    closure_under,
     direct_sum,
     disintegration_action,
     find_module_isomorphism,
@@ -29,11 +34,12 @@ from groupoidalg.modrep import (
     isotropy_quotient_module,
     lattice_operations_agree,
     nonzero_germ_exists,
+    normalized_vectors,
     regular_module,
     restriction,
     submodule_module,
 )
-from groupoidalg.steinberg import presentation_of_B
+from groupoidalg.steinberg import AlgebraPresentation, presentation_of_B
 from groupoidalg.twist import Cocycle
 
 from conftest import battery, make_gb, make_z2, quaternion_fixture, twisted_battery
@@ -576,3 +582,108 @@ def test_first_failing_pair_with_zero_product_is_found():
     assert all(c == 0 for c in reg.algebra.table[0][2])
     assert dense_check_module(broken) == expected
     assert check_module(broken) == expected
+
+
+# -- the memoised closure pass against the per-seed scan it replaced ------------
+
+# the largest dimension drawn per prime: keeps the all-pairs join oracle quick
+ORACLE_DIMS = {2: 5, 3: 4, 5: 3, 7: 3}
+
+
+def per_seed_closures(matrices, dim, field):
+    """The scan the memoised pass replaced: one `closure_under` per seed."""
+    return [(seed, closure_under(matrices, [seed], dim, field))
+            for seed in normalized_vectors(dim, field.p)]
+
+
+def all_pairs_lattice(matrices, dim, field):
+    """The join the memoised pass replaced: zero and the per-seed closures,
+    closed under sums by joining every new subspace with every one found."""
+    zero = Subspace.zero(dim, field)
+    found = {zero.basis: zero}
+    for _, w in per_seed_closures(matrices, dim, field):
+        found.setdefault(w.basis, w)
+    worklist = list(found.values())
+    while worklist:
+        fresh = []
+        items = list(found.values())
+        for a in worklist:
+            for b in items:
+                s = a.add(b)
+                if s.basis not in found:
+                    found[s.basis] = s
+                    fresh.append(s)
+        worklist = fresh
+    return sorted(found.values(), key=lambda s: (s.dim, s.basis))
+
+
+@st.composite
+def matrix_sets(draw, p):
+    """(dim, matrices) over GF(p): 0-4 matrices, each zero, strictly upper
+    triangular (so nilpotent), sparse or arbitrary."""
+    dim = draw(st.integers(0, ORACLE_DIMS[p]))
+    entry = st.integers(0, p - 1)
+    kinds = {"zero": lambda r, c: st.just(0),
+             "nilpotent": lambda r, c: entry if c > r else st.just(0),
+             "sparse": lambda r, c: st.one_of(st.just(0), entry),
+             "any": lambda r, c: entry}
+    matrices = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = kinds[draw(st.sampled_from(sorted(kinds)))]
+        matrices.append(tuple(tuple(draw(kind(r, c)) for c in range(dim))
+                              for r in range(dim)))
+    return dim, matrices
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_memoised_closures_match_per_seed_scan(p, data):
+    """Every closure of the memoised pass, its lattice and the verdict of
+    ``is_irreducible`` equal those of the per-seed scan and all-pairs join."""
+    dim, matrices = data.draw(matrix_sets(p))
+    field = GF(p)
+    oracle = per_seed_closures(matrices, dim, field)
+    got = list(_cyclic_closures(matrices, dim, field))
+    assert [(seed, w.basis, w.pivots) for seed, w in got] == [
+        (seed, w.basis, w.pivots) for seed, w in oracle]
+    assert all_invariant_subspaces(matrices, dim, field) == all_pairs_lattice(
+        matrices, dim, field)
+    if dim > 1 and matrices:
+        null_algebra = AlgebraPresentation(field, range(len(matrices)), {})
+        verdict = is_irreducible(FdModule(null_algebra, matrices))
+        witness = next((w for _, w in oracle if w.dim != dim), None)
+        assert verdict.status == ("irreducible" if witness is None else "reducible")
+        assert verdict.witness == witness
+
+
+def multiply_is_two_sided_ideal(algebra, S):
+    """The membership test ``is_two_sided_ideal`` replaced: every e v and
+    v e built with `AlgebraPresentation.multiply`, which scans dense vectors."""
+    es = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    return S.contains_all(p for v in S.basis for e in es
+                          for p in (algebra.multiply(e, v), algebra.multiply(v, e)))
+
+
+def test_two_sided_ideal_test_matches_multiply_oracle():
+    """On every twisted battery algebra, left, right and two-sided ideals
+    generated by basis elements and by random vectors, and random spans,
+    get the same answer from ``B.rows`` as from dense products."""
+    rng = random.Random(3)
+    seen = {True: 0, False: 0}
+    for name, g, c in twisted_battery():
+        B = presentation_of_B(g, c)
+        f, m = B.field, B.dim
+        left, right = B.mult_matrices()
+        vectors = [B.basis_vector(i) for i in range(m)] + [
+            tuple(f.of(rng.randint(-2, 2)) for _ in range(m)) for _ in range(3)]
+        candidates = [Subspace.zero(m, f), Subspace.full(m, f)]
+        for v in vectors:
+            for acts in (left, right, left + right):
+                candidates.append(closure_under(acts, [v], m, f))
+        candidates += [Subspace.span(rng.sample(vectors, 2), m, f) for _ in range(4)]
+        for S in candidates:
+            expected = multiply_is_two_sided_ideal(B, S)
+            assert is_two_sided_ideal(B, S) == expected, name
+            seen[expected] += 1
+    assert min(seen.values()) > 0
