@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import GroupoidAlgError, ProblemFileError
+from .errors import GroupoidAlgError, ProblemFileError, TheoremViolation
 from .groupoid import FiniteGroupoid
 from .ideals import (
     effros_hahn_check,
@@ -464,11 +464,7 @@ def cmd_induce(problem: ProblemFile, args, report: Report):
     bim = imprimitivity_bimodule(inclusion, x)
     report.section("induced module")
     report.kv("orbit", " ".join(str(y) for y in bim.orbit))
-    chosen = " ".join(
-        f"{y}:{','.join(str(a) for a in sorted(bim.chosen[y].support()))}"
-        for y in bim.orbit
-    )
-    report.kv("free basis sections", chosen)
+    report.kv("free basis sections", " ".join(f"{y}:{bim.sections[y]}" for y in bim.orbit))
     cert = verify_res_ind_roundtrip(inclusion, x, V)
     report.kv("dim", cert.induced_dim)
     report.check("thm_8_4", True, f"dim={cert.module_dim}")
@@ -523,20 +519,23 @@ def _ideal_enumeration_allowed(inclusion: Inclusion, report: Report) -> bool:
 
 
 def _report_thm_12_14(inclusion: Inclusion, report: Report, list_ideals: bool):
-    """Theorem 12.14 on every proper ideal (i) and every primitive ideal (ii)."""
+    """Theorem 12.14 on every proper ideal (i) and every primitive ideal (ii):
+    one ``effros_hahn_check`` per proper ideal, with a witness if primitive."""
     lattice = left_ideals(inclusion)
     proper = [i for i in enumerate_ideals(inclusion, lattice) if i.dim < inclusion.m]
-    ok = True
+    witnesses = {ideal.basis: witness for ideal, witness in primitive_ideals(inclusion, lattice)}
+    if not witnesses.keys() <= {ideal.basis for ideal in proper}:
+        raise TheoremViolation("a primitive ideal is missing from the proper ideals")
+    ok_i = ok_ii = True
     for i, ideal in enumerate(proper):
-        ok = effros_hahn_check(inclusion, ideal).ok and ok
+        check = effros_hahn_check(inclusion, ideal, witnesses.get(ideal.basis))
+        ok_i = check.ok and ok_i
+        if ideal.basis in witnesses:
+            ok_ii = check.primitive_single_unit is not None and ok_ii
         if list_ideals:
             report.kv(f"ideal {i} dim", ideal.dim)
-    report.check("thm_12_14_i", ok, f"ideals={len(proper)}")
-    prims = primitive_ideals(inclusion, lattice)
-    ok = True
-    for ideal, witness in prims:
-        ok = effros_hahn_check(inclusion, ideal, witness).primitive_single_unit is not None and ok
-    report.check("thm_12_14_ii", ok, f"primitive={len(prims)}")
+    report.check("thm_12_14_i", ok_i, f"ideals={len(proper)}")
+    report.check("thm_12_14_ii", ok_ii, f"primitive={len(witnesses)}")
 
 
 def cmd_ideals(problem: ProblemFile, args, report: Report):

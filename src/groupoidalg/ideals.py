@@ -140,14 +140,14 @@ def germ_annihilator_decomposition(inclusion: Inclusion, V: FdModule) -> GermDec
 # ideal enumeration and the decomposition reports
 
 
-def left_ideals(inclusion: Inclusion, budget=2**20):
+def left_ideals(inclusion: Inclusion):
     """Every left ideal of B: the submodule lattice of its regular module.
 
     Exhaustive over GF(p) within the budget; sorted by (dim, basis) so
     reports are deterministic.  The ideals and the primitive ideals are
     both read off this one lattice.
     """
-    return all_submodules(regular_module(inclusion.B), budget)
+    return all_submodules(regular_module(inclusion.B))
 
 
 def enumerate_ideals(inclusion: Inclusion, lattice):

@@ -8,9 +8,11 @@ of the hom-set; at y = x the unit indicator at x).  BJ_x is the delta span
 of the arrows out of other units, so M_x has the deltas of the arrows out
 of x as its basis, and its operators are read off B's product index at
 those arrows, with no product projected onto the quotient.  Induction takes a
-unital left B(x, x)-module V to the left B-module carried by one copy
-of V per orbit point, with a basis arrow acting from the source block
-to the target block through the isotropy class of n_tgt* . arrow . n_src.
+unital left B(x, x)-module V to Ind_x V = M_x (x) V over B(x, x), carried
+by one copy of V per orbit point (zeta_y (x) V): a basis arrow gamma: y -> z
+sends the block of y to the block of z through V's action of the
+isotropy class nu(n_z* . gamma . zeta_y), the one way the bimodule gives
+the B(x, x)-coordinates of a class.
 
 The constructors verify the structural facts they rely on (injectivity
 and linearity of the standard inclusion, the three-case projection
@@ -46,7 +48,7 @@ from .modrep import (
     intertwines,
     restriction,
 )
-from .steinberg import convolve, delta, partial_inverse
+from .steinberg import delta, partial_inverse
 
 
 class ImprimitivityBimodule:
@@ -68,13 +70,9 @@ class ImprimitivityBimodule:
         self.data = inclusion.isotropy_data(x, x)
 
         # the section at y = x is delta_x, elsewhere the least arrow x -> y
-        self.chosen = {
-            y: delta(gpd, inclusion.cocycle, x if y == x else min(gpd.hom_set(y, x)))
-            for y in self.orbit
-        }
-        self.zeta = {
-            y: self.quotient.project(n.to_vector()) for y, n in self.chosen.items()
-        }
+        self.sections = {y: x if y == x else min(gpd.hom_set(y, x)) for y in self.orbit}
+        self.chosen = {y: delta(gpd, inclusion.cocycle, a) for y, a in self.sections.items()}
+        self.zeta = {y: self.quotient.project(n.to_vector()) for y, n in self.chosen.items()}
 
         # every operator acts on M_x in the coordinates of its section
         # basis, the deltas of the arrows out of x
@@ -132,16 +130,16 @@ class ImprimitivityBimodule:
         unit_actions = [self.left_action[u] for u in gpd.units]
         if not intertwines(self.pi, unit_actions, unit_actions, f):
             raise TheoremViolation("pi is not A-linear")
-        # three-case formula on arrow classes
-        for gamma in gpd.arrows():
-            cls = self.quotient.project(self.inclusion.delta_vector(gamma))
-            img = mat_vec(self.pi, cls, f)
-            if gpd.src[gamma] == self.x and gpd.tgt[gamma] == self.x:
+        # three-case formula on arrow classes: an arrow out of another unit
+        # lies in BJ_x, and the class of an arrow out of x is a basis vector
+        # of M_x, so its image is that column of pi
+        for a, img, cls in zip(self.quotient.section.pivots, zip(*self.pi),
+                               identity_matrix(d, f)):
+            if gpd.tgt[a] == self.x:
                 if img != cls:
                     raise TheoremViolation("pi must fix isotropy classes")
-            else:
-                if any(c != 0 for c in img):
-                    raise TheoremViolation("pi must kill non-isotropy classes")
+            elif any(c != 0 for c in img):
+                raise TheoremViolation("pi must kill non-isotropy classes")
         # range(mu) = range(pi) = the J_x-killed part of the quotient
         pi_range = Subspace.span(zip(*self.pi), d, f)
         lx = self.left_action[self.x]
@@ -160,19 +158,16 @@ class ImprimitivityBimodule:
         """The isotropy component of a bimodule class (coordinates in B(x,x))."""
         return mat_vec(self.nu, xi, self.field)
 
-    def free_coordinates(self, xi):
-        """Coordinates of xi over the free basis, one B(x,x)-block per orbit point.
-
-        Computed with the partial inverses of the chosen sections:
-        block_y = nu(n_y* . xi), and n_y* = c delta_a acts as c left_action[a].
-        """
+    def isotropy_class(self, y, xi):
+        """nu(n_y* . xi), the block at y of the class xi: every isotropy class
+        is read off here.  n_y* = c delta_a acts as c left_action[a]."""
         f = self.field
-        blocks = {}
-        for y, n in self.chosen.items():
-            ((a, c),) = partial_inverse(n).coeffs.items()
-            moved = mat_vec(self.left_action[a], xi, f)
-            blocks[y] = self.nu_of(tuple(f.mul(c, v) for v in moved))
-        return blocks
+        ((a, c),) = partial_inverse(self.chosen[y]).coeffs.items()
+        return self.nu_of(tuple(f.mul(c, v) for v in mat_vec(self.left_action[a], xi, f)))
+
+    def free_coordinates(self, xi):
+        """Coordinates of xi over the free basis, one B(x,x)-block per orbit point."""
+        return {y: self.isotropy_class(y, xi) for y in self.orbit}
 
 
 def imprimitivity_bimodule(inclusion: Inclusion, x: int) -> ImprimitivityBimodule:
@@ -202,11 +197,11 @@ class InducedModule:
 
 
 def induce(inclusion: Inclusion, x: int, V: FdModule) -> InducedModule:
-    """The left B-module induced from a unital B(x, x)-module V.
+    """Ind_x V = M_x (x) V over B(x, x), on the free carrier (zeta_y (x) V)_y.
 
-    A basis arrow acts as zero unless its source indexes the block; it
-    then maps to the target block through the isotropy class of
-    n_target* . arrow . n_source.
+    A basis arrow gamma: y -> z sends zeta_y (x) v to zeta_z (x) h v, where
+    h = nu(n_z* . gamma . zeta_y) is the bimodule's isotropy class of
+    gamma . zeta_y at z; block (z, y) of its matrix is V's action of h.
     """
     bim = imprimitivity_bimodule(inclusion, x)
     data = bim.data
@@ -220,23 +215,17 @@ def induce(inclusion: Inclusion, x: int, V: FdModule) -> InducedModule:
     orbit = bim.orbit
     block_index = {y: i * k for i, y in enumerate(orbit)}
     dim = k * len(orbit)
-    emat = inclusion.projection_matrix(x, x)
 
     matrices = []
     for gamma in gpd.arrows():
         mat = [[f.zero()] * dim for _ in range(dim)]
-        y = gpd.src[gamma]
-        z = gpd.tgt[gamma]
+        y, z = gpd.src[gamma], gpd.tgt[gamma]
         if y in block_index and z in block_index:
-            n_y = bim.chosen[y]
-            n_z_star = partial_inverse(bim.chosen[z])
-            u = convolve(n_z_star, convolve(delta(gpd, inclusion.cocycle, gamma), n_y))
-            h = mat_vec(emat, u.to_vector(), f)
-            act = V.action_of(h)
+            moved = mat_vec(bim.left_action[gamma], bim.zeta[y], f)
+            act = V.action_of(bim.isotropy_class(z, moved))
             rb, cb = block_index[z], block_index[y]
-            for r in range(k):
-                for c in range(k):
-                    mat[rb + r][cb + c] = act[r][c]
+            for r, row in enumerate(act):
+                mat[rb + r][cb:cb + k] = row
         matrices.append(tuple(tuple(r) for r in mat))
     module = FdModule(inclusion.B, matrices, f"ind{x}[{V.name}]")
     violation = check_module(module)
@@ -273,9 +262,10 @@ def verify_res_ind_roundtrip(inclusion: Inclusion, x: int, V: FdModule) -> Round
     if embedded != res.subspace:
         raise TheoremViolation("embedding does not fill the restriction")
     # B(x,x)-linearity via the defining action (c + H) w = c w
-    data = inclusion.isotropy_data(x, x)
+    # B(x,x)'s section basis is the deltas of the isotropy arrows
+    isotropy = inclusion.isotropy_data(x, x).quotient.section.pivots
     embedding = operator_matrix(lambda v: ind.embed(x, v), identity_matrix(V.dim, f))
-    acts = [ind.module.action_of(s) for s in data.quotient.section_basis]
+    acts = [ind.module.matrices[g] for g in isotropy]
     if not intertwines(embedding, V.matrices, acts, f):
         raise TheoremViolation("embedding is not isotropy-linear")
     return RoundtripCertificate(x, V.dim, ind.module.dim, res.subspace.dim)
@@ -305,8 +295,8 @@ def verify_ind_res_embedding(inclusion: Inclusion, V: FdModule, x: int) -> Embed
     ind = induce(inclusion, x, res.module)
     bim = imprimitivity_bimodule(inclusion, x)
     # the free carrier's basis is zeta_y tensor w, blocks in orbit order;
-    # rho sends it to n_y w
-    acts = {y: V.action_of(bim.chosen[y].to_vector()) for y in ind.orbit}
+    # rho sends it to n_y w, and n_y is the delta of its arrow
+    acts = {y: V.matrices[bim.sections[y]] for y in ind.orbit}
     rho = operator_matrix(
         lambda yw: mat_vec(acts[yw[0]], yw[1], f),
         [(y, w) for y in ind.orbit for w in res.subspace.basis],
@@ -354,12 +344,7 @@ class GermEquivalenceCertificate:
 
 
 def verify_germ_induction_equivalence(inclusion: Inclusion, V: FdModule, x: int, y: int) -> GermEquivalenceCertificate:
-    """Explicit isomorphism Ind_x(V[x]) -> Ind_y(V[y]) for y in the orbit of x.
-
-    Built from a chosen section n in N(y, x): classes move by b -> b n*,
-    germs by v -> n v; on the free carriers this is blockwise action of
-    the isotropy class of n_z(y)* n_z(x) n* followed by the germ map.
-    """
+    """Explicit isomorphism Ind_x(V[x]) -> Ind_y(V[y]) for y in the orbit of x."""
     gpd = inclusion.groupoid
     f = inclusion.field
     if y not in gpd.orbit(x):
@@ -372,32 +357,35 @@ def verify_germ_induction_equivalence(inclusion: Inclusion, V: FdModule, x: int,
         raise TheoremViolation("induced germ modules have different annihilators")
     if ind_x.module.dim != ind_y.module.dim:
         raise TheoremViolation("induced germ modules have different dimensions")
-    bim_x = imprimitivity_bimodule(inclusion, x)
-    bim_y = imprimitivity_bimodule(inclusion, y)
-    n = delta(gpd, inclusion.cocycle, min(gpd.hom_set(y, x)))
-    n_star = partial_inverse(n)
-    emat_y = inclusion.projection_matrix(y, y)
-    # psi: germ at x -> germ at y, v -> n v
-    nvec = n.to_vector()
-    psi = operator_matrix(
-        lambda s: gy.quotient.project(V.apply(nvec, s)), gx.quotient.section_basis
-    )
-    # T acts on block z by the isotropy class of n_z(y)* n_z(x) n* after psi;
-    # the free carrier's basis is (z, e_j), blocks in orbit order
-    blocks = {}
-    for z in ind_x.orbit:
-        u = convolve(
-            partial_inverse(bim_y.chosen[z]), convolve(bim_x.chosen[z], n_star)
-        )
-        h = mat_vec(emat_y, u.to_vector(), f)
-        blocks[z] = mat_mul(gy.module.action_of(h), psi, f)
     dim = ind_x.module.dim
-    T = operator_matrix(
-        lambda ze: ind_y.embed(ze[0], mat_vec(blocks[ze[0]], ze[1], f)),
-        [(z, e) for z in ind_x.orbit for e in identity_matrix(gx.quotient.dim, f)],
-    )
+    T = _germ_intertwiner(inclusion, V, gx, gy, ind_x, ind_y)
     if Subspace.span(zip(*T), dim, f).dim != dim:
         raise TheoremViolation("germ intertwiner is not bijective")
     if not intertwines(T, ind_x.module.matrices, ind_y.module.matrices, f):
         raise TheoremViolation("germ intertwiner is not B-linear")
     return GermEquivalenceCertificate(x, y, dim)
+
+
+def _germ_intertwiner(inclusion: Inclusion, V: FdModule, gx, gy, ind_x, ind_y):
+    """T: Ind_x(V[x]) -> Ind_y(V[y]) from the least arrow n: x -> y.  Block z
+    is the germ map psi: v -> n v, then the action of the class of n_z(x) n*
+    that the bimodule at y reads off, nu(n_z(y)* n_z(x) n*)."""
+    gpd = inclusion.groupoid
+    f = inclusion.field
+    bim_x = imprimitivity_bimodule(inclusion, gx.x)
+    bim_y = imprimitivity_bimodule(inclusion, gy.x)
+    n = min(gpd.hom_set(gy.x, gx.x))
+    psi = operator_matrix(
+        lambda s: gy.quotient.project(mat_vec(V.matrices[n], s, f)), gx.quotient.section_basis
+    )
+    n_star_class = bim_y.quotient.project(
+        partial_inverse(delta(gpd, inclusion.cocycle, n)).to_vector())
+    blocks = {}
+    for z in ind_x.orbit:
+        moved = mat_vec(bim_y.left_action[bim_x.sections[z]], n_star_class, f)
+        blocks[z] = mat_mul(gy.module.action_of(bim_y.isotropy_class(z, moved)), psi, f)
+    # the free carrier's basis is (z, e_j), blocks in orbit order
+    return operator_matrix(
+        lambda ze: ind_y.embed(ze[0], mat_vec(blocks[ze[0]], ze[1], f)),
+        [(z, e) for z in ind_x.orbit for e in identity_matrix(gx.quotient.dim, f)],
+    )

@@ -46,7 +46,8 @@ from .linalg import (
 )
 from .steinberg import AlgebraPresentation
 
-ENUMERATION_BUDGET = 2**20
+ENUMERATION_BUDGET = 2**20  # candidate vectors p^dim an exhaustive search may cover
+LATTICE_BUDGET = 20000  # invariant subspaces one enumeration may find
 
 
 @dataclass(frozen=True)
@@ -409,17 +410,16 @@ def _cyclic_closures(matrices, dim, field):
         yield seed, memo[position][1]
 
 
-def _require_enum_budget(field, dim, budget):
+def _require_enum_budget(field, dim):
     if field.p is None:
         raise BudgetExceeded("exhaustive enumeration requires a prime field")
-    if field.p**dim > budget:
+    if field.p**dim > ENUMERATION_BUDGET:
         raise BudgetExceeded(
-            f"{field.p}^{dim} candidate vectors exceed the budget of {budget}"
+            f"{field.p}^{dim} candidate vectors exceed the budget of {ENUMERATION_BUDGET}"
         )
 
 
-def all_invariant_subspaces(matrices, dim, field, budget=ENUMERATION_BUDGET,
-                            max_count=20000):
+def all_invariant_subspaces(matrices, dim, field):
     """Every subspace invariant under the matrices, as a sorted list.
 
     Every invariant subspace is a sum of cyclic closures, so the distinct
@@ -427,7 +427,7 @@ def all_invariant_subspaces(matrices, dim, field, budget=ENUMERATION_BUDGET,
     are joined in turn into every subspace found so far that does not
     already contain them.  Exact and exhaustive; refuses beyond the budget.
     """
-    _require_enum_budget(field, dim, budget)
+    _require_enum_budget(field, dim)
     zero = Subspace.zero(dim, field)
     found = {zero.basis: zero}
     atoms = {}
@@ -440,14 +440,14 @@ def all_invariant_subspaces(matrices, dim, field, budget=ENUMERATION_BUDGET,
             joined = s.add(atom)
             if joined.basis not in found:
                 found[joined.basis] = joined
-                if len(found) > max_count:
+                if len(found) > LATTICE_BUDGET:
                     raise BudgetExceeded("invariant subspace lattice too large")
     return sorted(found.values(), key=lambda s: (s.dim, s.basis))
 
 
-def all_submodules(module: FdModule, budget=ENUMERATION_BUDGET):
+def all_submodules(module: FdModule):
     """The full submodule lattice of a module over GF(p), within budget."""
-    return all_invariant_subspaces(module.matrices, module.dim, module.field, budget)
+    return all_invariant_subspaces(module.matrices, module.dim, module.field)
 
 
 def lattice_operations_agree(subspaces) -> bool:
@@ -563,16 +563,19 @@ def _image_algebra_radical(module: FdModule):
     return [_square(combine(coords, span.basis, f), d) for coords in kern]
 
 
-def is_irreducible(module: FdModule, budget=ENUMERATION_BUDGET) -> IrreducibilityVerdict:
+def is_irreducible(module: FdModule) -> IrreducibilityVerdict:
     """Irreducibility verdict; exact over GF(p), three-valued over Q.
 
     Over GF(p) the memoised pass tries every scalar line as a generator in
     ``normalized_vectors`` order and stops at the first proper closure,
-    which is the witness, so the answer is exact.  Over the rationals the reducible verdicts always carry an
-    explicit invariant subspace; "irreducible" is only reported with a
-    sound certificate (dimension one, or semisimple image with scalar
-    commutant, or the division-commutant route used by regular modules
-    of division algebras), otherwise the verdict is inconclusive.
+    which is the witness, so the answer is exact.  Over the rationals the
+    reducible verdicts always carry an explicit invariant subspace, and
+    "irreducible" from dimension one or from a semisimple image with
+    scalar commutant is sound.  The division-commutant probe is not: it
+    factors the minimal polynomials of the commutant basis and its pairwise
+    sums only, which does not prove the commutant a division algebra, and
+    it calls some changes of basis of the reducible regular module of
+    M_2(Q) irreducible.  Otherwise the verdict is inconclusive.
     """
     if module.dim == 0:
         raise TrivialModuleError("the zero module has no irreducibility verdict")
@@ -581,7 +584,7 @@ def is_irreducible(module: FdModule, budget=ENUMERATION_BUDGET) -> Irreducibilit
         return IrreducibilityVerdict("irreducible", True, method="dimension-one")
 
     if f.p is not None:
-        _require_enum_budget(f, module.dim, budget)
+        _require_enum_budget(f, module.dim)
         for _, w in _cyclic_closures(module.matrices, module.dim, f):
             if w.dim != module.dim:
                 return IrreducibilityVerdict("reducible", True, w, "seed-scan")
@@ -692,15 +695,16 @@ class Restriction:
 
 
 def _isotropy_actions(inclusion: Inclusion, module: FdModule, x: int):
-    """B(x, x), and the action on the carrier of each of its section representatives."""
+    """B(x, x), and the action on the carrier of each of its section representatives,
+    the deltas of the isotropy arrows: the module's matrices at those arrows."""
     data = inclusion.isotropy_data(x, x)
-    return data.presentation, [module.action_of(s) for s in data.quotient.section_basis]
+    return data.presentation, [module.matrices[g] for g in data.quotient.section.pivots]
 
 
 def _point_ideal_image(inclusion: Inclusion, module: FdModule, x: int) -> Subspace:
-    """J_x V: the span of the columns of the actions of J_x's basis."""
-    gens = [col for a in inclusion.point_ideal(x).basis.basis
-            for col in zip(*module.action_of(a))]
+    """J_x V: the span of the columns of the actions of J_x's basis, the
+    deltas of the units other than x (its pivots), each acting by its matrix."""
+    gens = [col for u in inclusion.point_ideal(x).basis.pivots for col in zip(*module.matrices[u])]
     return Subspace.span(gens, module.dim, module.field)
 
 
@@ -710,7 +714,7 @@ def restriction(inclusion: Inclusion, module: FdModule, x: int) -> Restriction:
     The subspace may be zero; the zero restriction is a legal outcome.
     """
     f = module.field
-    rows = [row for a in inclusion.point_ideal(x).basis.basis for row in module.action_of(a)]
+    rows = [row for u in inclusion.point_ideal(x).basis.pivots for row in module.matrices[u]]
     sub = Subspace.span(right_kernel(rows, module.dim, f), module.dim, f)
     algebra, actions = _isotropy_actions(inclusion, module, x)
     res = _span_module(algebra, actions, sub.basis, sub.membership, f"res{x}",

@@ -23,6 +23,8 @@ from .steinberg import (
     unit_indicator,
 )
 
+SEMIGROUP_BUDGET = 4096  # closure size past which the closure stops, as a violation
+
 
 class PartialBijection:
     """A bijection between two subsets of the unit space."""
@@ -108,18 +110,21 @@ def certify_normalizer(n: AlgebraElement, n_star: AlgebraElement) -> NormalizerC
         raise NotANormalizer("n n* n = n")
     if convolve(convolve(n_star, n), n_star) != n_star:
         raise NotANormalizer("n* n n* = n*")
+    conjugates = {}  # u -> n* 1_u n, which beta is read off
     for u in gpd.units:
         a = unit_indicator(gpd, coc, [u])
         if not _in_A(convolve(convolve(n, a), n_star)):
             raise NotANormalizer("n A n* in A", witness=a)
-        if not _in_A(convolve(convolve(n_star, a), n)):
+        conjugates[u] = convolve(convolve(n_star, a), n)
+        if not _in_A(conjugates[u]):
             raise NotANormalizer("n* A n in A", witness=a)
-    beta = _beta_from_pair(n, n_star)
+    beta = _beta_from_pair(n, n_star, conjugates)
     return NormalizerCertificate(n, n_star, beta)
 
 
-def _beta_from_pair(n: AlgebraElement, n_star: AlgebraElement) -> PartialBijection:
-    """The partial bijection x -> y defined by <n* a n, x> = <a, y> on A."""
+def _beta_from_pair(n: AlgebraElement, n_star: AlgebraElement, conjugates) -> PartialBijection:
+    """The partial bijection x -> y defined by <n* a n, x> = <a, y> on A,
+    read off ``conjugates``, which maps each unit u to n* 1_u n."""
     gpd = n.groupoid
     coc = n.cocycle
     nsn = convolve(n_star, n)
@@ -130,7 +135,7 @@ def _beta_from_pair(n: AlgebraElement, n_star: AlgebraElement) -> PartialBijecti
     for x in src_units:
         image = None
         for y in gpd.units:
-            val = convolve(convolve(n_star, unit_indicator(gpd, coc, [y])), n)[x]
+            val = conjugates[y][x]
             if val != 0:
                 if val != coc.field.one() or image is not None:
                     raise NotANormalizer("character-evaluation", witness=(x, y))
@@ -259,7 +264,7 @@ class SemigroupReport:
         return [e for e in self.elements if convolve(e, e) == e]
 
 
-def verify_inverse_semigroup(sample, max_size: int = 4096) -> SemigroupReport:
+def verify_inverse_semigroup(sample) -> SemigroupReport:
     """Close a sample of certified normalizers under products and stars.
 
     Verifies: closure is finite, the partial-inverse law n n* n = n,
@@ -289,7 +294,7 @@ def verify_inverse_semigroup(sample, max_size: int = 4096) -> SemigroupReport:
 
     frontier = list(elements)
     while frontier:
-        if len(elements) > max_size:
+        if len(elements) > SEMIGROUP_BUDGET:
             violations.append(("closure-budget-exceeded", len(elements)))
             break
         new = []

@@ -390,6 +390,31 @@ def test_effros_hahn_and_q1215_commands():
     assert "answer=YES" in out
 
 
+def test_effros_hahn_checks_each_ideal_once(monkeypatch):
+    """gb3_gf2 has 11 proper ideals, 3 of them primitive: one check each,
+    the primitive ones with their witness module."""
+    calls = []
+    original = cli.effros_hahn_check
+
+    def counted(inclusion, ideal, witness=None):
+        calls.append(witness is not None)
+        return original(inclusion, ideal, witness)
+
+    monkeypatch.setattr(cli, "effros_hahn_check", counted)
+    out, code = run("effros-hahn", str(FIXTURES / "gb3_gf2.gkd"))
+    assert code == 0 and "ideals=11" in out and "primitive=3" in out
+    assert (len(calls), sum(calls)) == (11, 3)
+
+
+def test_thm_12_14_refuses_a_primitive_ideal_outside_the_proper_ideals(monkeypatch):
+    """A primitive ideal the ideal enumeration did not list is a TheoremViolation."""
+    monkeypatch.setattr(cli, "enumerate_ideals", lambda inclusion, lattice: [])
+    out, code = run("effros-hahn", str(FIXTURES / "gb3_gf2.gkd"))
+    assert code == 1
+    assert out.endswith("internal_consistency: FAIL "
+                        "a primitive ideal is missing from the proper ideals\n")
+
+
 def test_ideals_command_gf3():
     out, code = run("ideals", str(FIXTURES / "gb3_sign.gkd"))
     assert code == 0

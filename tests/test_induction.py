@@ -1,6 +1,7 @@
 """Imprimitivity bimodules, induction, roundtrips, and lattice transfer."""
 
 import dataclasses
+import inspect
 import random
 import re
 from fractions import Fraction
@@ -29,11 +30,13 @@ from groupoidalg.linalg import (
     mat_mul,
     mat_vec,
     operator_matrix,
+    right_kernel,
 )
 from groupoidalg.modrep import (
     FdModule,
     all_submodules,
     direct_sum,
+    germ_space,
     is_irreducible,
     quotient_module,
     regular_module,
@@ -588,6 +591,177 @@ def test_germ_induction_equivalence_along_orbit():
             assert cert.dim > 0, name
 
 
+# -- every isotropy class is read off the bimodule: convolution oracles ------------------
+
+
+def oracle_cases():
+    """The twisted battery (Q, the quaternion twist, GF(7) coboundaries) and
+    the battery over GF(2) and GF(3), the quaternion twist over GF(3) included."""
+    return (twisted_battery() + battery(GF2) + battery(GF3)
+            + [("v4quat/GF3", *quaternion_fixture(GF3))])
+
+
+def oracle_sections(inc, x):
+    """n_y for y in the orbit of x: delta_x at x, else the least arrow x -> y."""
+    g = inc.groupoid
+    return {y: delta(g, inc.cocycle, x if y == x else min(g.hom_set(y, x)))
+            for y in g.orbit(x)}
+
+
+def oracle_induce(inc, x, V):
+    """Oracle: the matrices of Ind_x V by element convolution, block (z, y)
+    of gamma: y -> z being V's action of E(x,x)(n_z* delta_gamma n_y)."""
+    f, g = inc.field, inc.groupoid
+    chosen = oracle_sections(inc, x)
+    k = V.dim
+    base = {y: i * k for i, y in enumerate(chosen)}
+    dim = k * len(chosen)
+    emat = inc.projection_matrix(x, x)
+    mats = []
+    for gamma in g.arrows():
+        mat = [[f.zero()] * dim for _ in range(dim)]
+        y, z = g.src[gamma], g.tgt[gamma]
+        if y in base:
+            u = convolve(partial_inverse(chosen[z]),
+                         convolve(delta(g, inc.cocycle, gamma), chosen[y]))
+            act = V.action_of(mat_vec(emat, u.to_vector(), f))
+            for r in range(k):
+                for c in range(k):
+                    mat[base[z] + r][base[y] + c] = act[r][c]
+        mats.append(tuple(map(tuple, mat)))
+    return tuple(mats)
+
+
+def oracle_germ_intertwiner(inc, V, gx, gy, ind_x, ind_y):
+    """Oracle: T: Ind_x(V[x]) -> Ind_y(V[y]) by element convolution, block z
+    acting by the class E(y,y)(n_z(y)* n_z(x) n*) after psi: v -> n v."""
+    f, g = inc.field, inc.groupoid
+    x, y = gx.x, gy.x
+    n = delta(g, inc.cocycle, min(g.hom_set(y, x)))
+    emat_y = inc.projection_matrix(y, y)
+    psi = operator_matrix(lambda s: gy.quotient.project(V.apply(n.to_vector(), s)),
+                          gx.quotient.section_basis)
+    chosen_x, chosen_y = oracle_sections(inc, x), oracle_sections(inc, y)
+    blocks = {}
+    for z in ind_x.orbit:
+        u = convolve(partial_inverse(chosen_y[z]), convolve(chosen_x[z], partial_inverse(n)))
+        blocks[z] = mat_mul(gy.module.action_of(mat_vec(emat_y, u.to_vector(), f)), psi, f)
+    return operator_matrix(
+        lambda ze: ind_y.embed(ze[0], mat_vec(blocks[ze[0]], ze[1], f)),
+        [(z, e) for z in ind_x.orbit for e in identity_matrix(gx.quotient.dim, f)],
+    )
+
+
+def oracle_restriction(inc, V, x):
+    """Oracle: J_x's unit deltas and B(x,x)'s section deltas act through
+    ``action_of`` on dense vectors.  Returns (subspace, action matrices)."""
+    f = V.field
+    units = inc.point_ideal(x).basis.basis
+    rows = [row for a in units for row in V.action_of(a)]
+    sub = Subspace.span(right_kernel(rows, V.dim, f), V.dim, f)
+    acts = [V.action_of(s) for s in inc.isotropy_data(x, x).quotient.section_basis]
+    mats = [operator_matrix(lambda v, a=a: sub.membership(mat_vec(a, v, f)), sub.basis)
+            for a in acts]
+    return sub, mats
+
+
+def oracle_germ_space(inc, V, x):
+    """Oracle: V / J_x V with J_x's deltas acting through ``action_of``.
+    Returns (quotient, action matrices)."""
+    f = V.field
+    gens = [col for a in inc.point_ideal(x).basis.basis for col in zip(*V.action_of(a))]
+    quot = QuotientSpace(Subspace.full(V.dim, f), Subspace.span(gens, V.dim, f))
+    acts = [V.action_of(s) for s in inc.isotropy_data(x, x).quotient.section_basis]
+    mats = [operator_matrix(lambda v, a=a: quot.project(mat_vec(a, v, f)), quot.section_basis)
+            for a in acts]
+    return quot, mats
+
+
+def with_int_entries(module):
+    """The same module with every integral rational entry stored as an int."""
+    mats = [[[int(a) if isinstance(a, Fraction) and a.denominator == 1 else a for a in row]
+             for row in m] for m in module.matrices]
+    return FdModule(module.algebra, mats, module.name)
+
+
+def oracle_modules(algebra, rng):
+    """The regular module of an algebra and a conjugate of it; over Q also
+    the conjugate with its integral entries stored as ints."""
+    from test_modrep import conjugated
+
+    reg = regular_module(algebra)
+    out = [reg, conjugated(reg, rng)]
+    if algebra.field.p is None:
+        out.append(with_int_entries(out[1]))
+    return out
+
+
+def test_induce_matches_convolution_oracle():
+    """The matrices of induce, read off the bimodule, equal the convolution
+    oracle's by repr (so a Fraction turned int fails too), at every unit."""
+    rng = random.Random(11)
+    units = 0
+    for name, g, c in oracle_cases():
+        inc = Inclusion(g, c)
+        for x in g.units:
+            for V in oracle_modules(inc.isotropy_data(x, x).presentation, rng):
+                mats = induce(inc, x, V).module.matrices
+                assert repr(mats) == repr(oracle_induce(inc, x, V)), (name, x, V.name)
+            units += 1
+    assert units == 86
+
+
+def test_germ_intertwiner_matches_convolution_oracle():
+    """The germ intertwiner, read off the bimodule at y, equals the
+    convolution oracle's by repr for every x and every y in its orbit."""
+    rng = random.Random(12)
+    pairs = 0
+    for name, g, c in oracle_cases():
+        inc = Inclusion(g, c)
+        for V in oracle_modules(inc.B, rng):
+            for x in g.units:
+                gx = germ_space(inc, V, x)
+                ind_x = induce(inc, x, gx.module)
+                for y in g.orbit(x):
+                    gy = germ_space(inc, V, y)
+                    ind_y = induce(inc, y, gy.module)
+                    ours = induction._germ_intertwiner(inc, V, gx, gy, ind_x, ind_y)
+                    oracle = oracle_germ_intertwiner(inc, V, gx, gy, ind_x, ind_y)
+                    assert repr(ours) == repr(oracle), (name, x, y, V.name)
+                    verify_germ_induction_equivalence(inc, V, x, y)
+                    pairs += 1
+    assert pairs == 320
+
+
+def test_restriction_and_germ_space_match_action_of_oracles():
+    """Indexing the module's matrices at J_x's units and at B(x,x)'s
+    isotropy arrows gives the same spaces and actions, by repr, as acting
+    with dense deltas through ``action_of``."""
+    rng = random.Random(13)
+    for name, g, c in oracle_cases():
+        inc = Inclusion(g, c)
+        for V in oracle_modules(inc.B, rng):
+            for x in g.units:
+                res = restriction(inc, V, x)
+                sub, mats = oracle_restriction(inc, V, x)
+                assert repr(res.subspace.basis) == repr(sub.basis), (name, x, V.name)
+                assert repr(res.module.matrices) == repr(tuple(mats)), (name, x, V.name)
+                germ = germ_space(inc, V, x)
+                quot, mats = oracle_germ_space(inc, V, x)
+                assert repr(germ.quotient.kernel.basis) == repr(quot.kernel.basis), name
+                assert repr(germ.quotient.section_basis) == repr(quot.section_basis), name
+                assert repr(germ.module.matrices) == repr(tuple(mats)), (name, x, V.name)
+
+
+def test_induction_reads_isotropy_classes_only_off_the_bimodule():
+    """induction.py makes no convolution, and E(x, x) enters it once: in the
+    bimodule's constructor, as nu."""
+    source = inspect.getsource(induction)
+    assert "convolve" not in source
+    assert source.count("projection_matrix(") == 1
+    assert "projection_matrix(" in inspect.getsource(ImprimitivityBimodule.__init__)
+
+
 # -- the cross-orbit products that ImprimitivityBimodule._verify leaves out -------------
 
 
@@ -669,6 +843,25 @@ def test_pi_linearity_refuses_a_corrupted_pi():
     assert bim.pi == ((1, 0), (0, 0))
     bim.pi = bumped(bim.pi, 0, 1, QQ)
     with pytest.raises(TheoremViolation, match=exactly("pi is not A-linear")):
+        bim._verify()
+
+
+def test_three_case_formula_refuses_a_pi_that_moves_an_isotropy_class():
+    """pi = 0 is idempotent and A-linear, but it kills the class of delta_0."""
+    g = pair_groupoid(2)
+    bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), 0)
+    bim.pi = ((QQ.zero(),) * 2,) * 2
+    with pytest.raises(TheoremViolation, match=exactly("pi must fix isotropy classes")):
+        bim._verify()
+
+
+def test_three_case_formula_refuses_a_pi_that_keeps_a_non_isotropy_class():
+    """pi = identity is idempotent and A-linear, but it keeps the class of
+    the arrow 0 -> 3 out of unit 0."""
+    g = pair_groupoid(2)
+    bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), 0)
+    bim.pi = identity_matrix(2, QQ)
+    with pytest.raises(TheoremViolation, match=exactly("pi must kill non-isotropy classes")):
         bim._verify()
 
 

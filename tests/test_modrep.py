@@ -14,7 +14,9 @@ from groupoidalg.groupoid import pair_groupoid
 from groupoidalg.induction import induce
 from groupoidalg.isotropy import Inclusion
 from groupoidalg.linalg import GF, QQ, Subspace, identity_matrix, mat_mul, rref
+from groupoidalg.ideals import left_ideals
 from groupoidalg.modrep import (
+    ENUMERATION_BUDGET,
     FdModule,
     ModuleViolation,
     _cyclic_closures,
@@ -121,11 +123,17 @@ def test_matrix_algebra_column_module_irreducible_gf2():
 
 
 def test_budget_refusal():
-    g = pair_groupoid(2)
+    """Past ENUMERATION_BUDGET candidate vectors every GF(p) enumeration
+    refuses: the regular module of M_4(F_3) has 3^16 > 2^20 of them."""
+    g = pair_groupoid(4)
     inc = Inclusion(g, Cocycle.trivial(g, GF3))
     reg = regular_module(inc.B)
+    assert reg.dim == 16 and 3**16 > ENUMERATION_BUDGET
+    for enumeration in (all_submodules, is_irreducible):
+        with pytest.raises(BudgetExceeded, match=r"3\^16 candidate vectors exceed the budget"):
+            enumeration(reg)
     with pytest.raises(BudgetExceeded):
-        all_submodules(reg, budget=8)
+        left_ideals(inc)
     with pytest.raises(BudgetExceeded):
         qreg = regular_module(presentation_of_B(*battery(QQ, ["z2"])[0][1:]))
         all_submodules(qreg)

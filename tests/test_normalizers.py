@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from groupoidalg.errors import NotANormalizer
+from groupoidalg.groupoid import pair_groupoid
 from groupoidalg.linalg import GF, QQ, rref
 from groupoidalg.normalizers import (
     PartialBijection,
@@ -58,6 +59,63 @@ def test_sum_over_group_is_refused():
     n = AlgebraElement(g, c, {0: QQ.one(), 1: QQ.one()})
     with pytest.raises(NotANormalizer):
         synthesize_partial_inverse(n)
+
+
+def refusal(call):
+    """(condition, witness) of the NotANormalizer that call() raises."""
+    with pytest.raises(NotANormalizer) as info:
+        call()
+    return info.value.condition, info.value.witness
+
+
+def test_each_reachable_refusal_pins_its_condition_and_witness():
+    """In M_2(Q) = pair(2) (units 0 and 3, arrow 2: 0 -> 3), every refusal
+    of certify_normalizer, in check order, and the linear-solve refusal of
+    synthesize_partial_inverse.  The column n = d_0 + d_2 with the row
+    n* = (d_0 + d_1)/2 passes both regularity laws, but n 1_0 n* is the
+    all-halves matrix, outside A; swapping the two fails the last check.
+    The refusals of ``_beta_from_pair`` cannot fire once the four checks
+    pass: each n* 1_y n is then an idempotent of A, disjoint from the
+    others, summing to n* n over y."""
+    g = pair_groupoid(2)
+    c = Cocycle.trivial(g, QQ)
+    half = Fraction(1, 2)
+    column = AlgebraElement(g, c, {0: QQ.one(), 2: QQ.one()})
+    row = AlgebraElement(g, c, {0: half, 1: half})
+    zero = AlgebraElement(g, c, {})
+    one_0 = unit_indicator(g, c, [0])
+    assert refusal(lambda: certify_normalizer(delta(g, c, 2), zero)) == ("n n* n = n", None)
+    assert refusal(lambda: certify_normalizer(zero, delta(g, c, 2))) == ("n* n n* = n*", None)
+    assert refusal(lambda: certify_normalizer(column, row)) == ("n A n* in A", one_0)
+    assert refusal(lambda: certify_normalizer(row, column)) == ("n* A n in A", one_0)
+    z2 = make_z2()
+    n = AlgebraElement(z2, Cocycle.trivial(z2, QQ), {0: QQ.one(), 1: QQ.one()})
+    assert refusal(lambda: synthesize_partial_inverse(n)) == (
+        "n n* n = n", "exhaustive linear solve over the inverted support")
+
+
+def test_certification_conjugates_each_unit_once(monkeypatch):
+    """certify_normalizer convolves 4 times for the regularity laws, 4 per
+    unit for the conjugates n 1_u n* and n* 1_u n, and twice for n* n and
+    n n*; beta is read off the conjugates, not convolved again."""
+    from groupoidalg import normalizers
+
+    count = 0
+    original = normalizers.convolve
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return original(a, b)
+
+    monkeypatch.setattr(normalizers, "convolve", counted)
+    g = pair_groupoid(3)
+    c = Cocycle.trivial(g, QQ)
+    for a in g.arrows():
+        count = 0
+        d = delta(g, c, a)
+        assert certify_normalizer(d, partial_inverse(d)).beta.mapping == {g.src[a]: g.tgt[a]}
+        assert count == 4 + 4 * len(g.units) + 2
 
 
 def test_sum_over_group_refusal_oracle():
