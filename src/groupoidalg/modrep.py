@@ -68,7 +68,9 @@ class FdModule:
 
     def __init__(self, algebra: AlgebraPresentation, matrices, name: str = ""):
         self.algebra = algebra
-        self.matrices = tuple(tuple(tuple(r) for r in m) for m in matrices)
+        p = algebra.field.p  # GF(p) entries are reduced into [0, p), Q ones kept
+        as_row = tuple if p is None else lambda r: tuple(a % p for a in r)
+        self.matrices = tuple(tuple(as_row(r) for r in m) for m in matrices)
         self.name = name
         if len(self.matrices) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")

@@ -79,6 +79,18 @@ def test_column_module_checks():
     assert check_module(column_module(inc)) is None
 
 
+def test_gfp_entries_are_reduced_into_the_field():
+    """The regular module of pair(2) over GF(3) with its zeros stored as 3
+    is the regular module; over Q the entries are kept as given."""
+    g = pair_groupoid(2)
+    reg = regular_module(presentation_of_B(g, Cocycle.trivial(g, GF3)))
+    threes = FdModule(reg.algebra, [[[a or 3 for a in r] for r in m] for m in reg.matrices])
+    assert threes.matrices == reg.matrices
+    assert check_module(threes) is None
+    rational = FdModule(presentation_of_B(g, Cocycle.trivial(g, QQ)), threes.matrices)
+    assert all(type(a) is int for m in rational.matrices for r in m for a in r)
+
+
 def test_transposed_action_detected():
     g = pair_groupoid(2)
     inc = Inclusion(g, Cocycle.trivial(g, QQ))

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from groupoidalg.errors import NotANormalizer
-from groupoidalg.groupoid import pair_groupoid
+from groupoidalg import cli
+from groupoidalg.errors import BisectionRequired, BudgetExceeded, NotANormalizer
+from groupoidalg.groupoid import cyclic_group_table, group_groupoid, pair_groupoid
 from groupoidalg.linalg import GF, QQ, rref
 from groupoidalg.normalizers import (
     PartialBijection,
@@ -23,9 +25,17 @@ from groupoidalg.steinberg import (
     partial_inverse,
     unit_indicator,
 )
-from groupoidalg.twist import Cocycle
+from groupoidalg.twist import Cocycle, coboundary
 
-from conftest import battery, make_z2, quaternion_fixture, twisted_battery
+from conftest import (
+    GROUPOID_MAKERS,
+    battery,
+    make_z2,
+    quaternion_fixture,
+    twisted_battery,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GF5 = GF(5)
 
@@ -284,8 +294,8 @@ def test_inverse_semigroup_quaternion_closure():
     g, c = quaternion_fixture(QQ)
     report = verify_inverse_semigroup(singleton_certificates(g, c))
     assert report.ok
-    # signed deltas plus zero
-    assert len(report.elements) == 9
+    # zero plus the four supports
+    assert len(report.elements) == 5
     idems = report.idempotents()
     supports = sorted(tuple(e.support()) for e in idems)
     assert supports == [(), (0,)]
@@ -312,6 +322,177 @@ def test_partial_inverses_unique_on_every_battery_closure():
         report = verify_inverse_semigroup(singleton_certificates(g, c))
         assert report.ok, name
         assert non_unique_partial_inverses(report) == [], name
+
+
+def exact_closure(sample):
+    """Oracle: the closure of a sample under exact convolution, by products
+    of every pair of elements in both orders until nothing is new, with the
+    partial-inverse law on every element and a scan of every pair of
+    idempotents for commuting.  Returns (elements, star, violations); it
+    ends only where the exact closure is finite."""
+    star = {}
+    elements = []
+
+    def add(el, el_star):
+        if el not in star:
+            star[el] = el_star
+            elements.append(el)
+
+    zero = None
+    for cert in sample:
+        if zero is None:
+            zero = AlgebraElement(cert.n.groupoid, cert.n.cocycle, {})
+            add(zero, zero)
+        add(cert.n, cert.n_star)
+        add(cert.n_star, cert.n)
+
+    frontier = list(elements)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in elements:
+                for prod, pstar in (
+                    (convolve(a, b), convolve(star[b], star[a])),
+                    (convolve(b, a), convolve(star[a], star[b])),
+                ):
+                    if prod not in star:
+                        add(prod, pstar)
+                        new.append(prod)
+        frontier = new
+
+    violations = []
+    for el in elements:
+        s = star[el]
+        if convolve(convolve(el, s), el) != el or convolve(convolve(s, el), s) != s:
+            violations.append(("partial-inverse-law", el))
+    idem = [e for e in elements if convolve(e, e) == e]
+    for i, e in enumerate(idem):
+        for fy in idem[i + 1:]:
+            if convolve(e, fy) != convolve(fy, e):
+                violations.append(("idempotents-commute", (e, fy)))
+    return elements, star, violations
+
+
+def oracle_cases():
+    """(name, groupoid, sample) with a finite exact closure: the arrow deltas
+    of the twisted battery, and of pair(2), pair(3) and the group bundle
+    over GF(3), GF(5) and GF(7), each with the trivial twist and the
+    coboundary of b = 2 on the non-units.  Products of arrow deltas meet
+    no new support, so pair(3)'s transposition and 3-cycle join as a
+    sample that does, over GF(3) and GF(7), where its exact closure has at
+    most 163 elements; over GF(5) with b = 2 it has 385, too many for the
+    quadratic oracle in a quick test."""
+    cases = [(name, g, singleton_certificates(g, c)) for name, g, c in twisted_battery()]
+    for p in (3, 5, 7):
+        field = GF(p)
+        for name in ("pair2", "pair3", "gb"):
+            g = GROUPOID_MAKERS[name]()
+            b = {a: 1 if g.is_unit(a) else 2 for a in g.arrows()}
+            for twist, c in (("", Cocycle.trivial(g, field)), ("/b=2", coboundary(g, field, b))):
+                label = f"{name}/GF{p}{twist}"
+                cases.append((label, g, singleton_certificates(g, c)))
+                if name == "pair3" and p != 5:
+                    cases.append((f"{label}/perm", g, permutation_sample(g, c)))
+    return cases
+
+
+def test_support_closure_matches_exact_closure():
+    """The closure over supports reaches exactly the supports of the exact
+    closure, whose idempotents all lie on units and commute."""
+    for name, g, sample in oracle_cases():
+        elements, _, violations = exact_closure(sample)
+        report = verify_inverse_semigroup(sample)
+        assert report.ok, name
+        assert violations == [], name
+        assert {frozenset(e.coeffs) for e in elements} == {
+            frozenset(e.coeffs) for e in report.elements
+        }, name
+        for e in elements:
+            if convolve(e, e) == e:
+                assert all(g.is_unit(a) for a in e.coeffs), name
+
+
+def scaled_pair2(tmp_path, field_line):
+    """fixtures/pair2.gkd under the coboundary of b = 2 on its two
+    non-units, whose products meet 4^k times an arrow delta."""
+    text = (ROOT / "fixtures" / "pair2.gkd").read_text(encoding="utf-8")
+    path = tmp_path / "scaled.gkd"
+    path.write_text(
+        text.replace("[field] Q", field_line) + "[cocycle]\n1 2 4\n2 1 4\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("field_line", ["[field] Q", "[field] GF 7"])
+def test_scaled_coboundary_closes_over_supports(tmp_path, field_line):
+    """Over Q the exact closure of this sample is infinite."""
+    text, code = cli.run("verify", scaled_pair2(tmp_path, field_line), ["inclusion"])
+    assert code == 0, text
+    assert "prop_5_8: PASS closure=5\n" in text
+
+
+def test_non_bisection_sample_is_refused():
+    """n = d_e + d_g in Q[Z3] is invertible, with inverse
+    (d_e - d_g + d_g^2)/2, so it certifies; its support is no bisection."""
+    g = group_groupoid(cyclic_group_table(3))
+    c = Cocycle.trivial(g, QQ)
+    half = Fraction(1, 2)
+    n = AlgebraElement(g, c, {0: QQ.one(), 1: QQ.one()})
+    n_star = AlgebraElement(g, c, {0: half, 1: -half, 2: half})
+    cert = certify_normalizer(n, n_star)
+    with pytest.raises(BisectionRequired, match=r"^support \[0, 1\] is not a bisection$"):
+        verify_inverse_semigroup([cert])
+
+
+def permutation_sample(g, c):
+    """The transposition (0 1) and the n-cycle of pair(n) as certified
+    permutation bisections with all values 1."""
+    n = len(g.units)
+    out = []
+    for perm in ({0: 1, 1: 0}, {j: (j + 1) % n for j in range(n)}):
+        d = AlgebraElement(g, c, {perm.get(j, j) * n + j: c.field.one() for j in range(n)})
+        out.append(certify_normalizer(d, partial_inverse(d)))
+    return out
+
+
+def trivial_pair(n):
+    g = pair_groupoid(n)
+    return g, Cocycle.trivial(g, QQ)
+
+
+def test_permutation_closure_is_the_symmetric_group():
+    report = verify_inverse_semigroup(permutation_sample(*trivial_pair(5)))
+    assert report.ok
+    assert len(report.elements) == 121  # zero and the 5! permutations
+
+
+def test_closure_past_the_budget_is_refused():
+    """pair(7)'s transposition and 7-cycle generate 7! = 5040 supports."""
+    with pytest.raises(BudgetExceeded, match=r"^semigroup closure past 4096 supports$"):
+        verify_inverse_semigroup(permutation_sample(*trivial_pair(7)))
+
+
+def test_closure_multiplies_by_generators_only(monkeypatch):
+    """Two convolutions per (element, generator) product and its star, and
+    four per element for the partial-inverse law: linear in the closure,
+    where products of every pair of elements make tens of thousands."""
+    from groupoidalg import normalizers
+
+    count = 0
+    original = normalizers.convolve
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return original(a, b)
+
+    sample = permutation_sample(*trivial_pair(5))
+    monkeypatch.setattr(normalizers, "convolve", counted)
+    report = verify_inverse_semigroup(sample)
+    closure, generators = len(report.elements), 2 * len(sample)
+    assert 2 * closure * generators + 4 * closure == 1452
+    assert count <= 1452
 
 
 def test_synthesize_for_bisection_sections():
