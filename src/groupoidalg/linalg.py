@@ -12,8 +12,11 @@ reduces a vector against an RREF basis and ``insert_row`` adds one to it;
 an RREF basis puts on its non-pivot columns.  Spans of standard basis
 vectors (``Subspace.deltas``) need none either: their RREF bases are
 written down directly.
-All linear combinations of rows, matrix products included, go through
-``combine``, which skips zero coefficients and zero entries.  The matrix
+Linear combinations of rows and the matrix products that build
+matrices go through ``combine``, which skips zero coefficients and zero
+entries; the exact checks of the module law and of module maps
+(``modrep.check_module``, ``modrep.intertwines``) multiply their nonzero
+entries in ints instead.  The matrix
 of a linear map given by its values on a domain basis is taken through
 ``operator_matrix``: column k is the map applied to the k-th basis
 vector.  Matrices and constraint rows that come from a product law (the

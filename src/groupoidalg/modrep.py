@@ -2,7 +2,13 @@
 
 A module is a list of action matrices, one per algebra basis element,
 compatible with the structure constants and unital (the actions span
-maps onto the whole carrier).  On top of that this module provides:
+maps onto the whole carrier).  ``check_module`` checks both laws and
+``intertwines`` is the package's one module-map test (T a1 = a2 T).
+Both run on one sparse int product kernel (``_accumulate``): only
+nonzero entries are multiplied, over Q after scaling every entry by a
+common denominator (which scales both sides of the identity alike, so
+no `Fraction` is built), over GF(p) reducing each sum mod p once.  On
+top of that this module provides:
 
 * generated submodules and, over GF(p) within a budget, the full lattice
   of invariant subspaces, joined from the cyclic closures of every scalar
@@ -15,7 +21,6 @@ maps onto the whole carrier).  On top of that this module provides:
   elements;
 * annihilators, quotient/sub/direct-sum constructions and module
   isomorphism search;
-* ``intertwines``, the package's one module-map test (T a1 = a2 T).
 * restrictions to a unit (the part killed by the point ideal) and germ
   spaces (the quotient by the point ideal's image) with the
   disintegration action of the isotropy bimodules on them.
@@ -24,6 +29,7 @@ maps onto the whole carrier).  On top of that this module provides:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -111,10 +117,76 @@ class FdModule:
         return f"FdModule(dim={self.dim}, over dim-{self.algebra.dim} algebra{name})"
 
 
+def _common_denominator(field, values):
+    """The least common denominator of the values over Q.
+
+    None over GF(p), whose entries already are ints.
+    """
+    return None if field.p is not None else math.lcm(*{a.denominator for a in values})
+
+
+def _ints(row, scale):
+    """A sparse row's (index, a) pairs with each a times ``scale``, as ints.
+
+    ``scale`` is a common denominator, so ``scale // a.denominator`` is
+    exact and no `Fraction` is built; a None scale (GF(p)) keeps the row.
+    """
+    if scale is None:
+        return row
+    return [(k, a.numerator * (scale // a.denominator)) for k, a in row]
+
+
+def _int_rows(matrices, field):
+    """Dense matrices as rows of their nonzero (column, int) entries.
+
+    Over Q all are scaled by the matrices' common denominator.
+    """
+    sparse = [[[(c, a) for c, a in enumerate(row) if a] for row in m] for m in matrices]
+    scale = _common_denominator(field, (a for m in sparse for row in m for _, a in row))
+    return [[_ints(row, scale) for row in m] for m in sparse]
+
+
+def _accumulate(acc, left, right, width):
+    """Add the int product L R into ``acc``, entry (r, col) at key r * width + col.
+
+    L and R are given as sparse rows of (index, int) pairs, so only the
+    nonzero products are touched: the kernel of both exact checks.
+    """
+    for r, row in enumerate(left):
+        base = r * width
+        for k, a in row:
+            for col, b in right[k]:
+                key = base + col
+                acc[key] = acc.get(key, 0) + a * b
+    return acc
+
+
+def _nonzero_keys(acc, field):
+    """The keys whose accumulated int is not 0 in the field (mod p once)."""
+    p = field.p
+    if p is None:
+        return [key for key, v in acc.items() if v]
+    return [key for key, v in acc.items() if v % p]
+
+
 def intertwines(T, acts1, acts2, field) -> bool:
-    """Whether T a1 = a2 T for every pair (a1, a2): the one module-map test."""
-    return all(mat_mul(T, a1, field) == mat_mul(a2, T, field)
-               for a1, a2 in zip(acts1, acts2, strict=True))
+    """Whether T a1 = a2 T for every pair (a1, a2): the one module-map test.
+
+    Both sides are built on nonzero entries in ints: over Q, T is scaled by
+    its common denominator D_T and each pair (a1, a2) by theirs, D, so both
+    sides scale by D_T D and equality is unchanged.  T a1 + a2 (-T) is
+    accumulated once and must vanish (mod p over GF(p)).
+    """
+    (t,) = _int_rows([T], field)
+    minus_t = [[(c, -a) for c, a in row] for row in t]
+
+    def holds(a1, a2):
+        s1, s2 = _int_rows([a1, a2], field)
+        acc = _accumulate({}, t, s1, len(a1))
+        _accumulate(acc, s2, minus_t, len(a1))
+        return not _nonzero_keys(acc, field)
+
+    return all(holds(a1, a2) for a1, a2 in zip(acts1, acts2, strict=True))
 
 
 def check_module(module: FdModule):
@@ -122,35 +194,37 @@ def check_module(module: FdModule):
 
     Compatibility: action(b_i) action(b_j) must equal the structure-
     constant combination of the action matrices, for every ordered pair
-    (i, j), zero products included.  Both sides are built from the
-    nonzero entries only and compared with zeros elided.  Unitality: the
-    images of all actions span the carrier.
+    (i, j), zero products included.  The check runs on nonzero entries
+    in ints: over Q the action entries and structure constants are all
+    scaled by their common denominator D, so both sides scale by D^2.
+    For each i the products with every j come at once, keyed (j, r, col):
+    A_i A_j is read off ``by_row[k]``, the row k of each A_j that has one,
+    and the combination for (i, j) is subtracted at the same keys.  A j
+    that neither side touches has two zero sides.  The witness is the
+    least j whose sides differ.  Unitality: the images of all actions
+    span the carrier.
     """
     alg = module.algebra
     f = module.field
     d = module.dim
-    zero = f.zero()
-    entries = module.entries
-
-    def accumulate(scaled_rows):
-        # sum of c * row placed in row r, as {r * d + col: value} without zeros
-        out = {}
-        for r, c, row in scaled_rows:
-            for col, a in row:
-                key = r * d + col
-                out[key] = f.add(out.get(key, zero), f.mul(c, a))
-        return {key: v for key, v in out.items() if v != 0}
-
+    block = d * d
+    scale = _common_denominator(f, itertools.chain(
+        (a for mat in module.entries for row in mat for _, a in row),
+        (c for row in alg.rows for _, terms in row for _, c in terms)))
+    acts = [[_ints(row, scale) for row in mat] for mat in module.entries]
+    by_row = [[(j * block + col, a) for j, act in enumerate(acts) for col, a in act[k]]
+              for k in range(d)]
+    minus_flat = [[(r * d + col, -a) for r, row in enumerate(act) for col, a in row]
+                  for act in acts]
     for i, row in enumerate(alg.rows):
-        products = dict(row)
-        left = [(r, k, a) for r, left_row in enumerate(entries[i]) for k, a in left_row]
-        for j in range(alg.dim):
-            lhs = accumulate((r, a, entries[j][k]) for r, k, a in left)
-            rhs = accumulate(
-                (r, c, rj) for k, c in products.get(j, ()) for r, rj in enumerate(entries[k])
-            )
-            if lhs != rhs:
-                return ModuleViolation("structure-constants", (i, j))
+        combination = [()] * alg.dim
+        for j, terms in row:
+            combination[j] = _ints(terms, scale)
+        acc = _accumulate({}, acts[i], by_row, d)  # A_i A_j at j * d^2 + r * d + col
+        _accumulate(acc, combination, minus_flat, block)  # minus sum_k c_k A_k
+        differing = _nonzero_keys(acc, f)
+        if differing:
+            return ModuleViolation("structure-constants", (i, min(differing) // block))
     vectors = [col for m in module.matrices for col in zip(*m)]
     if Subspace.span(vectors, module.dim, f).dim != module.dim:
         return ModuleViolation("unitality", ())

@@ -43,13 +43,14 @@ class Cocycle:
         self.field = field
         self.values = {}
         self.validated = False
+        self.one = field.one()  # the value of every pair not stored
         for (a, b), v in sorted((values or {}).items()):
             v = field.of(v)
             if v == 0:
                 raise ZeroCocycleValue(f"cocycle value 0 at pair ({a}, {b})")
             if not groupoid.composable(a, b):
                 raise CocycleDomainError(f"pair ({a}, {b}) is not composable")
-            if v != field.one():
+            if v != self.one:
                 self.values[(a, b)] = v
 
     @classmethod
@@ -61,7 +62,7 @@ class Cocycle:
     def __call__(self, a: int, b: int):
         if not self.groupoid.composable(a, b):
             raise CocycleDomainError(f"pair ({a}, {b}) is not composable")
-        return self.values.get((a, b), self.field.one())
+        return self.values.get((a, b), self.one)
 
     def mutated(self, pair, value) -> "Cocycle":
         """Copy with one value replaced (for mutation testing); unvalidated."""

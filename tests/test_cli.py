@@ -1,6 +1,7 @@
 """Problem-file parsing, command execution, exit codes, determinism."""
 
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from groupoidalg.cli import format_problem, main, parse, run
 from groupoidalg.errors import ProblemFileError, TheoremViolation
 from groupoidalg.groupoid import pair_groupoid
 from groupoidalg.isotropy import Inclusion
-from groupoidalg.linalg import GF, QQ
+from groupoidalg.linalg import GF, QQ, identity_matrix, mat_mul
 from groupoidalg.twist import Cocycle
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -289,6 +290,36 @@ def test_module_commands(tmp_path):
     out, code = run("germs", path, ["col"])
     assert code == 0
     assert "prop_12_7: PASS" in out
+
+
+def test_rational_module_axioms(tmp_path):
+    """The column module of pair(2) over Q in the basis of P = [[2, 1/2],
+    [1/3, 1]] has entries with denominators 11, 22 and 33: it passes
+    module_axioms, and with 1 added at entry (1, 0) of its last matrix it
+    fails first at the pair (0, 3)."""
+    P = ((Fraction(2), Fraction(1, 2)), (Fraction(1, 3), Fraction(1)))
+    P_inv = ((Fraction(6, 11), Fraction(-3, 11)), (Fraction(-2, 11), Fraction(12, 11)))
+    assert mat_mul(P, P_inv, QQ) == identity_matrix(2, QQ)
+    mats = []
+    for a in range(4):
+        i, j = divmod(a, 2)
+        unit = tuple(tuple(Fraction(int((r, c) == (i, j))) for c in range(2)) for r in range(2))
+        mats.append([list(row) for row in mat_mul(mat_mul(P, unit, QQ), P_inv, QQ)])
+    assert {a.denominator for m in mats for row in m for a in row} == {11, 22, 33}
+    text = (FIXTURES / "pair2.gkd").read_text(encoding="utf-8")
+
+    def restrict(mats):
+        rows = "\n".join(" ".join(str(a) for a in row) for m in mats for row in m)
+        return run("restrict", write(tmp_path, text + "[module] col 2 B\n" + rows + "\n"),
+                   ["0", "col"])
+
+    out, code = restrict(mats)
+    assert code == 0, out
+    assert "module_axioms: PASS" in out
+    mats[3][1][0] += 1
+    out, code = restrict(mats)
+    assert code == 1, out
+    assert "module_axioms: FAIL structure-constants at (0, 3)" in out
 
 
 def test_induce_and_restrict_build_once(tmp_path, monkeypatch):

@@ -538,19 +538,13 @@ def mat_mul_comparisons(source):
 
 def test_module_maps_are_checked_only_by_intertwines():
     """Comparing two matrix products is a module-map test, and the package
-    has one: ``modrep.intertwines``.  No other function may compare two
-    ``mat_mul`` calls."""
+    has one: ``modrep.intertwines``, which builds no ``mat_mul`` product.
+    No function may compare two ``mat_mul`` calls."""
     package = Path(groupoidalg.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        allowed = range(0)
-        if path.name == "modrep.py":
-            (fn,) = [node for node in ast.walk(ast.parse(source))
-                     if isinstance(node, ast.FunctionDef) and node.name == "intertwines"]
-            allowed = range(fn.lineno, fn.end_lineno + 1)
-        offenders += [(path.name, line, text) for line, text in mat_mul_comparisons(source)
-                      if line not in allowed]
+        offenders += [(path.name, line, text) for line, text in mat_mul_comparisons(source)]
     assert offenders == []
     # the guard sees both forms of the loops it replaces
     inline = "for a in acts:\n    if mat_mul(T, a, f) != mat_mul(a, T, f):\n        raise E\n"
@@ -558,6 +552,63 @@ def test_module_maps_are_checked_only_by_intertwines():
     named = "def check(T, acts, f):\n    for a in acts:\n        lhs = mat_mul(T, a, f)\n" \
         "        rhs = mat_mul(a, T, f)\n        if lhs != rhs:\n            raise E\n"
     assert mat_mul_comparisons(named) == [(5, "lhs != rhs")]
+
+
+FIELD_ARITHMETIC = {"mul", "add", "sub"}
+DENSE_PRODUCTS = {"mat_mul", "combine"}
+
+
+def reached_functions(source, roots):
+    """The module-level functions of ``source`` that the roots call,
+    directly or through each other, the roots included."""
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    reached, stack = {}, list(roots)
+    while stack:
+        name = stack.pop()
+        if name in reached:
+            continue
+        reached[name] = functions[name]
+        stack += [node.func.id for node in ast.walk(functions[name])
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in functions]
+    return reached
+
+
+def field_arithmetic_calls(source, roots):
+    """(function, call) of every ``Field`` arithmetic call (``.mul``, ``.add``,
+    ``.sub``) and every ``mat_mul``/``combine`` call in the roots and the
+    functions they reach."""
+    found = []
+    for name, fn in sorted(reached_functions(source, roots).items()):
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr in FIELD_ARITHMETIC
+                    or isinstance(func, ast.Name) and func.id in DENSE_PRODUCTS):
+                found.append((name, ast.unparse(node)))
+    return found
+
+
+def test_module_checks_run_on_the_int_kernel():
+    """``check_module`` and ``intertwines`` share one kernel and, with every
+    function they reach, make no ``Field`` arithmetic call and build no
+    ``mat_mul``/``combine`` product: over Q that would bring `Fraction`
+    arithmetic back into the checks."""
+    source = (Path(groupoidalg.__file__).parent / "modrep.py").read_text(encoding="utf-8")
+    roots = ("check_module", "intertwines")
+    assert field_arithmetic_calls(source, roots) == []
+    kernels = [set(reached_functions(source, [root])) - {root} for root in roots]
+    assert "_accumulate" in kernels[0] & kernels[1]
+    # the guard sees the bodies the kernel replaced, and calls through helpers
+    dense = "def intertwines(T, a1, a2, f):\n    return mat_mul(T, a1, f) == mat_mul(a2, T, f)\n"
+    assert field_arithmetic_calls(dense, ["intertwines"]) == [
+        ("intertwines", "mat_mul(T, a1, f)"), ("intertwines", "mat_mul(a2, T, f)")]
+    helper = "def add(out, f, c, a):\n    out[0] = f.add(out[0], f.mul(c, a))\n\n\n" \
+        "def check_module(m):\n    add([0], m.field, 1, 1)\n"
+    assert field_arithmetic_calls(helper, ["check_module"]) == [
+        ("add", "f.add(out[0], f.mul(c, a))"), ("add", "f.mul(c, a)")]
 
 
 @pytest.mark.parametrize("p", [2**64 - 59, 2**61 - 1, 1000000007])

@@ -42,7 +42,7 @@ from groupoidalg.modrep import (
     submodule_module,
 )
 from groupoidalg.steinberg import AlgebraPresentation, presentation_of_B
-from groupoidalg.twist import Cocycle
+from groupoidalg.twist import Cocycle, coboundary
 
 from conftest import battery, make_gb, make_z2, quaternion_fixture, twisted_battery
 
@@ -519,13 +519,18 @@ def random_scalar(rng, field):
     return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
+def random_unitriangular(d, f, rng):
+    """A random unitriangular d x d matrix P and its inverse."""
+    p = tuple(tuple(f.one() if r == c else random_scalar(rng, f) if c > r else f.zero()
+                    for c in range(d)) for r in range(d))
+    reduced, _ = rref([row + e for row, e in zip(p, identity_matrix(d, f))], f)
+    return p, tuple(tuple(row[d:]) for row in reduced)
+
+
 def conjugated(module, rng):
     """The module in a random unitriangular basis: P M P^-1 for each matrix."""
-    f, d = module.field, module.dim
-    p = [tuple(f.one() if r == c else random_scalar(rng, f) if c > r else f.zero()
-               for c in range(d)) for r in range(d)]
-    reduced, _ = rref([row + e for row, e in zip(p, identity_matrix(d, f))], f)
-    p_inv = [row[d:] for row in reduced]
+    f = module.field
+    p, p_inv = random_unitriangular(module.dim, f, rng)
     mats = [mat_mul(mat_mul(p, m, f), p_inv, f) for m in module.matrices]
     return FdModule(module.algebra, mats, f"conjugated {module.name}")
 
@@ -550,6 +555,13 @@ def sparse_kernel_modules():
             out.append((f"regular group({x}) {name}", regular_module(group)))
         if name in ("pair2", "pair3"):
             out.append((f"column {name}", column_module(inc)))
+    # structure constants with denominators: b = 1/2 and b = 3 on two non-units
+    g = pair_groupoid(3)
+    rational = coboundary(g, QQ, {a: {1: Fraction(1, 2), 5: 3}.get(a, 1) for a in g.arrows()})
+    inc = Inclusion(g, rational)
+    assert any(c.denominator > 1 for row in inc.B.rows for _, terms in row for _, c in terms)
+    out.append(("regular B pair3/rational", regular_module(inc.B)))
+    out.append(("conjugated regular B pair3/rational", conjugated(regular_module(inc.B), rng)))
     return out
 
 
@@ -587,6 +599,80 @@ def test_sparse_check_module_matches_dense_oracle():
             assert check_module(broken) == expected, label
             witnesses += expected is not None
     assert witnesses > 0
+
+
+def dense_intertwines(T, acts1, acts2, field):
+    """The module-map test the int kernel replaced: two dense products per pair."""
+    return all(mat_mul(T, a1, field) == mat_mul(a2, T, field)
+               for a1, a2 in zip(acts1, acts2, strict=True))
+
+
+def bumped(matrix, rng, field):
+    """The matrix with a random nonzero scalar added at one random entry."""
+    rows = [list(row) for row in matrix]
+    r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    step = field.zero()
+    while step == 0:
+        step = random_scalar(rng, field)
+    rows[r][c] = field.add(rows[r][c], step)
+    return tuple(map(tuple, rows))
+
+
+def intertwiner_modules():
+    """The sparse-kernel modules (over Q and GF(7)) and regular modules of
+    the battery over GF(2), GF(3) and GF(101)."""
+    out = sparse_kernel_modules()
+    for p in (2, 3, 101):
+        for name, g, c in battery(GF(p), ["pair2", "pair3", "gb", "v4", "du"]):
+            out.append((f"regular B {name}/GF{p}", regular_module(Inclusion(g, c).B)))
+    return out
+
+
+def test_sparse_intertwines_matches_dense_oracle():
+    """True pairs (T = 1 on M, T = P from M to P M P^-1) pass both tests; a
+    bumped entry of T or of one action gives the same verdict in both."""
+    rng = random.Random(13)
+    fields, refuted = set(), 0
+    for label, mod in intertwiner_modules():
+        f, d = mod.field, mod.dim
+        fields.add(f)
+        p, p_inv = random_unitriangular(d, f, rng)
+        image = tuple(mat_mul(mat_mul(p, m, f), p_inv, f) for m in mod.matrices)
+        for T, acts1, acts2 in [(identity_matrix(d, f), mod.matrices, mod.matrices),
+                                (p, mod.matrices, image)]:
+            assert intertwines(T, acts1, acts2, f), label
+            assert dense_intertwines(T, acts1, acts2, f), label
+            i = rng.randrange(len(acts2))
+            broken = acts2[:i] + (bumped(acts2[i], rng, f),) + acts2[i + 1:]
+            for case in [(bumped(T, rng, f), acts1, acts2), (T, acts1, broken)]:
+                expected = dense_intertwines(*case, f)
+                assert intertwines(*case, f) == expected, label
+                refuted += not expected
+    assert fields == {QQ, GF(2), GF(3), GF(7), GF(101)}
+    assert refuted > 100
+
+
+def test_intertwines_on_empty_carriers_and_lists():
+    """A dim-0 carrier on either side and empty action lists hold in both
+    tests; unpaired lists raise, unless a pair before the end fails."""
+    g = pair_groupoid(2)
+    for f in (QQ, GF(2), GF(101)):
+        reg = regular_module(presentation_of_B(g, Cocycle.trivial(g, f)))
+        zero = FdModule(reg.algebra, [()] * reg.algebra.dim)
+        assert zero.dim == 0 and check_module(zero) is None
+        into = tuple(() for _ in range(reg.dim))  # the map from 0 into reg
+        for T, acts1, acts2 in [((), zero.matrices, zero.matrices),
+                                (into, zero.matrices, reg.matrices),
+                                ((), reg.matrices, zero.matrices),
+                                (identity_matrix(reg.dim, f), [], [])]:
+            assert intertwines(T, acts1, acts2, f)
+            assert dense_intertwines(T, acts1, acts2, f)
+        one = identity_matrix(reg.dim, f)
+        for check in (intertwines, dense_intertwines):
+            with pytest.raises(ValueError):
+                check(one, reg.matrices, reg.matrices[:-1], f)
+            # the first pair fails, so the lists are never found unpaired
+            assert not check(one, reg.matrices[1:], reg.matrices[:-2], f)
 
 
 def test_first_failing_pair_with_zero_product_is_found():
