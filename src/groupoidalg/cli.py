@@ -42,12 +42,12 @@ from .induction import (
     verify_res_ind_roundtrip,
 )
 from .isotropy import Inclusion
-from .linalg import GF, QQ, Field
+from .linalg import GF, QQ, Field, Subspace
 from .modrep import (
     FdModule,
     check_module,
-    find_module_isomorphism,
     germ_space,
+    intertwines,
     regular_module,
     restriction,
 )
@@ -598,32 +598,29 @@ def _verify_inclusion_suite(problem, inclusion, report: Report):
     for cert, gamma in zip(certs, gpd.arrows()):
         pairs = " ".join(f"{a} -> {b}" for a, b in sorted(cert.beta.mapping.items()))
         report.kv(f"beta {gpd.arrow_names[gamma]}", pairs)
-    beta_ok = True
+    # A nonzero product of two arrow deltas is w delta_ab, a star s delta_(gamma^-1):
+    # a certified pair scaled by a nonzero scalar (the four laws are homogeneous,
+    # partial inverses on bisections unique), so its beta is that of its arrow's
+    # certificate, as (c^-1 n*) 1_u (c n) = n* 1_u n
+    beta_ok = all(certs[gpd.inv[g]].beta == c.beta.inverse() for g, c in zip(gpd.arrows(), certs))
     for c1 in certs:
         for c2 in certs:
-            prod = convolve(c1.n, c2.n)
-            if prod.is_zero():
-                continue
-            pcert = certify_normalizer(prod, convolve(c2.n_star, c1.n_star))
-            if pcert.beta != c1.beta.compose(c2.beta):
-                beta_ok = False
-    for c1 in certs:
-        star = certify_normalizer(c1.n_star, c1.n)
-        if star.beta != c1.beta.inverse():
-            beta_ok = False
+            prod = convolve(c1.n, c2.n).coeffs
+            if len(prod) > 1:
+                raise TheoremViolation("a product of two arrow deltas is not one scaled delta")
+            beta_ok = all(certs[a].beta == c1.beta.compose(c2.beta) for a in prod) and beta_ok
     report.check("prop_5_10", beta_ok)
     # isotropy_data raises TheoremViolation unless C + L = B and C cap L = H
     for x in gpd.units:
         for y in gpd.units:
             inclusion.isotropy_data(y, x)
-    iso_ok = True
+    # identify_with_twisted_group_algebra raises TheoremViolation unless
+    # dim B(x,x) = |G_x| and the structure constants match
     for x in gpd.units:
         inclusion.identify_with_twisted_group_algebra(x)
-        if inclusion.isotropy_data(x, x).dim != len(gpd.isotropy_group(x)):
-            iso_ok = False
     report.check("thm_5_28", True)
     report.check("lemma_5_18", True)
-    report.check("thm_13_6", iso_ok)
+    report.check("thm_13_6", True)
 
 
 def bimodule_as_left_module(inclusion, bim) -> FdModule:
@@ -640,8 +637,11 @@ def _verify_bimodule_suite(problem, inclusion, report: Report):
         bim = imprimitivity_bimodule(inclusion, x)
         res = restriction(inclusion, bimodule_as_left_module(inclusion, bim), x)
         reg = regular_module(bim.data.presentation)
-        if res.module.dim != reg.dim or find_module_isomorphism(res.module, reg) is None:
-            res_ok = False
+        # mu's columns over Res_x M_x: an explicit isomorphism from the regular module
+        cols = [res.subspace.membership(col) for col in zip(*bim.mu)]
+        res_ok = (res_ok and None not in cols
+                  and res.module.dim == reg.dim == Subspace.span(cols, reg.dim, problem.field).dim
+                  and intertwines(tuple(zip(*cols)), reg.matrices, res.module.matrices, problem.field))
     report.check("cor_6_13", True)
     report.check("prop_7_5", res_ok)
 

@@ -75,6 +75,8 @@ class FiniteGroupoid:
         for u in self.units:
             if not (0 <= u < m):
                 raise MalformedTable(f"unit id {u} out of range")
+            if self.units.count(u) > 1:
+                raise MalformedTable(f"duplicate unit id {u}")
         for a in range(m):
             for b in range(m):
                 ab = self.comp[a][b]

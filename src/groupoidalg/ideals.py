@@ -223,10 +223,9 @@ def effros_hahn_check(inclusion: Inclusion, I: Subspace, witness: FdModule | Non
         raise ValueError("the improper ideal has no decomposition report")
     reg = regular_module(inclusion.B)
     V, _ = quotient_module(reg, I, name="B/I")
-    ann = annihilator(V)
-    if ann != I:
-        raise TheoremViolation("Ann(B/I) differs from I")
     decomposition = germ_annihilator_decomposition(inclusion, V)
+    if decomposition.annihilator != I:
+        raise TheoremViolation("Ann(B/I) differs from I")
     single = None
     if witness is not None:
         if annihilator(witness) != I:

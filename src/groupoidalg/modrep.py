@@ -863,7 +863,8 @@ def find_module_isomorphism(m1: FdModule, m2: FdModule):
     Solves the linear intertwiner equations exactly, then searches the
     solution space for an invertible element: exhaustively over small
     prime-field spaces, otherwise through a deterministic sample of
-    small integer combinations.
+    small integer combinations, which can miss an isomorphism (S^3 and S^3,
+    S the column module of M_2(Q)); the CLI no longer uses it.
     """
     if m1.dim != m2.dim or m1.algebra.rows != m2.algebra.rows:
         return None

@@ -100,6 +100,14 @@ def twisted_battery():
     return cases
 
 
+def oracle_battery():
+    """The twisted battery (Q, the quaternion twist, GF(7) coboundaries) and
+    the battery over GF(2) and GF(3), the quaternion twist over GF(3) included."""
+    gf2, gf3 = GF(2), GF(3)
+    return (twisted_battery() + battery(gf2) + battery(gf3)
+            + [("v4quat/GF3", *quaternion_fixture(gf3))])
+
+
 @pytest.fixture
 def pair2():
     return make_pair2()

@@ -3,16 +3,27 @@
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from groupoidalg import cli
+from groupoidalg import cli, modrep
 from groupoidalg.cli import format_problem, main, parse, run
 from groupoidalg.errors import ProblemFileError, TheoremViolation
 from groupoidalg.groupoid import pair_groupoid
+from groupoidalg.induction import imprimitivity_bimodule
 from groupoidalg.isotropy import Inclusion
 from groupoidalg.linalg import GF, QQ, identity_matrix, mat_mul
+from groupoidalg.modrep import (
+    FdModule,
+    Restriction,
+    find_module_isomorphism,
+    regular_module,
+    restriction,
+)
 from groupoidalg.twist import Cocycle
+
+from conftest import oracle_battery
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -87,6 +98,15 @@ def test_duplicate_arrow_id(tmp_path):
     )
     with pytest.raises(ProblemFileError, match="duplicate"):
         parse(path)
+
+
+def test_duplicate_unit_is_input_error(tmp_path):
+    """A repeated unit id is bad input, not a failed check."""
+    original = (FIXTURES / "pair2_gf3.gkd").read_text(encoding="utf-8")
+    assert "\n[units] 0 3\n" in original
+    path = write(tmp_path, original.replace("\n[units] 0 3\n", "\n[units] 0 0 3\n", 1))
+    for command in ("validate", "verify"):
+        assert run(command, path) == ("input error: duplicate unit id 0\n", 2)
 
 
 def test_validate_corrupted_table_exits_one(tmp_path):
@@ -472,3 +492,91 @@ def test_main_entrypoint(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "groupoid_axioms: PASS" in captured.out
+
+
+# -- prop_7_5: mu is the isomorphism Res_x M_x = B(x,x) ---------------------------
+
+
+def bumped_restriction(inclusion, module, x):
+    """The restriction with entry (0, 0) of its last action matrix bumped by one."""
+    res = restriction(inclusion, module, x)
+    f = res.module.field
+    mats = [[list(row) for row in mat] for mat in res.module.matrices]
+    mats[-1][0][0] = f.add(mats[-1][0][0], f.one())
+    return Restriction(x, res.subspace, FdModule(res.module.algebra, mats, res.module.name))
+
+
+def prop_7_5_lines(g, c):
+    """The prop_7_5 line of verify bimodule, and the verdict of the isomorphism
+    search it replaced: at every unit, Res_x M_x (through ``cli.restriction``)
+    has dimension dim B(x,x) and find_module_isomorphism finds an
+    isomorphism onto the regular module."""
+    inc = Inclusion(g, c)
+    report = cli.Report("verify bimodule")
+    cli._verify_bimodule_suite(cli.ProblemFile(c.field, g, c, {}, {}), inc, report)
+    found = True
+    for x in g.units:
+        bim = imprimitivity_bimodule(inc, x)
+        res = cli.restriction(inc, cli.bimodule_as_left_module(inc, bim), x)
+        reg = regular_module(bim.data.presentation)
+        found = (found and res.module.dim == reg.dim
+                 and find_module_isomorphism(res.module, reg) is not None)
+    return report.lines[-1], f"prop_7_5: {'PASS' if found else 'FAIL'}"
+
+
+def test_prop_7_5_agrees_with_the_isomorphism_search(monkeypatch):
+    """The certificate and the search agree on every oracle-battery case:
+    both pass, and both fail once the restriction has a bumped entry."""
+    for name, g, c in oracle_battery():
+        assert prop_7_5_lines(g, c) == ("prop_7_5: PASS",) * 2, name
+    monkeypatch.setattr(cli, "restriction", bumped_restriction)
+    for name, g, c in oracle_battery():
+        assert prop_7_5_lines(g, c) == ("prop_7_5: FAIL",) * 2, name
+
+
+def bimodule_with_mu(broken_mu):
+    """imprimitivity_bimodule with mu replaced by ``broken_mu(mu)``."""
+    def broken(inclusion, x):
+        bim = imprimitivity_bimodule(inclusion, x)
+        return SimpleNamespace(x=x, data=bim.data, left_action=bim.left_action,
+                               mu=broken_mu(bim.mu))
+    return broken
+
+
+@pytest.mark.parametrize("name,broken", [
+    ("restriction", bumped_restriction),
+    # not injective
+    ("imprimitivity_bimodule", bimodule_with_mu(lambda mu: tuple(
+        tuple(0 * c for c in row) for row in mu))),
+    # the class of the arrow 0 -> 3, outside Res_0 M_0
+    ("imprimitivity_bimodule", bimodule_with_mu(lambda mu: tuple(reversed(mu)))),
+])
+def test_prop_7_5_fails_without_an_isomorphism(monkeypatch, name, broken):
+    monkeypatch.setattr(cli, name, broken)
+    out, code = run("verify", str(FIXTURES / "pair2.gkd"), ["bimodule"])
+    assert code == 1
+    assert out.endswith("-- bimodule --\ncor_6_13: PASS\nprop_7_5: FAIL\n")
+
+
+def test_verify_certifies_each_arrow_once_and_searches_no_isomorphism(tmp_path, monkeypatch):
+    """verify all on pair(6) over Q: one certify_normalizer call per arrow (36;
+    re-certifying every product and star made 288), and the CLI makes no
+    find_module_isomorphism call."""
+    calls = []
+    original = cli.certify_normalizer
+
+    def counted(n, n_star):
+        calls.append(n)
+        return original(n, n_star)
+
+    def search(m1, m2):
+        raise AssertionError("find_module_isomorphism called")
+
+    assert not hasattr(cli, "find_module_isomorphism")
+    monkeypatch.setattr(cli, "certify_normalizer", counted)
+    monkeypatch.setattr(modrep, "find_module_isomorphism", search)
+    g = pair_groupoid(6)
+    path = write(tmp_path, format_problem(QQ, g, Cocycle.trivial(g, QQ)))
+    out, code = run("verify", path, ["all"])
+    assert code == 0 and "prop_5_10: PASS" in out and "prop_7_5: PASS" in out
+    assert len(calls) == g.n_arrows == 36

@@ -30,6 +30,12 @@ def test_pair_groupoid_smallest():
     assert g.units == (0,)
 
 
+def test_duplicate_unit_is_malformed():
+    g = pair_groupoid(2)
+    with pytest.raises(MalformedTable, match="^duplicate unit id 0$"):
+        FiniteGroupoid(g.n_arrows, (0, 0, 3), g.src, g.tgt, g.inv, g.comp)
+
+
 def test_composability_violation():
     g = pair_groupoid(2)
     comp = [list(row) for row in g.comp]

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from groupoidalg import ideals
+from groupoidalg.errors import TheoremViolation
 from groupoidalg.groupoid import action_groupoid, cyclic_group_table, pair_groupoid
 from groupoidalg.ideals import (
     Ideal,
@@ -80,6 +82,37 @@ def test_ideal_checks_refuse_a_non_ideal():
         induced_ideal(inc, 0, line)
     with pytest.raises(ValueError, match="^not a two-sided ideal$"):
         effros_hahn_check(inc, line)
+
+
+def test_effros_hahn_check_computes_the_annihilator_once(monkeypatch):
+    """Ann(B/I) is the germ decomposition's own: one annihilator call for B/I
+    and one per unit for its germ module, on every proper ideal of gb/GF(3)."""
+    g = make_gb()
+    inc = Inclusion(g, Cocycle.trivial(g, GF3))
+    proper = [i for i in enumerate_ideals(inc, left_ideals(inc)) if i.dim < inc.m]
+    assert proper
+    calls = []
+    original = ideals.annihilator
+
+    def counted(module):
+        calls.append(module)
+        return original(module)
+
+    monkeypatch.setattr(ideals, "annihilator", counted)
+    for ideal in proper:
+        calls.clear()
+        assert effros_hahn_check(inc, ideal).ok
+        assert len(calls) == 1 + len(g.units)
+
+
+def test_effros_hahn_check_refuses_a_wrong_annihilator(monkeypatch):
+    """B/I replaced by B itself: its annihilator 0 is not the ideal I."""
+    g = make_gb()
+    inc = Inclusion(g, Cocycle.trivial(g, GF3))
+    ideal = next(i for i in enumerate_ideals(inc, left_ideals(inc)) if 0 < i.dim < inc.m)
+    monkeypatch.setattr(ideals, "quotient_module", lambda module, I, name: (module, None))
+    with pytest.raises(TheoremViolation, match="^Ann\\(B/I\\) differs from I$"):
+        effros_hahn_check(inc, ideal)
 
 
 def test_zero_ideal_induces_zero_for_pair_groupoid():

@@ -46,9 +46,15 @@ from groupoidalg.modrep import (
 from groupoidalg.steinberg import convolve, delta, partial_inverse, unit_indicator
 from groupoidalg.twist import Cocycle
 
-from conftest import battery, make_gb, make_z2, quaternion_fixture, twisted_battery
+from conftest import (
+    battery,
+    make_gb,
+    make_z2,
+    oracle_battery,
+    quaternion_fixture,
+    twisted_battery,
+)
 
-GF2 = GF(2)
 GF3 = GF(3)
 
 
@@ -594,13 +600,6 @@ def test_germ_induction_equivalence_along_orbit():
 # -- every isotropy class is read off the bimodule: convolution oracles ------------------
 
 
-def oracle_cases():
-    """The twisted battery (Q, the quaternion twist, GF(7) coboundaries) and
-    the battery over GF(2) and GF(3), the quaternion twist over GF(3) included."""
-    return (twisted_battery() + battery(GF2) + battery(GF3)
-            + [("v4quat/GF3", *quaternion_fixture(GF3))])
-
-
 def oracle_sections(inc, x):
     """n_y for y in the orbit of x: delta_x at x, else the least arrow x -> y."""
     g = inc.groupoid
@@ -701,7 +700,7 @@ def test_induce_matches_convolution_oracle():
     oracle's by repr (so a Fraction turned int fails too), at every unit."""
     rng = random.Random(11)
     units = 0
-    for name, g, c in oracle_cases():
+    for name, g, c in oracle_battery():
         inc = Inclusion(g, c)
         for x in g.units:
             for V in oracle_modules(inc.isotropy_data(x, x).presentation, rng):
@@ -716,7 +715,7 @@ def test_germ_intertwiner_matches_convolution_oracle():
     convolution oracle's by repr for every x and every y in its orbit."""
     rng = random.Random(12)
     pairs = 0
-    for name, g, c in oracle_cases():
+    for name, g, c in oracle_battery():
         inc = Inclusion(g, c)
         for V in oracle_modules(inc.B, rng):
             for x in g.units:
@@ -738,7 +737,7 @@ def test_restriction_and_germ_space_match_action_of_oracles():
     isotropy arrows gives the same spaces and actions, by repr, as acting
     with dense deltas through ``action_of``."""
     rng = random.Random(13)
-    for name, g, c in oracle_cases():
+    for name, g, c in oracle_battery():
         inc = Inclusion(g, c)
         for V in oracle_modules(inc.B, rng):
             for x in g.units:

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from groupoidalg.errors import ContainmentError, NotAUnit
+from groupoidalg import isotropy
+from groupoidalg.errors import ContainmentError, NotAUnit, TheoremViolation
 from groupoidalg.groupoid import pair_groupoid
 from groupoidalg.isotropy import Inclusion
 from groupoidalg.linalg import (
@@ -20,10 +21,17 @@ from groupoidalg.linalg import (
     rref,
     solve_right,
 )
-from groupoidalg.steinberg import AlgebraPresentation
-from groupoidalg.twist import Cocycle, coboundary
+from groupoidalg.steinberg import AlgebraPresentation, twisted_group_algebra
+from groupoidalg.twist import Cocycle, coboundary, restrict_to_isotropy
 
-from conftest import battery, make_gb, make_z2, quaternion_fixture, twisted_battery
+from conftest import (
+    battery,
+    make_gb,
+    make_z2,
+    oracle_battery,
+    quaternion_fixture,
+    twisted_battery,
+)
 
 GF2 = GF(2)
 GF3 = GF(3)
@@ -474,6 +482,68 @@ def test_identification_gb_with_sign_twist():
             data.presentation.basis_vector(1), data.presentation.basis_vector(1)
         )
         assert sq == tuple([field.of(-1), field.zero()])
+
+
+def dense_identification_holds(inc, x, matrix, group_pres):
+    """The multiplicativity check that equal product indices replaced: every
+    product of the dense table of B(x,x), pushed through ``matrix``, against
+    the product of the images in the twisted group algebra."""
+    data = inc.isotropy_data(x, x)
+    return all(
+        combine(data.presentation.table[i][j], matrix, inc.field)
+        == group_pres.multiply(matrix[i], matrix[j])
+        for i in range(data.dim) for j in range(data.dim)
+    )
+
+
+def perturbed_twisted_group_algebra(table, members, cocycle_values, field):
+    """The twisted group algebra with the constant of (identity, identity) plus one."""
+    values = dict(cocycle_values)
+    e = next(g for g in members if all(table[(g, h)] == h for h in members))
+    values[(e, e)] = field.add(values[(e, e)], field.one())
+    return twisted_group_algebra(table, members, values, field)
+
+
+def test_identification_agrees_with_the_dense_table_loop():
+    """On every oracle-battery case the section arrows are the isotropy arrows
+    in order, so ``matrix`` is the identity, and the dense loop holds exactly
+    when the two product indices are equal: it holds for the twisted group
+    algebra and fails for a perturbed one, which the identification refuses."""
+    for name, g, c in oracle_battery():
+        inc = Inclusion(g, c)
+        for x in g.units:
+            cert = inc.identify_with_twisted_group_algebra(x)
+            k = len(cert.members)
+            assert cert.members == inc.isotropy_data(x, x).quotient.section.pivots, name
+            assert cert.matrix == identity_matrix(k, inc.field), name
+            assert dense_identification_holds(inc, x, cert.matrix, cert.group_presentation), name
+            group = restrict_to_isotropy(c, x)
+            bad = perturbed_twisted_group_algebra(g.isotropy_table(x), cert.members, group, c.field)
+            assert not dense_identification_holds(inc, x, cert.matrix, bad), name
+
+
+def test_identification_refuses_a_perturbed_structure_constant(monkeypatch):
+    monkeypatch.setattr(isotropy, "twisted_group_algebra", perturbed_twisted_group_algebra)
+    for name, g, c in oracle_battery():
+        inc = Inclusion(g, c)
+        for x in g.units:
+            with pytest.raises(TheoremViolation, match="^structure constants do not match$"):
+                inc.identify_with_twisted_group_algebra(x)
+
+
+def test_identification_reads_no_dense_table_and_multiplies_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense table or multiply used")
+
+    for name, g, c in oracle_battery():
+        inc = Inclusion(g, c)
+        for x in g.units:
+            inc.isotropy_data(x, x)
+        with monkeypatch.context() as patch:
+            patch.setattr(AlgebraPresentation, "table", property(refuse))
+            patch.setattr(AlgebraPresentation, "multiply", refuse)
+            for x in g.units:
+                inc.identify_with_twisted_group_algebra(x)
 
 
 # -- bimodule products ----------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from groupoidalg import cli
 from groupoidalg.errors import BisectionRequired, BudgetExceeded, NotANormalizer
 from groupoidalg.groupoid import cyclic_group_table, group_groupoid, pair_groupoid
+from groupoidalg.isotropy import Inclusion
 from groupoidalg.linalg import GF, QQ, rref
 from groupoidalg.normalizers import (
     PartialBijection,
@@ -31,6 +32,7 @@ from conftest import (
     GROUPOID_MAKERS,
     battery,
     make_z2,
+    oracle_battery,
     quaternion_fixture,
     twisted_battery,
 )
@@ -511,3 +513,72 @@ def test_partial_bijection_composition_largest_domain():
     comp = b1.compose(b2)
     assert comp.mapping == {5: 1, 1: 3}
     assert b1.inverse().mapping == {1: 0, 3: 2}
+
+
+# -- prop_5_10: one certificate per arrow ---------------------------------------------
+
+
+def recertified_prop_5_10(certs):
+    """The per-product check prop_5_10 replaced: certify every nonzero product
+    of two arrow deltas, with star c2* c1*, and every star from scratch."""
+    ok = True
+    for c1 in certs:
+        for c2 in certs:
+            prod = convolve(c1.n, c2.n)
+            if not prod.is_zero():
+                pcert = certify_normalizer(prod, convolve(c2.n_star, c1.n_star))
+                ok = ok and pcert.beta == c1.beta.compose(c2.beta)
+        ok = ok and certify_normalizer(c1.n_star, c1.n).beta == c1.beta.inverse()
+    return ok
+
+
+def prop_5_10_line(g, c):
+    report = cli.Report("verify inclusion")
+    cli._verify_inclusion_suite(cli.ProblemFile(c.field, g, c, {}, {}), Inclusion(g, c), report)
+    (line,) = [line for line in report.lines if line.startswith("prop_5_10:")]
+    return line
+
+
+def test_prop_5_10_reads_each_product_off_its_arrow_certificate():
+    """Each nonzero product of two arrow deltas is a scaled delta whose
+    certificate, made from scratch, has the partial bijection of its arrow's;
+    each star's is that of the inverse arrow.  The twists scale the products
+    (by 2 at (a, a^-1) under the GF(7) coboundary, by -1 under the quaternion
+    twist), and the verdicts of both checks agree."""
+    scaled = 0
+    for name, g, c in oracle_battery():
+        certs = singleton_certificates(g, c)
+        for gamma, c1 in zip(g.arrows(), certs):
+            star = certify_normalizer(c1.n_star, c1.n)
+            assert star.beta == certs[g.inv[gamma]].beta, name
+            for c2 in certs:
+                prod = convolve(c1.n, c2.n)
+                if prod.is_zero():
+                    continue
+                ((arrow, value),) = prod.coeffs.items()
+                scaled += value != c.field.one()
+                pcert = certify_normalizer(prod, convolve(c2.n_star, c1.n_star))
+                assert pcert.beta == certs[arrow].beta, name
+        assert recertified_prop_5_10(certs), name
+        assert prop_5_10_line(g, c) == "prop_5_10: PASS", name
+    assert scaled > 0
+
+
+def test_prop_5_10_fails_with_the_per_product_check(monkeypatch):
+    """A wrong composition of partial bijections fails both checks wherever
+    an arrow moves a point (unit at its target times the arrow)."""
+    monkeypatch.setattr(PartialBijection, "compose", lambda self, other: self)
+    for name, g, c in oracle_battery():
+        if any(g.src[a] != g.tgt[a] for a in g.arrows()):
+            assert not recertified_prop_5_10(singleton_certificates(g, c)), name
+            assert prop_5_10_line(g, c) == "prop_5_10: FAIL", name
+
+
+def test_prop_5_10_refuses_a_product_of_more_than_one_term(monkeypatch):
+    """prop_5_10 reads one arrow off each product; a product with two terms
+    is a TheoremViolation, reported as a failed internal check."""
+    monkeypatch.setattr(cli, "convolve", lambda f, g: f + g)
+    out, code = cli.run("verify", str(ROOT / "fixtures" / "pair2.gkd"), ["inclusion"])
+    assert code == 1
+    assert out.endswith("internal_consistency: FAIL "
+                        "a product of two arrow deltas is not one scaled delta\n")
