@@ -78,8 +78,7 @@ def induced_ideal(inclusion: Inclusion, x: int, I: Subspace) -> Subspace:
                     if res != 0:
                         constraint = constraints.setdefault((alpha, beta, r), [f.zero()] * m)
                         constraint[k] = f.mul(w, res)
-    basis = right_kernel(list(constraints.values()), m, f)
-    out = Subspace.span(basis, m, f)
+    out = right_kernel(list(constraints.values()), m, f)
     if not is_two_sided_ideal(inclusion.B, out):
         raise TheoremViolation("induced ideal is not two-sided")
     return out

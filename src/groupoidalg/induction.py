@@ -144,7 +144,7 @@ class ImprimitivityBimodule:
         pi_range = Subspace.span(zip(*self.pi), d, f)
         lx = self.left_action[self.x]
         rows = [tuple(map(f.sub, lr, er)) for lr, er in zip(lx, identity_matrix(d, f))]
-        killed = Subspace.span(right_kernel(rows, d, f), d, f)
+        killed = right_kernel(rows, d, f)
         if not (mu_range == pi_range == killed):
             raise TheoremViolation("range(mu) must equal range(pi) and the killed part")
         # freeness: (h_y)_y -> sum zeta_y h_y is bijective
@@ -324,7 +324,7 @@ def submodule_transfer(inclusion: Inclusion, ind: InducedModule, Z: Subspace) ->
     k = ind.inducing.dim
     # membership rows: the residual of embed(x, v) against Z must vanish
     rows = operator_matrix(lambda v: Z.reduce(ind.embed(ind.x, v)), identity_matrix(k, f))
-    W = Subspace.span(right_kernel(rows, k, f), k, f)
+    W = right_kernel(rows, k, f)
     # verify the forward image: Ind(W) = span of all blocks of W
     image = Subspace.span(
         [ind.embed(y, w) for y in ind.orbit for w in W.basis], mod.dim, f

@@ -95,9 +95,10 @@ class IsotropyIsomorphism:
 class Inclusion:
     """Shared context for one groupoid, twist and coefficient field.
 
-    Holds the presentation of B and caches per-pair isotropy data,
-    projection matrices and isotropy identifications; every downstream
-    construction (bimodules, induction, induced ideals) runs through it.
+    Holds the presentation of B and caches per-pair isotropy data (whose
+    quotient section is the matrix of E(y, x)) and isotropy identifications;
+    every downstream construction (bimodules, induction, induced ideals)
+    runs through it.
     Ideals of A, and every space built from a pair of them, are sets of
     arrows read off ``B.rows``; they are handed out as ``Subspace`` delta
     spans, whose pivots are those arrows.
@@ -112,7 +113,6 @@ class Inclusion:
         self.B = presentation_of_B(groupoid, cocycle)
         self.m = self.B.dim
         self._data = {}
-        self._emat = {}
         self._iso_cache = {}
         self._bimodules = {}
 
@@ -256,16 +256,11 @@ class Inclusion:
         partition of all arrows.  E(y, x) kills L and fixes each section
         delta, so it is the coordinate projection onto the section arrows.
         """
-        key = (y, x)
-        if key in self._emat:
-            return self._emat[key]
         data = self.isotropy_data(y, x)
         section = data.quotient.section.pivots
         if len(section) + data.L.dim != self.m or not set(section).isdisjoint(data.L.pivots):
             raise TheoremViolation(f"section and L do not form a basis of B at ({y}, {x})")
-        mat = data.quotient.section_basis
-        self._emat[key] = mat
-        return mat
+        return data.quotient.section_basis
 
     def isotropy_projection(self, x, vec):
         """E(x, x) applied to an element or coefficient vector; quotient coords."""

@@ -3,7 +3,8 @@
 Every vector space computation in the package runs through this module:
 row-reduced echelon bases make subspace equality a syntactic check, and
 quotients come with a deterministic section (coset representatives with
-zeros in the kernel's pivot columns).
+zeros in the kernel's pivot columns), read off the numerator's RREF rows
+with no elimination: the rows whose pivots are not the kernel's.
 
 All elimination goes through one incremental echelon engine: ``eliminate``
 reduces a vector against an RREF basis and ``insert_row`` adds one to it;
@@ -234,8 +235,8 @@ def operator_matrix(op, domain):
     return tuple(zip(*(op(v) for v in domain)))
 
 
-def right_kernel(rows, ncols, field):
-    """Basis (RREF) of {v : M v = 0} for the matrix with the given rows."""
+def right_kernel(rows, ncols, field) -> "Subspace":
+    """The subspace {v : M v = 0} of K^ncols for the matrix with the given rows."""
     reduced, pivots = rref(rows, field)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -247,8 +248,7 @@ def right_kernel(rows, ncols, field):
             # row r reads: v[pc] + sum_{c free} M[r][c] v[c] = 0
             v[pc] = field.neg(reduced[r][fc])
         basis.append(tuple(v))
-    rows2, _ = rref(basis, field)
-    return rows2
+    return Subspace(ncols, field, *rref(basis, field))
 
 
 def solve_right(rows, target, field):
@@ -378,20 +378,17 @@ class Subspace:
     def intersect(self, other) -> "Subspace":
         """Intersection via the Zassenhaus block trick.
 
-        Row reduce [S | S; T | 0]: rows whose left half vanished carry the
-        intersection in their right half.
+        Row reduce [S | S; T | 0]: the rows whose pivot lies in the right
+        half vanish on the left, and their right halves are the RREF basis
+        of the intersection (each is zero at the other pivots).
         """
         self._check_ambient(other)
         n = self.ambient_dim
-        field = self.field
-        zero = zero_vector(n, field)
+        zero = zero_vector(n, self.field)
         block = [row + row for row in self.basis] + [row + zero for row in other.basis]
-        reduced, _ = rref(block, field)
-        inter = []
-        for row in reduced:
-            if all(c == 0 for c in row[:n]):
-                inter.append(row[n:])
-        return Subspace.span(inter, n, field)
+        reduced, pivots = rref(block, self.field)
+        inter = [(row[n:], pc - n) for row, pc in zip(reduced, pivots) if pc >= n]
+        return Subspace(n, self.field, [row for row, _ in inter], [pc for _, pc in inter])
 
     def __eq__(self, other):
         return (
@@ -416,8 +413,10 @@ def span(vectors, ambient_dim, field) -> Subspace:
 class QuotientSpace:
     """numerator/kernel with a deterministic linear section.
 
-    The section basis consists of the coset representatives obtained by
-    clearing the kernel's pivot columns, so every vector of the numerator
+    The section basis is the numerator's RREF rows whose pivots are not
+    the kernel's: the kernel's pivots lie among the numerator's, and each
+    of those rows is zero at every other pivot, so clearing the kernel's
+    pivot columns leaves them as they are.  Every vector of the numerator
     splits uniquely as (combination of section basis) + (kernel element).
     """
 
@@ -429,8 +428,11 @@ class QuotientSpace:
         self.ambient = numerator
         self.kernel = kernel
         self.field = numerator.field
-        reduced = [kernel.reduce(v) for v in numerator.basis]
-        self.section = Subspace.span(reduced, numerator.ambient_dim, numerator.field)
+        killed = set(kernel.pivots)
+        rows = [(row, pc) for row, pc in zip(numerator.basis, numerator.pivots)
+                if pc not in killed]
+        self.section = Subspace(numerator.ambient_dim, numerator.field,
+                                [row for row, _ in rows], [pc for _, pc in rows])
 
     @property
     def dim(self) -> int:

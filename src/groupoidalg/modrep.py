@@ -1,8 +1,8 @@
 """Finite-dimensional left modules over a structure-constant algebra.
 
 A module is a list of action matrices, one per algebra basis element,
-compatible with the structure constants and unital (the actions span
-maps onto the whole carrier).  ``check_module`` checks both laws and
+compatible with the structure constants and unital (the algebra's unit
+acts as the identity).  ``check_module`` checks both laws and
 ``intertwines`` is the package's one module-map test (T a1 = a2 T).
 Both run on one sparse int product kernel (``_accumulate``): only
 nonzero entries are multiplied, over Q after scaling every entry by a
@@ -201,16 +201,21 @@ def check_module(module: FdModule):
     A_i A_j is read off ``by_row[k]``, the row k of each A_j that has one,
     and the combination for (i, j) is subtracted at the same keys.  A j
     that neither side touches has two zero sides.  The witness is the
-    least j whose sides differ.  Unitality: the images of all actions
-    span the carrier.
+    least j whose sides differ.  Unitality: the unit u acts as the
+    identity, sum_k u_k A_k = 1, on the same kernel (D^2 on the diagonal
+    over Q); a presentation with no unit fails it.  Once the law holds,
+    u acts as an idempotent e and the images of all actions span exactly
+    eV, so this holds exactly when those images span the carrier.
     """
     alg = module.algebra
     f = module.field
     d = module.dim
     block = d * d
+    unit = [(k, u) for k, u in enumerate(alg.unit or ()) if u]
     scale = _common_denominator(f, itertools.chain(
         (a for mat in module.entries for row in mat for _, a in row),
-        (c for row in alg.rows for _, terms in row for _, c in terms)))
+        (c for row in alg.rows for _, terms in row for _, c in terms),
+        (u for _, u in unit)))
     acts = [[_ints(row, scale) for row in mat] for mat in module.entries]
     by_row = [[(j * block + col, a) for j, act in enumerate(acts) for col, a in act[k]]
               for k in range(d)]
@@ -225,8 +230,9 @@ def check_module(module: FdModule):
         differing = _nonzero_keys(acc, f)
         if differing:
             return ModuleViolation("structure-constants", (i, min(differing) // block))
-    vectors = [col for m in module.matrices for col in zip(*m)]
-    if Subspace.span(vectors, module.dim, f).dim != module.dim:
+    acc = {r * d + r: 1 if scale is None else scale * scale for r in range(d)}
+    _accumulate(acc, [_ints(unit, scale)], minus_flat, block)  # minus sum_k u_k A_k
+    if alg.unit is None or _nonzero_keys(acc, f):
         return ModuleViolation("unitality", ())
     return None
 
@@ -579,7 +585,7 @@ def _intertwiners(m1: FdModule, m2: FdModule) -> list:
                     row[r * d + k] = f.add(row[r * d + k], a1[k][c])
                     row[k * d + c] = f.sub(row[k * d + c], a2[r][k])
                 rows.append(tuple(row))
-    return right_kernel(rows, d * d, f)
+    return right_kernel(rows, d * d, f).basis
 
 
 def _minimal_polynomial(matrix, dim, field):
@@ -635,7 +641,7 @@ def _image_algebra_radical(module: FdModule):
             row.append(sum((prod[i][i] for i in range(d)), f.zero()))
         rows.append(tuple(row))
     # kernel coordinates are over the span basis
-    kern = right_kernel(rows, len(basis_mats), f)
+    kern = right_kernel(rows, len(basis_mats), f).basis
     return [_square(combine(coords, span.basis, f), d) for coords in kern]
 
 
@@ -694,8 +700,7 @@ def is_irreducible(module: FdModule) -> IrreducibilityVerdict:
                 if len(fac) - 1 == len(mp) - 1:
                     continue
                 pt = _evaluate_poly(fac, t, module.dim, f)
-                kern = right_kernel(pt, module.dim, f)
-                w = Subspace.span(kern, module.dim, f)
+                w = right_kernel(pt, module.dim, f)
                 if 0 < w.dim < module.dim:
                     # kernel of a commutant polynomial is invariant
                     return IrreducibilityVerdict("reducible", True, w, "commutant-kernel")
@@ -721,8 +726,7 @@ def annihilator(module: FdModule) -> Subspace:
     for r in range(d):
         for c in range(d):
             rows.append(tuple(module.matrices[i][r][c] for i in range(module.algebra.dim)))
-    basis = right_kernel(rows, module.algebra.dim, f)
-    return Subspace.span(basis, module.algebra.dim, f)
+    return right_kernel(rows, module.algebra.dim, f)
 
 
 def is_two_sided_ideal(algebra: AlgebraPresentation, S: Subspace) -> bool:
@@ -791,7 +795,7 @@ def restriction(inclusion: Inclusion, module: FdModule, x: int) -> Restriction:
     """
     f = module.field
     rows = [row for u in inclusion.point_ideal(x).basis.pivots for row in module.matrices[u]]
-    sub = Subspace.span(right_kernel(rows, module.dim, f), module.dim, f)
+    sub = right_kernel(rows, module.dim, f)
     algebra, actions = _isotropy_actions(inclusion, module, x)
     res = _span_module(algebra, actions, sub.basis, sub.membership, f"res{x}",
                        TheoremViolation("restriction subspace is not C(x,x)-stable"))

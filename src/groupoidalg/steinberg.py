@@ -366,8 +366,7 @@ class AlgebraPresentation:
                     for i, col, c in ((a, b, p), (b, a, f.neg(p))):
                         r = constraints.setdefault((i, k), [f.zero()] * self.dim)
                         r[col] = f.add(r[col], c)
-        basis = right_kernel(list(constraints.values()), self.dim, f)
-        return Subspace.span(basis, self.dim, f)
+        return right_kernel(list(constraints.values()), self.dim, f)
 
     def __repr__(self):
         return f"AlgebraPresentation(dim={self.dim}, {self.field})"

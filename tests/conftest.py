@@ -1,4 +1,5 @@
-"""Shared fixtures: the groupoid battery and twist constructors."""
+"""Shared fixtures: the groupoid battery, twist constructors and modules
+that break unitality only."""
 
 import pytest
 
@@ -12,6 +13,7 @@ from groupoidalg.groupoid import (
     pair_groupoid,
 )
 from groupoidalg.linalg import GF, QQ
+from groupoidalg.modrep import FdModule, direct_sum, regular_module
 from groupoidalg.twist import Cocycle, coboundary, quaternion_sign_cocycle
 
 Z2_TABLE = cyclic_group_table(2)
@@ -131,3 +133,13 @@ def gb():
 @pytest.fixture
 def v4_quaternion_Q():
     return quaternion_fixture(QQ)
+
+
+def idempotent_unit_modules(algebra):
+    """Modules satisfying the module law on which the unit acts as a proper
+    idempotent: all-zero actions on K^2, and the regular module plus a
+    zero-action line."""
+    zero = algebra.field.zero()
+    square = FdModule(algebra, [((zero, zero), (zero, zero))] * algebra.dim, "zero^2")
+    line = FdModule(algebra, [((zero,),)] * algebra.dim, "zero")
+    return [square, direct_sum(regular_module(algebra), line)]

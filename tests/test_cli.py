@@ -21,9 +21,10 @@ from groupoidalg.modrep import (
     regular_module,
     restriction,
 )
+from groupoidalg.steinberg import presentation_of_B
 from groupoidalg.twist import Cocycle
 
-from conftest import oracle_battery
+from conftest import idempotent_unit_modules, oracle_battery
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -399,6 +400,21 @@ def test_restrict_and_germs_reject_a_non_module(tmp_path):
         assert "module_axioms: FAIL structure-constants at (0, 0)" in out
         assert section not in out
         assert "internal_consistency" not in out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=["Q", "GF2", "GF7"])
+def test_restrict_rejects_a_unit_acting_as_a_proper_idempotent(tmp_path, field):
+    """Zero actions on K^2, and pair(2)'s regular module plus a zero-action
+    line, satisfy the module law, but the unit does not act as the identity:
+    restrict reports module_axioms FAIL unitality and stops."""
+    g = pair_groupoid(2)
+    text = format_problem(field, g, None)
+    for V in idempotent_unit_modules(presentation_of_B(g, Cocycle.trivial(g, field))):
+        rows = "\n".join(" ".join(str(a) for a in row) for m in V.matrices for row in m)
+        out, code = run("restrict", write(tmp_path, text + f"[module] v {V.dim} B\n{rows}\n"),
+                        ["0", "v"])
+        assert code == 1, out
+        assert out.endswith("module_axioms: FAIL unitality at ()\n"), out
 
 
 def test_module_input_errors_exit_two(tmp_path):

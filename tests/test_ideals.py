@@ -199,7 +199,7 @@ def sandwich_induced_ideal(inc, x, I):
     for alpha in range(m):
         for beta in range(m):
             rows.extend(operator_matrix(lambda c: sandwich(alpha, c, beta), eye))
-    return Subspace.span(right_kernel(rows, m, f), m, f)
+    return right_kernel(rows, m, f)
 
 
 def test_induced_ideal_matches_sandwich_oracle():

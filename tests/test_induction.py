@@ -657,7 +657,7 @@ def oracle_restriction(inc, V, x):
     f = V.field
     units = inc.point_ideal(x).basis.basis
     rows = [row for a in units for row in V.action_of(a)]
-    sub = Subspace.span(right_kernel(rows, V.dim, f), V.dim, f)
+    sub = right_kernel(rows, V.dim, f)
     acts = [V.action_of(s) for s in inc.isotropy_data(x, x).quotient.section_basis]
     mats = [operator_matrix(lambda v, a=a: sub.membership(mat_vec(a, v, f)), sub.basis)
             for a in acts]

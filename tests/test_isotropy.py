@@ -69,7 +69,7 @@ def dense_spaces(inc, I, J):
         rows.extend(operator_matrix(lambda c: ib.reduce(inc.multiply(c, a)), eye))
     for a in I.basis:
         rows.extend(operator_matrix(lambda c: bj.reduce(inc.multiply(a, c)), eye))
-    C = Subspace.span(right_kernel(rows, m, f), m, f)
+    C = right_kernel(rows, m, f)
     H = subspace_product(inc, ib, J)
     return C, H, ib.add(bj), QuotientSpace(C, H)
 

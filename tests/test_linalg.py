@@ -17,10 +17,14 @@ from hypothesis import strategies as st
 
 import groupoidalg
 from groupoidalg.errors import ContainmentError, DimensionMismatch
+from groupoidalg.ideals import effros_hahn_check, induced_ideal
+from groupoidalg.induction import ImprimitivityBimodule
+from groupoidalg.isotropy import Inclusion
 from groupoidalg.linalg import (
     GF,
     QQ,
     Field,
+    QuotientSpace,
     Subspace,
     combine,
     eliminate,
@@ -30,6 +34,9 @@ from groupoidalg.linalg import (
     rref,
     span,
 )
+from groupoidalg.modrep import germ_space, regular_module
+
+from conftest import twisted_battery
 
 GF3 = GF(3)
 GF5 = GF(5)
@@ -79,7 +86,7 @@ def intersection_oracle(S, T):
     transposed = [
         tuple(stacked[j][i] for j in range(cols)) for i in range(S.ambient_dim)
     ]
-    combos = right_kernel(transposed, cols, field)
+    combos = right_kernel(transposed, cols, field).basis
     vectors = []
     for combo in combos:
         v = [field.zero()] * S.ambient_dim
@@ -88,6 +95,39 @@ def intersection_oracle(S, T):
                 v[j] = field.add(v[j], field.mul(c, a))
         vectors.append(tuple(v))
     return Subspace.span(vectors, S.ambient_dim, field)
+
+
+def respanned_intersect(S, T):
+    """The Zassenhaus intersection spanned again: the right halves of the
+    reduced [S | S; T | 0] rows whose left half vanished."""
+    n, field = S.ambient_dim, S.field
+    zero = (field.zero(),) * n
+    reduced, _ = rref([row + row for row in S.basis] + [row + zero for row in T.basis], field)
+    return span([row[n:] for row in reduced if all(c == 0 for c in row[:n])], n, field)
+
+
+def eliminated_section(numerator, kernel):
+    """The quotient section by elimination: each numerator row reduced by
+    the kernel, the results spanned."""
+    return span([kernel.reduce(v) for v in numerator.basis], numerator.ambient_dim,
+                numerator.field)
+
+
+def assert_quotient_matches_elimination(q, vectors):
+    """q's section (values and types), pivots and ``project`` coordinates
+    agree with the eliminated section, and ``project`` raises
+    ``ContainmentError`` exactly where the eliminated section has no
+    coordinates for the reduced vector."""
+    oracle = eliminated_section(q.ambient, q.kernel)
+    assert repr(q.section_basis) == repr(oracle.basis)
+    assert q.section.pivots == oracle.pivots
+    for v in vectors:
+        coords = oracle.membership(q.kernel.reduce(v))
+        if coords is None:
+            with pytest.raises(ContainmentError):
+                q.project(v)
+        else:
+            assert q.project(v) == coords
 
 
 def random_vector(rng, n, field):
@@ -339,6 +379,121 @@ def test_quotient_section_zero_on_kernel_pivots():
     for rep in q.section_basis:
         for pc in kernel.pivots:
             assert rep[pc] == 0
+
+
+@st.composite
+def quotient_inputs(draw, field):
+    """(N, K, T, vectors): a subspace N of K^n (a span of up to four drawn
+    rows, or the zero or the full subspace), a subspace K of N spanned by
+    drawn combinations of N's basis, a span T of up to three drawn rows, and
+    vectors that are combinations of N's basis or arbitrary."""
+    n = draw(st.integers(1, 6))
+    if field.p is None:
+        scalar = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        scalar = st.builds(field.of, st.integers(0, field.p - 1))
+    vector = st.tuples(*[scalar] * n)
+    kind = draw(st.sampled_from(["span", "zero", "full"]))
+    if kind == "zero":
+        N = Subspace.zero(n, field)
+    elif kind == "full":
+        N = Subspace.full(n, field)
+    else:
+        N = span(draw(st.lists(vector, max_size=4)), n, field)
+    coefficients = st.lists(scalar, min_size=N.dim, max_size=N.dim)
+    inside = [combine(c, N.basis, field) for c in draw(st.lists(coefficients, max_size=5))
+              if N.dim]
+    K = span(inside[:draw(st.integers(0, len(inside)))], n, field)
+    T = span(draw(st.lists(vector, max_size=3)), n, field)
+    return N, K, T, inside + draw(st.lists(vector, max_size=3))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF3, GF7], ids=["Q", "GF2", "GF3", "GF7"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pivot_reads_agree_with_elimination(field, data):
+    """The quotient section read off the numerator's rows agrees with the
+    eliminated one, the kernel not lying in the numerator raises
+    ``ContainmentError`` in both, and the intersection read off the
+    Zassenhaus rows equals the re-spanned one."""
+    N, K, T, vectors = data.draw(quotient_inputs(field))
+    assert_quotient_matches_elimination(quotient(N, K), vectors)
+    if N.contains_subspace(T):
+        assert_quotient_matches_elimination(quotient(N, T), vectors)
+    else:
+        assert any(any(c != 0 for c in N.reduce(w)) for w in T.basis)
+        with pytest.raises(ContainmentError):
+            quotient(N, T)
+    for S, R in [(N, T), (T, N), (K, T), (N, K)]:
+        inter = S.intersect(R)
+        expected = respanned_intersect(S, R)
+        assert repr(inter.basis) == repr(expected.basis)
+        assert inter.pivots == expected.pivots
+        assert inter == intersection_oracle(S, R)
+
+
+def test_quotients_and_intersections_count_their_eliminations(monkeypatch):
+    """A quotient of the full space makes no ``rref`` call (its section is
+    the full space's rows off the kernel's pivots), and an intersection
+    makes one (the Zassenhaus block)."""
+    from groupoidalg import linalg
+
+    calls = []
+
+    def counted(rows, field):
+        calls.append(len(rows))
+        return rref(rows, field)
+
+    rng = random.Random(19)
+    S = span([random_vector(rng, 5, QQ) for _ in range(3)], 5, QQ)
+    T = span([random_vector(rng, 5, QQ) for _ in range(3)], 5, QQ)
+    monkeypatch.setattr(linalg, "rref", counted)
+    q = quotient(Subspace.full(5, QQ), S)
+    assert calls == [] and q.dim == 2
+    inter = S.intersect(T)
+    assert calls == [6] and inter.dim == 1
+
+
+def test_layer_quotients_agree_with_elimination(monkeypatch):
+    """Every quotient the layers build on the twisted battery agrees with
+    the eliminated section: C/H at each unit pair, the bimodule
+    M_x = B/BJ_x, the germ spaces V/J_x V of the regular module, and B/I
+    (with its germ spaces) for the zero ideal and the ideals induced from
+    the zero ideal of each B(x, x).  ``project`` is compared on the
+    numerator, kernel and section bases and on every delta outside the
+    numerator."""
+    built, stage = [], [None]
+    build = QuotientSpace.__init__
+
+    def recorded(self, numerator, kernel):
+        build(self, numerator, kernel)
+        built.append((stage[0], self))
+
+    monkeypatch.setattr(QuotientSpace, "__init__", recorded)
+    for _, g, c in twisted_battery():
+        inc = Inclusion(g, c)
+        stage[0] = "C/H"
+        for y, x in itertools.product(g.units, repeat=2):
+            inc.isotropy_data(y, x)
+        reg = regular_module(inc.B)
+        for x in g.units:
+            stage[0] = "M_x"
+            ImprimitivityBimodule(inc, x)
+            stage[0] = "germ"
+            germ_space(inc, reg, x)
+        stage[0] = "B/I"
+        induced = [induced_ideal(inc, x, Subspace.zero(inc.isotropy_data(x, x).dim, c.field))
+                   for x in g.units]
+        for I in {Subspace.zero(inc.m, c.field), *induced}:
+            if I.dim < inc.m:
+                effros_hahn_check(inc, I)
+    assert {kind for kind, _ in built} == {"C/H", "M_x", "germ", "B/I"}
+    for _, q in built:
+        n, field = q.ambient.ambient_dim, q.field
+        outside = [tuple(field.of(int(j == a)) for j in range(n)) for a in range(n)]
+        outside = [v for v in outside if v not in q.ambient]
+        assert_quotient_matches_elimination(
+            q, q.ambient.basis + q.kernel.basis + q.section_basis + tuple(outside))
 
 
 # -- field arithmetic ---------------------------------------------------------------

@@ -44,7 +44,14 @@ from groupoidalg.modrep import (
 from groupoidalg.steinberg import AlgebraPresentation, presentation_of_B
 from groupoidalg.twist import Cocycle, coboundary
 
-from conftest import battery, make_gb, make_z2, quaternion_fixture, twisted_battery
+from conftest import (
+    battery,
+    idempotent_unit_modules,
+    make_gb,
+    make_z2,
+    quaternion_fixture,
+    twisted_battery,
+)
 
 GF2 = GF(2)
 GF3 = GF(3)
@@ -98,6 +105,37 @@ def test_transposed_action_detected():
     transposed = [tuple(zip(*m)) for m in col.matrices]
     broken = FdModule(col.algebra, transposed)
     assert check_module(broken) is not None
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF(7)], ids=["Q", "GF2", "GF7"])
+def test_unit_acting_as_a_proper_idempotent_fails_unitality(field):
+    """The unit check and the span oracle both report unitality, with no
+    witness, on B, on an isotropy algebra and on a twisted group algebra."""
+    for name, g, c in battery(field, ["pair2", "gb", "swap"]):
+        inc = Inclusion(g, c)
+        for algebra in (inc.B, inc.isotropy_data(g.units[0], g.units[0]).presentation,
+                        inc.identify_with_twisted_group_algebra(g.units[0]).group_presentation):
+            assert check_module(regular_module(algebra)) is None, name
+            for mod in idempotent_unit_modules(algebra):
+                expected = ModuleViolation("unitality", ())
+                assert dense_check_module(mod) == expected, (name, mod.name)
+                assert check_module(mod) == expected, (name, mod.name)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF(7)], ids=["Q", "GF2", "GF7"])
+def test_presentation_without_unit_fails_unitality(field):
+    """B's products with no unit stored: the regular module satisfies the
+    module law and its actions span the carrier, yet it fails unitality,
+    as does the zero module; with the unit both pass."""
+    g = pair_groupoid(2)
+    B = presentation_of_B(g, Cocycle.trivial(g, field))
+    products = {(i, j): dict(terms) for i, row in enumerate(B.rows) for j, terms in row}
+    bare = AlgebraPresentation(field, B.labels, products)
+    assert bare.unit is None and bare.rows == B.rows
+    for algebra, expected in [(B, None), (bare, ModuleViolation("unitality", ()))]:
+        assert check_module(regular_module(algebra)) == expected
+        assert check_module(FdModule(algebra, [()] * algebra.dim)) == expected
+    assert dense_check_module(regular_module(bare)) is None
 
 
 # -- submodules -----------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from groupoidalg.errors import BisectionRequired
 from groupoidalg.groupoid import group_groupoid, pair_groupoid
-from groupoidalg.linalg import GF, QQ, Subspace, identity_matrix, operator_matrix, right_kernel
+from groupoidalg.linalg import GF, QQ, identity_matrix, operator_matrix, right_kernel
 from groupoidalg.isotropy import Inclusion
 from groupoidalg.steinberg import (
     AlgebraElement,
@@ -488,7 +488,7 @@ def dense_center(pres):
             ),
             eye,
         ))
-    return Subspace.span(right_kernel(rows, pres.dim, f), pres.dim, f)
+    return right_kernel(rows, pres.dim, f)
 
 
 def random_presentations(rng):
