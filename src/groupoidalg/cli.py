@@ -624,8 +624,8 @@ def _verify_inclusion_suite(problem, inclusion, report: Report):
 
 
 def bimodule_as_left_module(inclusion, bim) -> FdModule:
-    """M_x as a left B-module (the left action matrices on the quotient)."""
-    return FdModule(inclusion.B, bim.left_action, f"M{bim.x}")
+    """M_x as a left B-module (the left action's sparse rows on the quotient)."""
+    return FdModule.from_entries(inclusion.B, bim.left_action, f"M{bim.x}")
 
 
 def _verify_bimodule_suite(problem, inclusion, report: Report):
@@ -641,7 +641,7 @@ def _verify_bimodule_suite(problem, inclusion, report: Report):
         cols = [res.subspace.membership(col) for col in zip(*bim.mu)]
         res_ok = (res_ok and None not in cols
                   and res.module.dim == reg.dim == Subspace.span(cols, reg.dim, problem.field).dim
-                  and intertwines(tuple(zip(*cols)), reg.matrices, res.module.matrices, problem.field))
+                  and intertwines(tuple(zip(*cols)), reg.entries, res.module.entries, problem.field))
     report.check("cor_6_13", True)
     report.check("prop_7_5", res_ok)
 

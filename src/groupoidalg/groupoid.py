@@ -3,7 +3,10 @@
 Arrows carry stable integer ids ``0..m-1``; units are a flagged subset of
 the arrows (so the unit space sits inside the arrow space).  Composition
 ``comp(a, b) = ab`` is defined exactly when ``src(a) == tgt(b)`` and is
-stored as a dense partial table.  In the discrete finite setting every
+stored as a dense partial table.  The arrows into each unit are listed
+once at construction, and every walk over composable pairs and triples,
+hom-sets, orbits and isotropy groups reads those lists, so it touches
+only the pairs that compose.  In the discrete finite setting every
 subset of arrows is compact open and every singleton is a bisection, so
 this is precisely the regime where the whole convolution-algebra theory
 of this package is finite dimensional.
@@ -36,6 +39,8 @@ class FiniteGroupoid:
         src, tgt: tuples mapping arrow id -> unit id
         inv:      tuple mapping arrow id -> arrow id
         comp:     dense m x m table; comp[a][b] is ab or None
+        into:     tuple mapping arrow id u -> sorted arrows with target u
+                  (empty unless u is a target)
     """
 
     def __init__(self, n_arrows, units, src, tgt, inv, comp, arrow_names=None):
@@ -50,6 +55,10 @@ class FiniteGroupoid:
         )
         self._unit_set = frozenset(self.units)
         self._validate_ranges()
+        into = [[] for _ in range(n_arrows)]
+        for a, t in enumerate(self.tgt):
+            into[t].append(a)
+        self.into = tuple(map(tuple, into))
 
     # -- construction helpers ------------------------------------------------
 
@@ -101,17 +110,16 @@ class FiniteGroupoid:
         return range(self.n_arrows)
 
     def composable_pairs(self):
+        """Every (a, b) with src(a) = tgt(b), in row-major order: b runs over into[src(a)]."""
         for a in range(self.n_arrows):
-            for b in range(self.n_arrows):
-                if self.src[a] == self.tgt[b]:
-                    yield a, b
+            for b in self.into[self.src[a]]:
+                yield a, b
 
     def composable_triples(self):
+        """Every composable (a, b, c), in lexicographic order."""
         for a, b in self.composable_pairs():
-            ab = self.comp[a][b]
-            for c in range(self.n_arrows):
-                if self.src[b] == self.tgt[c]:
-                    yield a, b, c
+            for c in self.into[self.src[b]]:
+                yield a, b, c
 
     # -- axioms --------------------------------------------------------------
 
@@ -133,11 +141,15 @@ class FiniteGroupoid:
                 return Violation("source-is-unit", (a,))
             if self.tgt[a] not in self._unit_set:
                 return Violation("target-is-unit", (a,))
-        for a in range(m):
-            for b in range(m):
-                defined = self.comp[a][b] is not None
-                if defined != (self.src[a] == self.tgt[b]):
-                    return Violation("composability", (a, b))
+        for a, row in enumerate(self.comp):
+            # row a must be defined exactly at into[src(a)]: it is when it is
+            # defined at each of them and at no more entries; else the first
+            # b where it breaks is the witness
+            composable = self.into[self.src[a]]
+            if m - row.count(None) != len(composable) or None in map(row.__getitem__, composable):
+                allowed = set(composable)
+                b = next(b for b, ab in enumerate(row) if (ab is not None) != (b in allowed))
+                return Violation("composability", (a, b))
         for a in range(m):
             if self.comp[self.tgt[a]][a] != a:
                 return Violation("left-identity", (self.tgt[a], a))
@@ -171,7 +183,7 @@ class FiniteGroupoid:
     def isotropy_group(self, x):
         """Sorted arrows of the isotropy group at the unit x."""
         self._require_unit(x)
-        return [g for g in range(self.n_arrows) if self.src[g] == x and self.tgt[g] == x]
+        return [g for g in self.into[x] if self.src[g] == x]
 
     def isotropy_table(self, x):
         """Composition table of the isotropy group, keyed by arrow ids."""
@@ -182,12 +194,16 @@ class FiniteGroupoid:
         """Arrows with source x and target y."""
         self._require_unit(x)
         self._require_unit(y)
-        return [g for g in range(self.n_arrows) if self.src[g] == x and self.tgt[g] == y]
+        return [g for g in self.into[y] if self.src[g] == x]
 
     def orbit(self, x):
-        """Sorted units reachable from x; always contains x."""
+        """Sorted units reachable from x; always contains x.
+
+        Read off the arrows into x: y reaches x exactly when x reaches y,
+        through the inverse arrow.
+        """
         self._require_unit(x)
-        return sorted({self.tgt[g] for g in range(self.n_arrows) if self.src[g] == x})
+        return sorted({self.src[g] for g in self.into[x]})
 
     def is_bisection(self, arrows) -> bool:
         arrows = list(arrows)

@@ -32,7 +32,9 @@ from .isotropy import Inclusion
 from .linalg import (
     QuotientSpace,
     Subspace,
+    apply_rows,
     combine,
+    dense_rows,
     identity_matrix,
     mat_mul,
     mat_vec,
@@ -54,8 +56,10 @@ from .steinberg import delta, partial_inverse
 class ImprimitivityBimodule:
     """M_x = B / BJ_x with both actions and the free-basis bookkeeping.
 
-    Both actions are ``B.mult_matrices`` compressed to the arrows out of x,
-    the right one taken at the isotropy arrows, B(x, x)'s section basis.
+    Both actions are sparse rows, ``B.mult_rows`` compressed to the arrows
+    out of x, the right one taken at the isotropy arrows, B(x, x)'s
+    section basis.  ``stars[y]`` holds the one scaled delta {a: c} of the
+    partial inverse n_y* of each section, computed once.
     """
 
     def __init__(self, inclusion: Inclusion, x: int):
@@ -72,13 +76,14 @@ class ImprimitivityBimodule:
         # the section at y = x is delta_x, elsewhere the least arrow x -> y
         self.sections = {y: x if y == x else min(gpd.hom_set(y, x)) for y in self.orbit}
         self.chosen = {y: delta(gpd, inclusion.cocycle, a) for y, a in self.sections.items()}
+        self.stars = {y: partial_inverse(n).coeffs for y, n in self.chosen.items()}
         self.zeta = {y: self.quotient.project(n.to_vector()) for y, n in self.chosen.items()}
 
         # every operator acts on M_x in the coordinates of its section
         # basis, the deltas of the arrows out of x
         arrows = self.quotient.section.pivots
         isotropy = self.data.quotient.section.pivots
-        self.left_action, right = inclusion.B.mult_matrices(arrows)
+        self.left_action, right = inclusion.B.mult_rows(arrows)
         self.right_action = [right[g] for g in isotropy]
         # mu: B(x,x) -> M_x, c + H -> c + BJ_x, the inclusion of isotropy arrows
         one, zero = f.one(), f.zero()
@@ -94,7 +99,7 @@ class ImprimitivityBimodule:
         f = self.field
         zero = zero_vector(self.quotient.dim, f)
         images = [
-            mat_vec(ra, xi, f) if c != 0 else zero
+            apply_rows(ra, xi, f) if c != 0 else zero
             for c, ra in zip(hcoords, self.right_action)
         ]
         return combine(hcoords, images, f)
@@ -109,15 +114,16 @@ class ImprimitivityBimodule:
         gpd = self.inclusion.groupoid
         d = self.quotient.dim
         k = self.data.quotient.dim
-        # bimodule law: left and right actions commute
-        for la in self.left_action:
-            if not intertwines(la, self.right_action, self.right_action, f):
+        # bimodule law: left and right actions commute, ra la = la ra for
+        # every right action ra and every left action la
+        for ra in self.right_action:
+            if not intertwines(dense_rows(ra, d, f), self.left_action, self.left_action, f):
                 raise TheoremViolation("left and right actions do not commute")
         # mu is injective and right-linear
         mu_range = Subspace.span(zip(*self.mu), d, f)
         if mu_range.dim != k:
             raise TheoremViolation("standard inclusion is not injective")
-        _, right_mult = self.data.presentation.mult_matrices()
+        _, right_mult = self.data.presentation.mult_rows()
         if not intertwines(self.mu, right_mult, self.right_action, f):
             raise TheoremViolation("standard inclusion is not right-linear")
         # nu o mu = id, mu o nu = pi
@@ -142,7 +148,7 @@ class ImprimitivityBimodule:
                 raise TheoremViolation("pi must kill non-isotropy classes")
         # range(mu) = range(pi) = the J_x-killed part of the quotient
         pi_range = Subspace.span(zip(*self.pi), d, f)
-        lx = self.left_action[self.x]
+        lx = dense_rows(self.left_action[self.x], d, f)
         rows = [tuple(map(f.sub, lr, er)) for lr, er in zip(lx, identity_matrix(d, f))]
         killed = right_kernel(rows, d, f)
         if not (mu_range == pi_range == killed):
@@ -162,8 +168,8 @@ class ImprimitivityBimodule:
         """nu(n_y* . xi), the block at y of the class xi: every isotropy class
         is read off here.  n_y* = c delta_a acts as c left_action[a]."""
         f = self.field
-        ((a, c),) = partial_inverse(self.chosen[y]).coeffs.items()
-        return self.nu_of(tuple(f.mul(c, v) for v in mat_vec(self.left_action[a], xi, f)))
+        ((a, c),) = self.stars[y].items()
+        return self.nu_of(tuple(f.mul(c, v) for v in apply_rows(self.left_action[a], xi, f)))
 
     def free_coordinates(self, xi):
         """Coordinates of xi over the free basis, one B(x,x)-block per orbit point."""
@@ -201,7 +207,9 @@ def induce(inclusion: Inclusion, x: int, V: FdModule) -> InducedModule:
 
     A basis arrow gamma: y -> z sends zeta_y (x) v to zeta_z (x) h v, where
     h = nu(n_z* . gamma . zeta_y) is the bimodule's isotropy class of
-    gamma . zeta_y at z; block (z, y) of its matrix is V's action of h.
+    gamma . zeta_y at z; block (z, y) of its matrix is V's action of h, so
+    the rows of block z are V's sparse rows of h shifted to the columns of
+    block y, and every other row is empty.
     """
     bim = imprimitivity_bimodule(inclusion, x)
     data = bim.data
@@ -216,18 +224,18 @@ def induce(inclusion: Inclusion, x: int, V: FdModule) -> InducedModule:
     block_index = {y: i * k for i, y in enumerate(orbit)}
     dim = k * len(orbit)
 
-    matrices = []
+    entries = []
     for gamma in gpd.arrows():
-        mat = [[f.zero()] * dim for _ in range(dim)]
+        rows = [()] * dim
         y, z = gpd.src[gamma], gpd.tgt[gamma]
         if y in block_index and z in block_index:
-            moved = mat_vec(bim.left_action[gamma], bim.zeta[y], f)
-            act = V.action_of(bim.isotropy_class(z, moved))
+            moved = apply_rows(bim.left_action[gamma], bim.zeta[y], f)
+            act = V.action_rows(bim.isotropy_class(z, moved))
             rb, cb = block_index[z], block_index[y]
             for r, row in enumerate(act):
-                mat[rb + r][cb:cb + k] = row
-        matrices.append(tuple(tuple(r) for r in mat))
-    module = FdModule(inclusion.B, matrices, f"ind{x}[{V.name}]")
+                rows[rb + r] = tuple((cb + c, a) for c, a in row)
+        entries.append(rows)
+    module = FdModule.from_entries(inclusion.B, entries, f"ind{x}[{V.name}]")
     violation = check_module(module)
     if violation is not None:
         raise TheoremViolation(f"induced module failed validation: {violation}")
@@ -265,8 +273,8 @@ def verify_res_ind_roundtrip(inclusion: Inclusion, x: int, V: FdModule) -> Round
     # B(x,x)'s section basis is the deltas of the isotropy arrows
     isotropy = inclusion.isotropy_data(x, x).quotient.section.pivots
     embedding = operator_matrix(lambda v: ind.embed(x, v), identity_matrix(V.dim, f))
-    acts = [ind.module.matrices[g] for g in isotropy]
-    if not intertwines(embedding, V.matrices, acts, f):
+    acts = [ind.module.entries[g] for g in isotropy]
+    if not intertwines(embedding, V.entries, acts, f):
         raise TheoremViolation("embedding is not isotropy-linear")
     return RoundtripCertificate(x, V.dim, ind.module.dim, res.subspace.dim)
 
@@ -295,10 +303,10 @@ def verify_ind_res_embedding(inclusion: Inclusion, V: FdModule, x: int) -> Embed
     ind = induce(inclusion, x, res.module)
     bim = imprimitivity_bimodule(inclusion, x)
     # the free carrier's basis is zeta_y tensor w, blocks in orbit order;
-    # rho sends it to n_y w, and n_y is the delta of its arrow
-    acts = {y: V.matrices[bim.sections[y]] for y in ind.orbit}
+    # rho sends it to n_y w, and n_y is the delta of its arrow, so it acts
+    # by V's sparse rows at that arrow
     rho = operator_matrix(
-        lambda yw: mat_vec(acts[yw[0]], yw[1], f),
+        lambda yw: apply_rows(V.entries[bim.sections[yw[0]]], yw[1], f),
         [(y, w) for y in ind.orbit for w in res.subspace.basis],
     )
     # injectivity
@@ -306,7 +314,7 @@ def verify_ind_res_embedding(inclusion: Inclusion, V: FdModule, x: int) -> Embed
     if rank != ind.module.dim:
         raise TheoremViolation("rho is not injective")
     # B-linearity on arrow generators
-    if not intertwines(rho, ind.module.matrices, V.matrices, f):
+    if not intertwines(rho, ind.module.entries, V.entries, f):
         raise TheoremViolation("rho is not B-linear")
     return EmbeddingCertificate(x, ind.module.dim, rank, V.dim, res.subspace.dim)
 
@@ -319,7 +327,7 @@ def submodule_transfer(inclusion: Inclusion, ind: InducedModule, Z: Subspace) ->
     """
     f = inclusion.field
     mod = ind.module
-    if not Z.contains_all(mat_vec(m, w, f) for m in mod.matrices for w in Z.basis):
+    if not Z.contains_all(apply_rows(act, w, f) for act in mod.entries for w in Z.basis):
         raise ValueError("subspace is not invariant under the induced action")
     k = ind.inducing.dim
     # membership rows: the residual of embed(x, v) against Z must vanish
@@ -361,7 +369,7 @@ def verify_germ_induction_equivalence(inclusion: Inclusion, V: FdModule, x: int,
     T = _germ_intertwiner(inclusion, V, gx, gy, ind_x, ind_y)
     if Subspace.span(zip(*T), dim, f).dim != dim:
         raise TheoremViolation("germ intertwiner is not bijective")
-    if not intertwines(T, ind_x.module.matrices, ind_y.module.matrices, f):
+    if not intertwines(T, ind_x.module.entries, ind_y.module.entries, f):
         raise TheoremViolation("germ intertwiner is not B-linear")
     return GermEquivalenceCertificate(x, y, dim)
 
@@ -369,23 +377,23 @@ def verify_germ_induction_equivalence(inclusion: Inclusion, V: FdModule, x: int,
 def _germ_intertwiner(inclusion: Inclusion, V: FdModule, gx, gy, ind_x, ind_y):
     """T: Ind_x(V[x]) -> Ind_y(V[y]) from the least arrow n: x -> y.  Block z
     is the germ map psi: v -> n v, then the action of the class of n_z(x) n*
-    that the bimodule at y reads off, nu(n_z(y)* n_z(x) n*)."""
+    that the bimodule at y reads off, nu(n_z(y)* n_z(x) n*).  Column (z, j)
+    of T is that action applied to column j of psi, placed in block z."""
     gpd = inclusion.groupoid
     f = inclusion.field
     bim_x = imprimitivity_bimodule(inclusion, gx.x)
     bim_y = imprimitivity_bimodule(inclusion, gy.x)
     n = min(gpd.hom_set(gy.x, gx.x))
-    psi = operator_matrix(
-        lambda s: gy.quotient.project(mat_vec(V.matrices[n], s, f)), gx.quotient.section_basis
-    )
+    psi_columns = [gy.quotient.project(apply_rows(V.entries[n], s, f))
+                   for s in gx.quotient.section_basis]
     n_star_class = bim_y.quotient.project(
         partial_inverse(delta(gpd, inclusion.cocycle, n)).to_vector())
-    blocks = {}
+    actions = {}
     for z in ind_x.orbit:
-        moved = mat_vec(bim_y.left_action[bim_x.sections[z]], n_star_class, f)
-        blocks[z] = mat_mul(gy.module.action_of(bim_y.isotropy_class(z, moved)), psi, f)
+        moved = apply_rows(bim_y.left_action[bim_x.sections[z]], n_star_class, f)
+        actions[z] = gy.module.action_rows(bim_y.isotropy_class(z, moved))
     # the free carrier's basis is (z, e_j), blocks in orbit order
     return operator_matrix(
-        lambda ze: ind_y.embed(ze[0], mat_vec(blocks[ze[0]], ze[1], f)),
-        [(z, e) for z in ind_x.orbit for e in identity_matrix(gx.quotient.dim, f)],
+        lambda zj: ind_y.embed(zj[0], apply_rows(actions[zj[0]], zj[1], f)),
+        [(z, col) for z in ind_x.orbit for col in psi_columns],
     )

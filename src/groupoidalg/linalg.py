@@ -17,7 +17,12 @@ Linear combinations of rows and the matrix products that build
 matrices go through ``combine``, which skips zero coefficients and zero
 entries; the exact checks of the module law and of module maps
 (``modrep.check_module``, ``modrep.intertwines``) multiply their nonzero
-entries in ints instead.  The matrix
+entries in ints instead.  Module actions and multiplication maps are
+held as sparse rows, each row the (column, value) pairs of its nonzero
+entries in column order: ``apply_rows`` applies one to a vector,
+``transpose_rows`` transposes one, and ``sparse_rows`` and
+``dense_rows`` convert to and from a dense matrix where an oracle or a
+dense linear system needs one.  The matrix
 of a linear map given by its values on a domain basis is taken through
 ``operator_matrix``: column k is the map applied to the k-th basis
 vector.  Matrices and constraint rows that come from a product law (the
@@ -202,6 +207,50 @@ def mat_vec(mat, vec, field):
     )
 
 
+def sparse_rows(mat):
+    """A dense matrix as rows of its nonzero (column, value) entries, in column order."""
+    return tuple(tuple((c, a) for c, a in enumerate(row) if a != 0) for row in mat)
+
+
+def dense_rows(rows, ncols, field):
+    """Sparse rows as a dense matrix; the entries not held are ``field.zero()``."""
+    zero = field.zero()
+    out = []
+    for row in rows:
+        dense = [zero] * ncols
+        for c, a in row:
+            dense[c] = a
+        out.append(tuple(dense))
+    return tuple(out)
+
+
+def transpose_rows(rows, ncols):
+    """The transpose of a matrix held as sparse rows: column c's (row, value) pairs, in row order."""
+    columns = [[] for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, a in row:
+            columns[c].append((r, a))
+    return columns
+
+
+def apply_rows(rows, vec, field):
+    """The matrix held as sparse rows times a dense vector.
+
+    The same sums as ``mat_vec`` on the dense matrix, in the same order:
+    each starts at ``field.zero()`` and adds the products of the entries
+    held against the nonzero coordinates of vec.
+    """
+    out = []
+    for row in rows:
+        acc = field.zero()
+        for c, a in row:
+            b = vec[c]
+            if b != 0:
+                acc = field.add(acc, field.mul(a, b))
+        out.append(acc)
+    return tuple(out)
+
+
 def _dot(u, v, field):
     acc = field.zero()
     for a, b in zip(u, v):
@@ -372,8 +421,14 @@ class Subspace:
         return combine(coords, self.basis, self.field)
 
     def add(self, other) -> "Subspace":
+        """The join: other's rows inserted into a copy of this RREF basis, with no fresh ``rref``."""
         self._check_ambient(other)
-        return Subspace.span(self.basis + other.basis, self.ambient_dim, self.field)
+        basis, pivots = [list(row) for row in self.basis], list(self.pivots)
+        for row in other.basis:
+            if len(basis) == self.ambient_dim:
+                break  # full rank: every remaining row lies in the span
+            insert_row(basis, pivots, row, self.field)
+        return Subspace(self.ambient_dim, self.field, [tuple(r) for r in basis], pivots)
 
     def intersect(self, other) -> "Subspace":
         """Intersection via the Zassenhaus block trick.

@@ -1,14 +1,18 @@
 """Finite-dimensional left modules over a structure-constant algebra.
 
-A module is a list of action matrices, one per algebra basis element,
-compatible with the structure constants and unital (the algebra's unit
-acts as the identity).  ``check_module`` checks both laws and
+A module is one action per algebra basis element, compatible with the
+structure constants and unital (the algebra's unit acts as the
+identity).  Each action is held only as sparse rows (``FdModule.entries``:
+the nonzero (column, value) entries of each row), and every construction
+and check in this module builds or walks those rows; the dense matrices
+(``FdModule.matrices``, ``FdModule.action_of``) are views for oracles,
+built on first read.  ``check_module`` checks both laws and
 ``intertwines`` is the package's one module-map test (T a1 = a2 T).
-Both run on one sparse int product kernel (``_accumulate``): only
-nonzero entries are multiplied, over Q after scaling every entry by a
-common denominator (which scales both sides of the identity alike, so
-no `Fraction` is built), over GF(p) reducing each sum mod p once.  On
-top of that this module provides:
+Both convert each action to int rows once and run on one sparse int
+product kernel (``_accumulate``): only nonzero entries are multiplied,
+over Q after scaling every entry by a common denominator (which scales
+both sides of the identity alike, so no `Fraction` is built), over GF(p)
+reducing each sum mod p once.  On top of that this module provides:
 
 * generated submodules and, over GF(p) within a budget, the full lattice
   of invariant subspaces, joined from the cyclic closures of every scalar
@@ -32,7 +36,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import sympy
 
@@ -41,14 +44,16 @@ from .isotropy import Inclusion
 from .linalg import (
     QuotientSpace,
     Subspace,
+    apply_rows,
     combine,
+    dense_rows,
     identity_matrix,
     insert_row,
     mat_mul,
-    mat_vec,
-    operator_matrix,
     right_kernel,
     solve_right,
+    sparse_rows,
+    transpose_rows,
 )
 from .steinberg import AlgebraPresentation
 
@@ -66,47 +71,94 @@ class ModuleViolation:
 
 
 class FdModule:
-    """A left module given by one action matrix per algebra basis element.
+    """A left module given by one action per algebra basis element, as sparse rows.
 
-    ``entries[i][r]`` holds the nonzero entries (c, value) of row r of
-    action matrix i, computed once; action and validation walk only these.
+    ``entries[i][r]`` holds the nonzero entries (c, value) of row r of the
+    action of basis element i, in column order: reduced into [0, p) over
+    GF(p), kept as given over Q.  They are all the module holds, and every
+    action and check walks only them.  ``FdModule(algebra, matrices,
+    name)`` keeps the nonzero entries of dense matrices; ``from_entries``
+    takes the rows themselves and refuses malformed ones.  ``matrices`` is
+    the dense view, built on first read: zeros are ``field.zero()``.
     """
 
     def __init__(self, algebra: AlgebraPresentation, matrices, name: str = ""):
+        matrices = tuple(matrices)
+        dim = len(matrices[0]) if matrices else 0
+        if any(len(m) != dim or any(len(r) != dim for r in m) for m in matrices):
+            raise ValueError("action matrices must be square of equal size")
+        p = algebra.field.p  # a dense entry that is 0 mod p is a zero, not a stored zero
+        self._hold(algebra, [sparse_rows(m if p is None else [[a % p for a in r] for r in m])
+                             for m in matrices], name)
+
+    @classmethod
+    def from_entries(cls, algebra: AlgebraPresentation, entries, name: str = "") -> "FdModule":
+        """The module whose action i has the sparse rows ``entries[i]``.
+
+        Each matrix has dim rows (dim is the row count of the first), and
+        each row lists (column, value) pairs with columns strictly increasing
+        in [0, dim) and values nonzero (mod p over GF(p)); else ValueError.
+        """
+        module = cls.__new__(cls)
+        module._hold(algebra, entries, name)
+        return module
+
+    def _hold(self, algebra, entries, name):
+        p = algebra.field.p
         self.algebra = algebra
-        p = algebra.field.p  # GF(p) entries are reduced into [0, p), Q ones kept
-        as_row = tuple if p is None else lambda r: tuple(a % p for a in r)
-        self.matrices = tuple(tuple(as_row(r) for r in m) for m in matrices)
         self.name = name
-        if len(self.matrices) != algebra.dim:
+        self.entries = tuple(tuple(tuple(row) if p is None else tuple((c, a % p) for c, a in row)
+                                   for row in mat) for mat in entries)
+        if len(self.entries) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
-        self.dim = len(self.matrices[0]) if self.matrices and self.matrices[0] else 0
-        for m in self.matrices:
-            if len(m) != self.dim or any(len(r) != self.dim for r in m):
+        self.dim = len(self.entries[0]) if self.entries else 0
+        for mat in self.entries:
+            if len(mat) != self.dim:
                 raise ValueError("action matrices must be square of equal size")
-        self.entries = tuple(
-            tuple(tuple((c, a) for c, a in enumerate(row) if a != 0) for row in m)
-            for m in self.matrices
-        )
+            for row in mat:
+                last = -1
+                for c, a in row:
+                    if not last < c < self.dim:
+                        raise ValueError(f"column {c} out of order or out of range in dim {self.dim}")
+                    if a == 0:
+                        raise ValueError(f"stored zero at column {c}")
+                    last = c
+        self._matrices = None
 
     @property
     def field(self):
         return self.algebra.field
 
-    def action_of(self, vec):
-        """Action matrix of a general algebra element (coefficient vector)."""
+    @property
+    def matrices(self):
+        """The dense action matrices, built from ``entries`` on first read."""
+        if self._matrices is None:
+            self._matrices = tuple(dense_rows(mat, self.dim, self.field) for mat in self.entries)
+        return self._matrices
+
+    def action_rows(self, vec):
+        """Sparse rows of the action of a general algebra element (coefficient vector).
+
+        Each entry is summed from ``field.zero()`` over the basis elements in
+        order; entries that cancel to zero are dropped.
+        """
         f = self.field
-        out = [[f.zero()] * self.dim for _ in range(self.dim)]
+        zero = f.zero()
+        out = [{} for _ in range(self.dim)]
         for i, c in enumerate(vec):
             if c == 0:
                 continue
-            for out_row, row in zip(out, self.entries[i]):
+            for acc, row in zip(out, self.entries[i]):
                 for col, a in row:
-                    out_row[col] = f.add(out_row[col], f.mul(c, a))
-        return tuple(tuple(r) for r in out)
+                    acc[col] = f.add(acc.get(col, zero), f.mul(c, a))
+        return tuple(tuple((col, a) for col, a in sorted(acc.items()) if a != 0) for acc in out)
+
+    def action_of(self, vec):
+        """Dense action matrix of a general algebra element: the view of ``action_rows``."""
+        return dense_rows(self.action_rows(vec), self.dim, self.field)
 
     def apply(self, vec, v):
-        return mat_vec(self.action_of(vec), v, self.field)
+        return apply_rows(self.action_rows(vec), v, self.field)
 
     def basis_vector(self, i):
         f = self.field
@@ -137,13 +189,20 @@ def _ints(row, scale):
 
 
 def _int_rows(matrices, field):
-    """Dense matrices as rows of their nonzero (column, int) entries.
+    """Sparse matrices with their entries as ints, each matrix converted once.
 
-    Over Q all are scaled by the matrices' common denominator.
+    Over Q all are scaled by the matrices' common denominator; over GF(p)
+    the entries already are ints and the matrices are returned as they are.
     """
-    sparse = [[[(c, a) for c, a in enumerate(row) if a] for row in m] for m in matrices]
-    scale = _common_denominator(field, (a for m in sparse for row in m for _, a in row))
-    return [[_ints(row, scale) for row in m] for m in sparse]
+    scale = _common_denominator(field, (a for m in matrices for row in m for _, a in row))
+    return _scaled(matrices, scale)
+
+
+def _scaled(matrices, scale):
+    """Every row through ``_ints``; an empty row, the most common, is kept as it is."""
+    if scale is None:
+        return matrices
+    return [[_ints(row, scale) if row else row for row in m] for m in matrices]
 
 
 def _accumulate(acc, left, right, width):
@@ -172,21 +231,25 @@ def _nonzero_keys(acc, field):
 def intertwines(T, acts1, acts2, field) -> bool:
     """Whether T a1 = a2 T for every pair (a1, a2): the one module-map test.
 
+    T is a dense matrix and the actions are sparse rows (``FdModule.entries``).
     Both sides are built on nonzero entries in ints: over Q, T is scaled by
-    its common denominator D_T and each pair (a1, a2) by theirs, D, so both
-    sides scale by D_T D and equality is unchanged.  T a1 + a2 (-T) is
-    accumulated once and must vanish (mod p over GF(p)).
+    its common denominator D_T and all actions by theirs, D, so both sides
+    scale by D_T D and equality is unchanged.  Each action is converted
+    once, and a list passed as both sides once.  T a1 + a2 (-T) is
+    accumulated per pair and must vanish (mod p over GF(p)).
     """
-    (t,) = _int_rows([T], field)
+    (t,) = _int_rows([sparse_rows(T)], field)
     minus_t = [[(c, -a) for c, a in row] for row in t]
+    acts = list(acts1) if acts2 is acts1 else [*acts1, *acts2]
+    ints = _int_rows(acts, field)
+    ints1, ints2 = ints[:len(acts1)], ints[len(ints) - len(acts2):]
 
     def holds(a1, a2):
-        s1, s2 = _int_rows([a1, a2], field)
-        acc = _accumulate({}, t, s1, len(a1))
-        _accumulate(acc, s2, minus_t, len(a1))
+        acc = _accumulate({}, t, a1, len(a1))
+        _accumulate(acc, a2, minus_t, len(a1))
         return not _nonzero_keys(acc, field)
 
-    return all(holds(a1, a2) for a1, a2 in zip(acts1, acts2, strict=True))
+    return all(holds(a1, a2) for a1, a2 in zip(ints1, ints2, strict=True))
 
 
 def check_module(module: FdModule):
@@ -216,7 +279,7 @@ def check_module(module: FdModule):
         (a for mat in module.entries for row in mat for _, a in row),
         (c for row in alg.rows for _, terms in row for _, c in terms),
         (u for _, u in unit)))
-    acts = [[_ints(row, scale) for row in mat] for mat in module.entries]
+    acts = _scaled(module.entries, scale)
     by_row = [[(j * block + col, a) for j, act in enumerate(acts) for col, a in act[k]]
               for k in range(d)]
     minus_flat = [[(r * d + col, -a) for r, row in enumerate(act) for col, a in row]
@@ -238,58 +301,52 @@ def check_module(module: FdModule):
 
 
 def regular_module(algebra: AlgebraPresentation, name="regular") -> FdModule:
-    left, _ = algebra.mult_matrices()
-    return FdModule(algebra, left, name)
+    left, _ = algebra.mult_rows()
+    return FdModule.from_entries(algebra, left, name)
 
 
 def direct_sum(m1: FdModule, m2: FdModule, name="") -> FdModule:
     if m1.algebra is not m2.algebra and m1.algebra.rows != m2.algebra.rows:
         raise ValueError("modules must share an algebra")
-    f = m1.field
-    dim = m1.dim + m2.dim
-    mats = []
-    for i in range(m1.algebra.dim):
-        block = [[f.zero()] * dim for _ in range(dim)]
-        for r in range(m1.dim):
-            for c in range(m1.dim):
-                block[r][c] = m1.matrices[i][r][c]
-        for r in range(m2.dim):
-            for c in range(m2.dim):
-                block[m1.dim + r][m1.dim + c] = m2.matrices[i][r][c]
-        mats.append(tuple(tuple(r) for r in block))
-    return FdModule(m1.algebra, mats, name or f"{m1.name}+{m2.name}")
+    shift = m1.dim
+    entries = [rows1 + tuple(tuple((shift + c, a) for c, a in row) for row in rows2)
+               for rows1, rows2 in zip(m1.entries, m2.entries)]
+    return FdModule.from_entries(m1.algebra, entries, name or f"{m1.name}+{m2.name}")
 
 
 def _span_module(algebra, actions, basis, coordinates, name, escape=None) -> FdModule:
-    """The module the actions induce on a span, in the coordinates given.
+    """The module the actions (sparse rows) induce on a span, in the coordinates given.
 
-    Column k of each action matrix is ``coordinates`` of the action applied
-    to ``basis[k]``: membership coordinates for a subspace, projection
+    Column k of each action is ``coordinates`` of the action applied to
+    ``basis[k]``: membership coordinates for a subspace, projection
     coordinates for a quotient.  A None coordinate means the image left
     the span, and ``escape`` is raised.
     """
     f = algebra.field
-
-    def column(act, v):
-        coords = coordinates(mat_vec(act, v, f))
-        if coords is None:
-            raise escape
-        return coords
-
-    mats = [operator_matrix(partial(column, act), basis) for act in actions]
-    return FdModule(algebra, mats, name)
+    entries = []
+    for act in actions:
+        rows = [[] for _ in basis]
+        for k, v in enumerate(basis):
+            coords = coordinates(apply_rows(act, v, f))
+            if coords is None:
+                raise escape
+            for r, c in enumerate(coords):
+                if c != 0:
+                    rows[r].append((k, c))
+        entries.append(rows)
+    return FdModule.from_entries(algebra, entries, name)
 
 
 def submodule_module(module: FdModule, W: Subspace, name="") -> FdModule:
     """The action restricted to an invariant subspace, in its basis coords."""
-    return _span_module(module.algebra, module.matrices, W.basis, W.membership, name,
+    return _span_module(module.algebra, module.entries, W.basis, W.membership, name,
                         ValueError("subspace is not invariant"))
 
 
 def quotient_module(module: FdModule, W: Subspace, name="") -> FdModule:
     """The action on carrier/W, in the canonical section coordinates."""
     quot = QuotientSpace(Subspace.full(module.dim, module.field), W)
-    return _span_module(module.algebra, module.matrices, quot.section_basis,
+    return _span_module(module.algebra, module.entries, quot.section_basis,
                         quot.project, name), quot
 
 
@@ -297,10 +354,9 @@ def quotient_module(module: FdModule, W: Subspace, name="") -> FdModule:
 # invariant subspace enumeration
 
 
-def closure_under(matrices, seeds, dim, field) -> Subspace:
-    """Smallest subspace containing the seeds and invariant under the matrices."""
+def closure_under(actions, seeds, dim, field) -> Subspace:
+    """Smallest subspace containing the seeds and invariant under the actions (sparse rows)."""
     basis, pivots = [], []
-    columns = [tuple(zip(*m)) for m in matrices]
     stack = [tuple(s) for s in seeds]
     while stack:
         v = stack.pop()
@@ -308,12 +364,12 @@ def closure_under(matrices, seeds, dim, field) -> Subspace:
             continue
         if len(basis) == dim:
             return Subspace.full(dim, field)
-        stack.extend(combine(v, cols, field) for cols in columns)
+        stack.extend(apply_rows(act, v, field) for act in actions)
     return Subspace(dim, field, [tuple(r) for r in basis], pivots)
 
 
 def generated_submodule(module: FdModule, vectors) -> Subspace:
-    return closure_under(module.matrices, vectors, module.dim, module.field)
+    return closure_under(module.entries, vectors, module.dim, module.field)
 
 
 def normalized_vectors(dim, p):
@@ -328,15 +384,15 @@ def normalized_vectors(dim, p):
             yield prefix + tail
 
 
-def _bitmask_vectors(matrices, dim):
+def _bitmask_vectors(actions, dim):
     """Vector operations over GF(2) on int bitmasks, bit dim-1-i holding coordinate i.
 
     Returns (encode, line, images, insert, subspace).  An echelon row is
     (pivot bit, vector): its highest set bit, its first nonzero coordinate.
     """
-    # per matrix, the image of each bit as a mask
-    columns = [[sum(1 << (dim - 1 - r) for r in range(dim) if m[r][dim - 1 - b] % 2)
-                for b in range(dim)] for m in matrices]
+    # per action, the image of each bit as a mask: bit b is column dim-1-b
+    columns = [[sum(1 << (dim - 1 - r) for r, a in col if a % 2)
+                for col in reversed(transpose_rows(act, dim))] for act in actions]
 
     def encode(seed):
         return sum(1 << (dim - 1 - i) for i, c in enumerate(seed) if c)
@@ -379,15 +435,14 @@ def _bitmask_vectors(matrices, dim):
     return encode, line, images, insert, subspace
 
 
-def _residue_vectors(matrices, dim, p):
+def _residue_vectors(actions, dim, p):
     """Vector operations over an odd GF(p) on int lists reduced mod p.
 
     Returns (encode, line, images, insert, subspace).  An echelon row is
     (pivot, vector), with a 1 at its first nonzero coordinate, the pivot.
     """
-    # per matrix, column c as its nonzero (row, entry) pairs
-    columns = [[[(r, m[r][c] % p) for r in range(dim) if m[r][c] % p] for c in range(dim)]
-               for m in matrices]
+    # per action, column c as its (row, entry) pairs; images reduce mod p
+    columns = [transpose_rows(act, dim) for act in actions]
     # position in normalized_vectors of the first vector with a given lead,
     # less its base-p code (coordinate 0 most significant)
     offset = [(p**dim - p**(dim - lead)) // (p - 1) - p**(dim - 1 - lead) for lead in range(dim)]
@@ -440,7 +495,7 @@ def _residue_vectors(matrices, dim, p):
     return encode, line, images, insert, subspace
 
 
-def _cyclic_closures(matrices, dim, field):
+def _cyclic_closures(actions, dim, field):
     """(seed, closure) for every seed of ``normalized_vectors``, in that order.
 
     One memoised pass over the scalar lines, resting on
@@ -455,7 +510,7 @@ def _cyclic_closures(matrices, dim, field):
     """
     p = field.p
     encode, line, images, insert, subspace = (
-        _bitmask_vectors(matrices, dim) if p == 2 else _residue_vectors(matrices, dim, p))
+        _bitmask_vectors(actions, dim) if p == 2 else _residue_vectors(actions, dim, p))
     memo = [None] * ((p**dim - 1) // (p - 1))  # line -> (echelon rows, Subspace)
     shared = {}  # canonical echelon rows -> the memo entry of that closure
 
@@ -501,8 +556,8 @@ def _require_enum_budget(field, dim):
         )
 
 
-def all_invariant_subspaces(matrices, dim, field):
-    """Every subspace invariant under the matrices, as a sorted list.
+def all_invariant_subspaces(actions, dim, field):
+    """Every subspace invariant under the actions (sparse rows), as a sorted list.
 
     Every invariant subspace is a sum of cyclic closures, so the distinct
     closures of one memoised pass over the projective seeds (the atoms)
@@ -513,7 +568,7 @@ def all_invariant_subspaces(matrices, dim, field):
     zero = Subspace.zero(dim, field)
     found = {zero.basis: zero}
     atoms = {}
-    for _, w in _cyclic_closures(matrices, dim, field):
+    for _, w in _cyclic_closures(actions, dim, field):
         atoms.setdefault(id(w), w)
     for atom in atoms.values():
         for s in list(found.values()):
@@ -529,7 +584,7 @@ def all_invariant_subspaces(matrices, dim, field):
 
 def all_submodules(module: FdModule):
     """The full submodule lattice of a module over GF(p), within budget."""
-    return all_invariant_subspaces(module.matrices, module.dim, module.field)
+    return all_invariant_subspaces(module.entries, module.dim, module.field)
 
 
 def lattice_operations_agree(subspaces) -> bool:
@@ -571,19 +626,25 @@ def _intertwiners(m1: FdModule, m2: FdModule) -> list:
     """Basis of the T with T a1 = a2 T for every action pair, each T row-major.
 
     The modules share an algebra and a dimension; with m1 = m2 this is the
-    commutant of the action.
+    commutant of the action.  Equation (r, c) of a pair,
+    sum_k T[r][k] a1[k][c] - sum_k a2[r][k] T[k][c] = 0, reads column c of
+    a1 and row r of a2 off the sparse rows; an equation with no term is
+    0 = 0 and is left out.
     """
     f = m1.field
     d = m1.dim
     rows = []
-    for a1, a2 in zip(m1.matrices, m2.matrices):
-        # (T a1 - a2 T)[r][c] = 0, unknowns T[r][c] flattened row-major
+    for a1, a2 in zip(m1.entries, m2.entries):
+        columns = transpose_rows(a1, d)  # column c of a1 as its (k, a1[k][c])
         for r in range(d):
             for c in range(d):
+                if not (columns[c] or a2[r]):
+                    continue
                 row = [f.zero()] * (d * d)
-                for k in range(d):
-                    row[r * d + k] = f.add(row[r * d + k], a1[k][c])
-                    row[k * d + c] = f.sub(row[k * d + c], a2[r][k])
+                for k, a in columns[c]:
+                    row[r * d + k] = f.add(row[r * d + k], a)
+                for k, a in a2[r]:
+                    row[k * d + c] = f.sub(row[k * d + c], a)
                 rows.append(tuple(row))
     return right_kernel(rows, d * d, f).basis
 
@@ -630,7 +691,7 @@ def _image_algebra_radical(module: FdModule):
     """
     f = module.field
     d = module.dim
-    gens = list(module.matrices) + [identity_matrix(d, f)]
+    gens = [dense_rows(act, d, f) for act in module.entries] + [identity_matrix(d, f)]
     span = Subspace.span([_flatten(m) for m in gens], d * d, f)
     basis_mats = [_square(v, d) for v in span.basis]
     rows = []
@@ -667,7 +728,7 @@ def is_irreducible(module: FdModule) -> IrreducibilityVerdict:
 
     if f.p is not None:
         _require_enum_budget(f, module.dim)
-        for _, w in _cyclic_closures(module.matrices, module.dim, f):
+        for _, w in _cyclic_closures(module.entries, module.dim, f):
             if w.dim != module.dim:
                 return IrreducibilityVerdict("reducible", True, w, "seed-scan")
         return IrreducibilityVerdict("irreducible", True, method="seed-scan")
@@ -679,7 +740,7 @@ def is_irreducible(module: FdModule) -> IrreducibilityVerdict:
             return IrreducibilityVerdict("reducible", True, w, "basis-vector")
     rad = _image_algebra_radical(module)
     if rad:
-        gens = [mat_vec(r, module.basis_vector(j), f) for r in rad for j in range(module.dim)]
+        gens = [col for r in rad for col in zip(*r)]
         w = generated_submodule(module, gens)
         if 0 < w.dim < module.dim:
             return IrreducibilityVerdict("reducible", True, w, "radical")
@@ -719,14 +780,19 @@ def is_irreducible(module: FdModule) -> IrreducibilityVerdict:
 
 
 def annihilator(module: FdModule) -> Subspace:
-    """Kernel of the representation map, as a subspace of the algebra."""
+    """Kernel of the representation map, as a subspace of the algebra.
+
+    One equation per matrix position (r, c) that some action holds an
+    entry at: sum_i x_i A_i[r][c] = 0.  Every other position reads 0 = 0.
+    """
     f = module.field
-    d = module.dim
-    rows = []
-    for r in range(d):
-        for c in range(d):
-            rows.append(tuple(module.matrices[i][r][c] for i in range(module.algebra.dim)))
-    return right_kernel(rows, module.algebra.dim, f)
+    n = module.algebra.dim
+    rows = {}
+    for i, act in enumerate(module.entries):
+        for r, row in enumerate(act):
+            for c, a in row:
+                rows.setdefault((r, c), [f.zero()] * n)[i] = a
+    return right_kernel(list(rows.values()), n, f)
 
 
 def is_two_sided_ideal(algebra: AlgebraPresentation, S: Subspace) -> bool:
@@ -776,26 +842,32 @@ class Restriction:
 
 def _isotropy_actions(inclusion: Inclusion, module: FdModule, x: int):
     """B(x, x), and the action on the carrier of each of its section representatives,
-    the deltas of the isotropy arrows: the module's matrices at those arrows."""
+    the deltas of the isotropy arrows: the module's sparse rows at those arrows."""
     data = inclusion.isotropy_data(x, x)
-    return data.presentation, [module.matrices[g] for g in data.quotient.section.pivots]
+    return data.presentation, [module.entries[g] for g in data.quotient.section.pivots]
 
 
 def _point_ideal_image(inclusion: Inclusion, module: FdModule, x: int) -> Subspace:
     """J_x V: the span of the columns of the actions of J_x's basis, the
-    deltas of the units other than x (its pivots), each acting by its matrix."""
-    gens = [col for u in inclusion.point_ideal(x).basis.pivots for col in zip(*module.matrices[u])]
-    return Subspace.span(gens, module.dim, module.field)
+    deltas of the units other than x (its pivots), each acting by its
+    sparse rows.  A zero column spans nothing, so only the columns that
+    hold an entry are built."""
+    f, d = module.field, module.dim
+    columns = [col for u in inclusion.point_ideal(x).basis.pivots
+               for col in transpose_rows(module.entries[u], d) if col]
+    return Subspace.span(dense_rows(columns, d, f), d, f)
 
 
 def restriction(inclusion: Inclusion, module: FdModule, x: int) -> Restriction:
     """Vectors killed by the point ideal, as a module over B(x, x).
 
+    The kernel of the rows of the actions of J_x's basis; a zero row
+    constrains nothing, so only the rows that hold an entry are built.
     The subspace may be zero; the zero restriction is a legal outcome.
     """
     f = module.field
-    rows = [row for u in inclusion.point_ideal(x).basis.pivots for row in module.matrices[u]]
-    sub = right_kernel(rows, module.dim, f)
+    rows = [row for u in inclusion.point_ideal(x).basis.pivots for row in module.entries[u] if row]
+    sub = right_kernel(dense_rows(rows, module.dim, f), module.dim, f)
     algebra, actions = _isotropy_actions(inclusion, module, x)
     res = _span_module(algebra, actions, sub.basis, sub.membership, f"res{x}",
                        TheoremViolation("restriction subspace is not C(x,x)-stable"))
@@ -855,7 +927,7 @@ def isotropy_quotient_module(inclusion: Inclusion, module: FdModule, x: int,
     if not W.contains_subspace(_point_ideal_image(inclusion, module, x)):
         raise ValueError("W does not contain J_x V")
     algebra, actions = _isotropy_actions(inclusion, module, x)
-    if not W.contains_all(mat_vec(act, w, f) for act in actions for w in W.basis):
+    if not W.contains_all(apply_rows(act, w, f) for act in actions for w in W.basis):
         raise ValueError("W is not stable under C(x, x)")
     quot = QuotientSpace(Subspace.full(module.dim, f), W)
     return _span_module(algebra, actions, quot.section_basis, quot.project, f"quot{x}"), quot

@@ -237,8 +237,9 @@ class AlgebraPresentation:
     nonzero terms.  ``table`` is the dense view (``table[i][j]`` the
     coefficient tuple of basis_i * basis_j), built on first read.  The
     identity's coordinates, when present, are stored in ``unit``.
-    The multiplication matrices and the constraint rows behind ``center``
-    are read straight off ``rows``; no operator is built by ``multiply``.
+    The multiplication maps (as sparse rows) and the constraint rows
+    behind ``center`` are read straight off ``rows``; no operator is built
+    by ``multiply``.
     """
 
     def __init__(self, field: Field, labels, products, unit=None):
@@ -287,25 +288,28 @@ class AlgebraPresentation:
                         out[k] = f.add(out[k], f.mul(c, pk))
         return tuple(out)
 
-    def mult_matrices(self, support=None):
-        """(left, right): for each basis element i, the matrices of v -> e_i v and v -> v e_i.
+    def mult_rows(self, support=None):
+        """(left, right): for each basis element i, the maps v -> e_i v and v -> v e_i as sparse rows.
 
         Read off ``rows``: a product e_a e_b = sum p_k e_k puts p_k at
-        (k, b) of left[a] and at (k, a) of right[b].  A sorted ``support``
-        compresses every matrix to the span of those basis elements: rows and
-        columns run over ``support``, and only terms with both indices in it count.
+        (k, b) of left[a] and at (k, a) of right[b].  Row k of a map holds
+        its nonzero entries (column, value) in column order, the form of
+        ``FdModule.entries``.  A sorted ``support`` compresses every map to
+        the span of those basis elements: rows and columns run over
+        ``support``, and only terms with both indices in it count.
         """
         index = {k: r for r, k in enumerate(range(self.dim) if support is None else support)}
-        zero, n = self.field.zero(), len(index)
-        left = [[[zero] * n for _ in range(n)] for _ in range(self.dim)]
-        right = [[[zero] * n for _ in range(n)] for _ in range(self.dim)]
+        n = len(index)
+        left = [[[] for _ in range(n)] for _ in range(self.dim)]
+        right = [[[] for _ in range(n)] for _ in range(self.dim)]
         for a, row in enumerate(self.rows):
             for b, terms in row:
                 for k, p in terms:
-                    if k in index and b in index:
-                        left[a][index[k]][index[b]] = p
-                    if k in index and a in index:
-                        right[b][index[k]][index[a]] = p
+                    if k in index:
+                        if b in index:
+                            left[a][index[k]].append((index[b], p))
+                        if a in index:
+                            right[b][index[k]].append((index[a], p))
         return [tuple(map(tuple, m)) for m in left], [tuple(map(tuple, m)) for m in right]
 
     def basis_vector(self, i):

@@ -79,8 +79,9 @@ def validate_cocycle(c: Cocycle):
     """None if normalization and the cocycle identity hold, else a violation.
 
     On success the cocycle is marked ``validated`` so downstream
-    constructors will accept it.  Continuity is vacuous here: the
-    groupoid is discrete.
+    constructors will accept it.  The identity is checked on
+    ``composable_triples``, in its order, so the first failing triple is
+    the witness.  Continuity is vacuous here: the groupoid is discrete.
     """
     g = c.groupoid
     f = c.field
@@ -90,17 +91,14 @@ def validate_cocycle(c: Cocycle):
             return CocycleViolation("unit-normalization", (gamma, g.src[gamma]))
         if c(g.tgt[gamma], gamma) != one:
             return CocycleViolation("unit-normalization", (g.tgt[gamma], gamma))
-    for a, b in g.composable_pairs():
-        ab = g.comp[a][b]
-        w_ab = c(a, b)
-        for d in g.arrows():
-            if g.src[b] != g.tgt[d]:
-                continue
-            bd = g.comp[b][d]
-            lhs = f.mul(w_ab, c(ab, d))
-            rhs = f.mul(c(a, bd), c(b, d))
-            if lhs != rhs:
-                return CocycleViolation("cocycle-identity", (a, b, d))
+    # every pair read below composes, so the values are read without
+    # ``Cocycle.__call__``'s domain check
+    comp, w = g.comp, c.values.get
+    for a, b, d in g.composable_triples():
+        lhs = f.mul(w((a, b), one), w((comp[a][b], d), one))
+        rhs = f.mul(w((a, comp[b][d]), one), w((b, d), one))
+        if lhs != rhs:
+            return CocycleViolation("cocycle-identity", (a, b, d))
     c.validated = True
     return None
 

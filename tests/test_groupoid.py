@@ -4,10 +4,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidalg.errors import MalformedTable, NotAUnit
 from groupoidalg.groupoid import (
     FiniteGroupoid,
+    Violation,
     action_groupoid,
     cyclic_group_table,
     disjoint_union,
@@ -232,3 +235,102 @@ def test_group_table_without_identity_rejected():
 def test_action_must_be_bijective():
     with pytest.raises(MalformedTable):
         action_groupoid(cyclic_group_table(2), [[0, 1], [0, 0]])
+
+
+# -- the per-unit arrow lists against the full scans they replaced -------------
+
+
+def scanned_pairs(g):
+    return [(a, b) for a in g.arrows() for b in g.arrows() if g.src[a] == g.tgt[b]]
+
+
+def scanned_triples(g):
+    return [(a, b, c) for a, b in scanned_pairs(g) for c in g.arrows() if g.src[b] == g.tgt[c]]
+
+
+def scanned_validate(g):
+    """The axiom check as it was before the arrow lists: every pair and
+    triple found by scanning all arrows, composability over all m^2 pairs."""
+    m = g.n_arrows
+    units = set(g.units)
+    for u in g.units:
+        if g.src[u] != u or g.tgt[u] != u:
+            return Violation("unit-fixed-by-src-tgt", (u,))
+        if g.inv[u] != u:
+            return Violation("unit-self-inverse", (u,))
+    for a in range(m):
+        if g.src[a] not in units:
+            return Violation("source-is-unit", (a,))
+        if g.tgt[a] not in units:
+            return Violation("target-is-unit", (a,))
+    for a in range(m):
+        for b in range(m):
+            if (g.comp[a][b] is not None) != (g.src[a] == g.tgt[b]):
+                return Violation("composability", (a, b))
+    for a in range(m):
+        if g.comp[g.tgt[a]][a] != a:
+            return Violation("left-identity", (g.tgt[a], a))
+        if g.comp[a][g.src[a]] != a:
+            return Violation("right-identity", (a, g.src[a]))
+    for a, b in scanned_pairs(g):
+        ab = g.comp[a][b]
+        if g.src[ab] != g.src[b] or g.tgt[ab] != g.tgt[a]:
+            return Violation("product-src-tgt", (a, b))
+    for a in range(m):
+        ai = g.inv[a]
+        if g.inv[ai] != a:
+            return Violation("involution", (a,))
+        if g.src[ai] != g.tgt[a] or g.tgt[ai] != g.src[a]:
+            return Violation("inverse-src-tgt", (a,))
+        if g.comp[a][ai] != g.tgt[a]:
+            return Violation("right-inverse", (a,))
+        if g.comp[ai][a] != g.src[a]:
+            return Violation("left-inverse", (a,))
+    for a, b, c in scanned_triples(g):
+        if g.comp[g.comp[a][b]][c] != g.comp[a][g.comp[b][c]]:
+            return Violation("associativity", (a, b, c))
+    return None
+
+
+def arrow_list_groupoids():
+    z3 = cyclic_group_table(3)
+    return [GROUPOID_MAKERS[name]() for name in sorted(GROUPOID_MAKERS)] + [
+        pair_groupoid(4), action_groupoid(z3, [[0, 1, 2, 3], [1, 2, 0, 3], [2, 0, 1, 3]]),
+        disjoint_union(pair_groupoid(3), group_groupoid(z3))]
+
+
+def test_arrow_lists_match_full_scans():
+    """Pairs, triples, hom-sets, orbits and isotropy groups read off the
+    arrows into each unit equal the scans over every arrow, in order."""
+    for g in arrow_list_groupoids():
+        assert list(g.composable_pairs()) == scanned_pairs(g)
+        assert list(g.composable_triples()) == scanned_triples(g)
+        assert g.into == tuple(tuple(a for a in g.arrows() if g.tgt[a] == u) for u in g.arrows())
+        for x in g.units:
+            assert g.isotropy_group(x) == [a for a in g.arrows() if g.src[a] == g.tgt[a] == x]
+            assert g.orbit(x) == sorted({g.tgt[a] for a in g.arrows() if g.src[a] == x})
+            for y in g.units:
+                assert g.hom_set(y, x) == [a for a in g.arrows()
+                                           if g.src[a] == x and g.tgt[a] == y]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_validate_matches_full_scan_on_corrupted_tables(data):
+    """One or two corrupted table entries (a product defined, undefined or
+    moved; a source, target or inverse moved) give the same first violation
+    and witness as the full scan."""
+    g = data.draw(st.sampled_from(arrow_list_groupoids()))
+    m = g.n_arrows
+    arrow = st.integers(0, m - 1)
+    comp, tables = [list(row) for row in g.comp], {"src": list(g.src), "tgt": list(g.tgt),
+                                                     "inv": list(g.inv)}
+    for _ in range(data.draw(st.integers(1, 2))):
+        kind = data.draw(st.sampled_from(["comp", "src", "tgt", "inv"]))
+        a, b = data.draw(arrow), data.draw(arrow)
+        if kind == "comp":
+            comp[a][b] = data.draw(st.one_of(st.none(), arrow))
+        else:
+            tables[kind][a] = b
+    corrupted = FiniteGroupoid(m, g.units, tables["src"], tables["tgt"], tables["inv"], comp)
+    assert corrupted.validate() == scanned_validate(corrupted)

@@ -449,7 +449,7 @@ def test_cor_12_11_specialization():
 def bimodule_ideals(inclusion):
     """The enumeration ``enumerate_ideals`` replaced: the subspaces invariant
     under every left and right multiplication of B at once."""
-    left, right = inclusion.B.mult_matrices()
+    left, right = inclusion.B.mult_rows()
     return all_invariant_subspaces(left + right, inclusion.m, inclusion.field)
 
 

@@ -26,11 +26,13 @@ from groupoidalg.linalg import (
     QQ,
     QuotientSpace,
     Subspace,
+    dense_rows,
     identity_matrix,
     mat_mul,
     mat_vec,
     operator_matrix,
     right_kernel,
+    sparse_rows,
 )
 from groupoidalg.modrep import (
     FdModule,
@@ -49,6 +51,7 @@ from groupoidalg.twist import Cocycle
 from conftest import (
     battery,
     make_gb,
+    make_v4,
     make_z2,
     oracle_battery,
     quaternion_fixture,
@@ -133,10 +136,15 @@ def test_bimodule_matches_dense_oracle():
             quotient, chosen, operators = dense_bimodule(inc, x)
             assert bim.quotient.section == quotient.section, (name, x)
             assert bim.chosen == chosen, (name, x)
-            ours = (bim.left_action, bim.right_action, bim.mu, bim.nu, bim.pi)
+            d = quotient.dim
+            # the actions are sparse rows: the oracle's nonzero entries, and
+            # their dense view is the oracle itself
+            assert (bim.left_action, bim.right_action) == tuple(
+                [sparse_rows(m) for m in side] for side in operators[:2]), (name, x)
+            ours = ([dense_rows(m, d, f) for m in bim.left_action],
+                    [dense_rows(m, d, f) for m in bim.right_action], bim.mu, bim.nu, bim.pi)
             assert ours == operators, (name, x)
             assert repr(ours) == repr(operators), (name, x)
-            d = quotient.dim
             if f.p is None:
                 mixed = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d))
             else:
@@ -223,7 +231,7 @@ def test_pi_equals_left_multiplication_by_point_indicator():
         inc = Inclusion(g, c)
         for x in g.units:
             bim = imprimitivity_bimodule(inc, x)
-            assert bim.pi == bim.left_action[x], name
+            assert bim.pi == dense_rows(bim.left_action[x], bim.quotient.dim, QQ), name
 
 
 def test_unit_function_scales_normalizer_classes():
@@ -238,7 +246,7 @@ def test_unit_function_scales_normalizer_classes():
                 cls = bim.quotient.project(inc.delta_vector(gamma))
                 target = g.tgt[gamma]
                 for u in g.units:
-                    image = mat_vec(bim.left_action[u], cls, QQ)
+                    image = mat_vec(dense_rows(bim.left_action[u], len(cls), QQ), cls, QQ)
                     if u == target:
                         assert image == cls, name
                     else:
@@ -548,7 +556,7 @@ def test_bimodule_identifies_with_source_fiber_sections():
                         QQ.one() if i == j else QQ.zero()
                         for i in range(bim.quotient.dim)
                     )
-                    lhs = restrict(mat_vec(bim.left_action[gamma], xi, QQ))
+                    lhs = restrict(mat_vec(dense_rows(bim.left_action[gamma], len(xi), QQ), xi, QQ))
                     eta = restrict(xi)
                     model = [QQ.zero()] * len(gx)
                     for col, beta in enumerate(gx):
@@ -570,7 +578,7 @@ def test_bimodule_identifies_with_source_fiber_sections():
                         QQ.one() if i == j else QQ.zero()
                         for i in range(bim.quotient.dim)
                     )
-                    lhs = restrict(mat_vec(bim.right_action[k], xi, QQ))
+                    lhs = restrict(mat_vec(dense_rows(bim.right_action[k], len(xi), QQ), xi, QQ))
                     eta = restrict(xi)
                     model = [QQ.zero()] * len(gx)
                     for col, alpha in enumerate(gx):
@@ -819,9 +827,18 @@ def corrupt_induce(monkeypatch, change):
 
 
 def test_bimodule_law_refuses_a_corrupted_right_action():
+    """On pair2 (one right action) and on V4 at its one unit (four right
+    actions, the last one corrupted): the law is checked for every right action."""
     g = pair_groupoid(2)
     bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), 0)
-    bim.right_action = [bumped(bim.right_action[0], 0, 0, QQ)]
+    bim.right_action = [sparse_rows(bumped(dense_rows(bim.right_action[0], 2, QQ), 0, 0, QQ))]
+    with pytest.raises(TheoremViolation, match=exactly("left and right actions do not commute")):
+        bim._verify()
+    v4 = make_v4()
+    bim = ImprimitivityBimodule(Inclusion(v4, Cocycle.trivial(v4, QQ)), v4.units[0])
+    *first, last = bim.right_action
+    assert len(first) == 3
+    bim.right_action = first + [sparse_rows(bumped(dense_rows(last, 4, QQ), 0, 0, QQ))]
     with pytest.raises(TheoremViolation, match=exactly("left and right actions do not commute")):
         bim._verify()
 
@@ -913,3 +930,23 @@ def test_submodule_transfer_refuses_a_non_invariant_subspace():
     with pytest.raises(ValueError,
                        match=exactly("subspace is not invariant under the induced action")):
         submodule_transfer(inc, ind, Z)
+
+
+def test_bimodule_computes_each_partial_inverse_once(monkeypatch):
+    """n_y* is computed once per orbit point, in the constructor; reading
+    isotropy classes (free coordinates, induction) computes none again."""
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return partial_inverse(n)
+
+    monkeypatch.setattr(induction, "partial_inverse", counted)
+    g = pair_groupoid(3)
+    inc = Inclusion(g, Cocycle.trivial(g, QQ))
+    bim = imprimitivity_bimodule(inc, 0)
+    assert len(calls) == len(bim.orbit) == 3
+    for xi in identity_matrix(bim.quotient.dim, QQ):
+        bim.free_coordinates(xi)
+    induce(inc, 0, regular_module(bim.data.presentation))
+    assert len(calls) == 3

@@ -408,14 +408,16 @@ def quotient_inputs(draw, field):
     return N, K, T, inside + draw(st.lists(vector, max_size=3))
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), GF3, GF7], ids=["Q", "GF2", "GF3", "GF7"])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF3, GF7, GF(101)],
+                         ids=["Q", "GF2", "GF3", "GF7", "GF101"])
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_pivot_reads_agree_with_elimination(field, data):
     """The quotient section read off the numerator's rows agrees with the
     eliminated one, the kernel not lying in the numerator raises
-    ``ContainmentError`` in both, and the intersection read off the
-    Zassenhaus rows equals the re-spanned one."""
+    ``ContainmentError`` in both, the intersection read off the
+    Zassenhaus rows equals the re-spanned one, and the join built by
+    inserting one basis into the other equals the span of both bases."""
     N, K, T, vectors = data.draw(quotient_inputs(field))
     assert_quotient_matches_elimination(quotient(N, K), vectors)
     if N.contains_subspace(T):
@@ -430,12 +432,16 @@ def test_pivot_reads_agree_with_elimination(field, data):
         assert repr(inter.basis) == repr(expected.basis)
         assert inter.pivots == expected.pivots
         assert inter == intersection_oracle(S, R)
+        joined, spanned = S.add(R), span(S.basis + R.basis, S.ambient_dim, field)
+        assert repr(joined.basis) == repr(spanned.basis)
+        assert joined.pivots == spanned.pivots
 
 
 def test_quotients_and_intersections_count_their_eliminations(monkeypatch):
     """A quotient of the full space makes no ``rref`` call (its section is
-    the full space's rows off the kernel's pivots), and an intersection
-    makes one (the Zassenhaus block)."""
+    the full space's rows off the kernel's pivots), an intersection makes
+    one (the Zassenhaus block), and a join makes none (the other space's
+    rows are inserted into a copy of the RREF rows held)."""
     from groupoidalg import linalg
 
     calls = []
@@ -452,6 +458,9 @@ def test_quotients_and_intersections_count_their_eliminations(monkeypatch):
     assert calls == [] and q.dim == 2
     inter = S.intersect(T)
     assert calls == [6] and inter.dim == 1
+    joined = S.add(T)
+    assert calls == [6] and joined == Subspace.full(5, QQ)
+    assert S.add(inter) == S and calls == [6]
 
 
 def test_layer_quotients_agree_with_elimination(monkeypatch):
@@ -781,3 +790,53 @@ def test_composites_and_small_values_are_not_prime(p):
 def test_values_from_two_to_the_64_are_refused(p):
     with pytest.raises(ValueError, match="2\\*\\*64"):
         GF(p)
+
+
+# dense reads of module actions allowed in the package, by (file, function):
+# these apply dense matrices that are not module actions, E(y, x) and nu
+DENSE_READS_ALLOWED = {
+    ("isotropy.py", "Inclusion.isotropy_projection"),
+    ("isotropy.py", "Inclusion.projection"),
+    ("induction.py", "ImprimitivityBimodule.nu_of"),
+}
+DENSE_ACTION_ATTRIBUTES = {"matrices", "mult_matrices", "action_of"}
+
+
+def dense_action_reads(source):
+    """(function, line, text) of every dense read of a module action: an
+    attribute ``matrices``, ``mult_matrices`` or ``action_of``, and every
+    ``mat_vec`` call.  ``function`` is the enclosing Class.function (or ""
+    at module level)."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if ((isinstance(node, ast.Attribute) and node.attr in DENSE_ACTION_ATTRIBUTES)
+                or (isinstance(node, ast.Call) and ast.unparse(node.func) == "mat_vec")):
+            found.append((scope, node.lineno, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_module_actions_are_read_only_as_sparse_rows():
+    """No function of the package reads a module action densely: the dense
+    views ``FdModule.matrices`` and ``FdModule.action_of`` are for oracles,
+    ``AlgebraPresentation.mult_matrices`` is gone, and ``mat_vec`` applies
+    only the projections in ``DENSE_READS_ALLOWED``."""
+    package = Path(groupoidalg.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        offenders += [(path.name, scope, line, text)
+                      for scope, line, text in dense_action_reads(path.read_text(encoding="utf-8"))
+                      if (path.name, scope) not in DENSE_READS_ALLOWED]
+    assert offenders == []
+    # the guard sees the dense reads this package made before
+    parent = ("class B:\n    def f(self, V, x, f):\n        acts = V.matrices\n"
+              "        left, right = self.B.mult_matrices()\n"
+              "        return mat_vec(left[x], V.action_of(x)[0], f)\n")
+    assert [(scope, line) for scope, line, _ in dense_action_reads(parent)] == [
+        ("B.f", 3), ("B.f", 4), ("B.f", 5), ("B.f", 5)]

@@ -3,6 +3,7 @@ restrictions, and germ spaces."""
 
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from groupoidalg.errors import BudgetExceeded, TrivialModuleError
 from groupoidalg.groupoid import pair_groupoid
 from groupoidalg.induction import induce
 from groupoidalg.isotropy import Inclusion
-from groupoidalg.linalg import GF, QQ, Subspace, identity_matrix, mat_mul, rref
+from groupoidalg.linalg import GF, QQ, Subspace, identity_matrix, mat_mul, rref, sparse_rows
 from groupoidalg.ideals import left_ideals
 from groupoidalg.modrep import (
     ENUMERATION_BUDGET,
@@ -88,14 +89,17 @@ def test_column_module_checks():
 
 def test_gfp_entries_are_reduced_into_the_field():
     """The regular module of pair(2) over GF(3) with its zeros stored as 3
-    is the regular module; over Q the entries are kept as given."""
+    is the regular module; over Q the entries held are kept as given, and
+    the zeros of the dense view are the field's zero."""
     g = pair_groupoid(2)
     reg = regular_module(presentation_of_B(g, Cocycle.trivial(g, GF3)))
     threes = FdModule(reg.algebra, [[[a or 3 for a in r] for r in m] for m in reg.matrices])
-    assert threes.matrices == reg.matrices
+    assert threes.matrices == reg.matrices and threes.entries == reg.entries
     assert check_module(threes) is None
     rational = FdModule(presentation_of_B(g, Cocycle.trivial(g, QQ)), threes.matrices)
-    assert all(type(a) is int for m in rational.matrices for r in m for a in r)
+    assert all(type(a) is int for m in rational.entries for r in m for _, a in r)
+    assert all(type(a) is int if a else repr(a) == repr(QQ.zero())
+               for m in rational.matrices for r in m for a in r)
 
 
 def test_transposed_action_detected():
@@ -480,8 +484,8 @@ def test_intertwines_is_one_sided():
     """T a1 = a2 T does not give T a2 = a1 T: the two action lists keep
     their sides."""
     T = ((1, 1), (0, 1))
-    a1 = ((1, 0), (0, 0))
-    a2 = ((1, 2), (0, 0))  # T a1 T^-1 over GF(3)
+    a1 = sparse_rows(((1, 0), (0, 0)))
+    a2 = sparse_rows(((1, 2), (0, 0)))  # T a1 T^-1 over GF(3)
     assert intertwines(T, [a1], [a2], GF3)
     assert not intertwines(T, [a2], [a1], GF3)
     assert intertwines(identity_matrix(2, GF3), [a1, a2], [a1, a2], GF3)
@@ -494,10 +498,10 @@ def test_intertwines_between_carriers_of_different_dimension():
     g = make_z2()
     inc = Inclusion(g, Cocycle.trivial(g, QQ))
     reg = regular_module(inc.B)
-    one, minus = ((QQ.one(),),), ((QQ.of(-1),),)
+    one, minus = sparse_rows(((QQ.one(),),)), sparse_rows(((QQ.of(-1),),))
     diagonal = ((QQ.one(),), (QQ.one(),))
-    assert intertwines(diagonal, [one, one], reg.matrices, QQ)
-    assert not intertwines(diagonal, [one, minus], reg.matrices, QQ)
+    assert intertwines(diagonal, [one, one], reg.entries, QQ)
+    assert not intertwines(diagonal, [one, minus], reg.entries, QQ)
 
 
 def test_intertwines_checks_every_pair():
@@ -506,14 +510,14 @@ def test_intertwines_checks_every_pair():
         inc = Inclusion(g, c)
         reg = regular_module(inc.B)
         d = reg.dim
-        assert intertwines(identity_matrix(d, GF3), reg.matrices, reg.matrices, GF3), name
+        assert intertwines(identity_matrix(d, GF3), reg.entries, reg.entries, GF3), name
         last = reg.matrices[-1]
-        broken = reg.matrices[:-1] + (tuple(
+        broken = reg.entries[:-1] + (sparse_rows(
             tuple(GF3.add(a, 1) if (r, col) == (0, 0) else a for col, a in enumerate(row))
             for r, row in enumerate(last)),)
-        assert not intertwines(identity_matrix(d, GF3), reg.matrices, broken, GF3), name
+        assert not intertwines(identity_matrix(d, GF3), reg.entries, broken, GF3), name
         with pytest.raises(ValueError):
-            intertwines(identity_matrix(d, GF3), reg.matrices, reg.matrices[:-1], GF3)
+            intertwines(identity_matrix(d, GF3), reg.entries, reg.entries[:-1], GF3)
 
 
 # -- sparse action and validation against the dense oracles --------------------
@@ -645,6 +649,11 @@ def dense_intertwines(T, acts1, acts2, field):
                for a1, a2 in zip(acts1, acts2, strict=True))
 
 
+def sparse_intertwines(T, acts1, acts2, field):
+    """``intertwines`` on dense action matrices, passed as their sparse rows."""
+    return intertwines(T, [sparse_rows(a) for a in acts1], [sparse_rows(a) for a in acts2], field)
+
+
 def bumped(matrix, rng, field):
     """The matrix with a random nonzero scalar added at one random entry."""
     rows = [list(row) for row in matrix]
@@ -678,13 +687,13 @@ def test_sparse_intertwines_matches_dense_oracle():
         image = tuple(mat_mul(mat_mul(p, m, f), p_inv, f) for m in mod.matrices)
         for T, acts1, acts2 in [(identity_matrix(d, f), mod.matrices, mod.matrices),
                                 (p, mod.matrices, image)]:
-            assert intertwines(T, acts1, acts2, f), label
+            assert sparse_intertwines(T, acts1, acts2, f), label
             assert dense_intertwines(T, acts1, acts2, f), label
             i = rng.randrange(len(acts2))
             broken = acts2[:i] + (bumped(acts2[i], rng, f),) + acts2[i + 1:]
             for case in [(bumped(T, rng, f), acts1, acts2), (T, acts1, broken)]:
                 expected = dense_intertwines(*case, f)
-                assert intertwines(*case, f) == expected, label
+                assert sparse_intertwines(*case, f) == expected, label
                 refuted += not expected
     assert fields == {QQ, GF(2), GF(3), GF(7), GF(101)}
     assert refuted > 100
@@ -703,10 +712,10 @@ def test_intertwines_on_empty_carriers_and_lists():
                                 (into, zero.matrices, reg.matrices),
                                 ((), reg.matrices, zero.matrices),
                                 (identity_matrix(reg.dim, f), [], [])]:
-            assert intertwines(T, acts1, acts2, f)
+            assert sparse_intertwines(T, acts1, acts2, f)
             assert dense_intertwines(T, acts1, acts2, f)
         one = identity_matrix(reg.dim, f)
-        for check in (intertwines, dense_intertwines):
+        for check in (sparse_intertwines, dense_intertwines):
             with pytest.raises(ValueError):
                 check(one, reg.matrices, reg.matrices[:-1], f)
             # the first pair fails, so the lists are never found unpaired
@@ -787,12 +796,13 @@ def test_memoised_closures_match_per_seed_scan(p, data):
     ``is_irreducible`` equal those of the per-seed scan and all-pairs join."""
     dim, matrices = data.draw(matrix_sets(p))
     field = GF(p)
-    oracle = per_seed_closures(matrices, dim, field)
-    got = list(_cyclic_closures(matrices, dim, field))
+    actions = [sparse_rows(m) for m in matrices]
+    oracle = per_seed_closures(actions, dim, field)
+    got = list(_cyclic_closures(actions, dim, field))
     assert [(seed, w.basis, w.pivots) for seed, w in got] == [
         (seed, w.basis, w.pivots) for seed, w in oracle]
-    assert all_invariant_subspaces(matrices, dim, field) == all_pairs_lattice(
-        matrices, dim, field)
+    assert all_invariant_subspaces(actions, dim, field) == all_pairs_lattice(
+        actions, dim, field)
     if dim > 1 and matrices:
         null_algebra = AlgebraPresentation(field, range(len(matrices)), {})
         verdict = is_irreducible(FdModule(null_algebra, matrices))
@@ -818,7 +828,7 @@ def test_two_sided_ideal_test_matches_multiply_oracle():
     for name, g, c in twisted_battery():
         B = presentation_of_B(g, c)
         f, m = B.field, B.dim
-        left, right = B.mult_matrices()
+        left, right = B.mult_rows()
         vectors = [B.basis_vector(i) for i in range(m)] + [
             tuple(f.of(rng.randint(-2, 2)) for _ in range(m)) for _ in range(3)]
         candidates = [Subspace.zero(m, f), Subspace.full(m, f)]
@@ -831,3 +841,105 @@ def test_two_sided_ideal_test_matches_multiply_oracle():
             assert is_two_sided_ideal(B, S) == expected, name
             seen[expected] += 1
     assert min(seen.values()) > 0
+
+
+# -- sparse rows are all a module holds ------------------------------------------
+
+FIVE_FIELDS = [QQ, GF2, GF3, GF(7), GF(101)]
+FIVE_IDS = ["Q", "GF2", "GF3", "GF7", "GF101"]
+
+
+@st.composite
+def dense_actions(draw, field):
+    """(algebra, dense matrices): 0-3 matrices over an algebra with zero
+    products, each d x d for one d in 0..4, zeros being ``field.zero()``.
+    Over Q a nonzero entry is an int or a `Fraction`; over GF(p) an entry is
+    drawn from [0, 3p), so zeros also come as p and 2p."""
+    d, n = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    if field.p is None:
+        nonzero = st.one_of(st.integers(-3, 3).filter(bool),
+                            st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(2, 3)))
+        entry = st.one_of(st.just(field.zero()), nonzero)
+    else:
+        entry = st.integers(0, 3 * field.p - 1)
+    matrices = [tuple(tuple(draw(entry) for _ in range(d)) for _ in range(d)) for _ in range(n)]
+    return AlgebraPresentation(field, range(n), {}), matrices
+
+
+def stored_matrices(field, matrices):
+    """The dense matrices as the constructor kept them before it held sparse
+    rows: reduced into [0, p) over GF(p), kept as given over Q."""
+    p = field.p
+    return tuple(tuple(tuple(r) if p is None else tuple(a % p for a in r) for r in m)
+                 for m in matrices)
+
+
+@pytest.mark.parametrize("field", FIVE_FIELDS, ids=FIVE_IDS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_dense_and_sparse_constructions_agree(field, data):
+    """A module built from dense matrices and one built from their sparse
+    rows hold equal entries, of the same types, and have byte-identical
+    dense views, equal to the matrices the dense constructor used to keep."""
+    algebra, matrices = data.draw(dense_actions(field))
+    dense = FdModule(algebra, matrices)
+    # over GF(p) the rows may hold unreduced values: only those that are 0 mod p are left out
+    p = field.p
+    rows = [tuple(tuple((c, a) for c, a in enumerate(r) if a and (p is None or a % p)) for r in m)
+            for m in matrices]
+    sparse = FdModule.from_entries(algebra, rows)
+    assert dense.entries == sparse.entries
+    assert repr(dense.entries) == repr(sparse.entries)
+    assert dense.dim == sparse.dim == (len(matrices[0]) if matrices else 0)
+    assert repr(dense.matrices) == repr(sparse.matrices) == repr(stored_matrices(field, matrices))
+    assert dense.entries == tuple(sparse_rows(m) for m in stored_matrices(field, matrices))
+
+
+@pytest.mark.parametrize("field", FIVE_FIELDS, ids=FIVE_IDS)
+def test_malformed_rows_raise(field):
+    """``from_entries`` refuses a column out of range or out of order, a
+    stored zero, a matrix with the wrong number of rows and the wrong number
+    of matrices; the dense constructor refuses the last and non-square ones."""
+    algebra = AlgebraPresentation(field, ["a", "b"], {})
+    one, zero = field.one(), field.zero()
+    good = (((0, one),), ((0, one), (1, one)))
+    FdModule.from_entries(algebra, [good, good])
+    stored_zeros = [zero] if field.p is None else [zero, field.p, 2 * field.p]
+    bad_rows = [
+        ("^column 2 out of order or out of range in dim 2$", ((2, one),)),
+        ("^column -1 out of order or out of range in dim 2$", ((-1, one),)),
+        ("^column 0 out of order or out of range in dim 2$", ((1, one), (0, one))),
+        ("^column 1 out of order or out of range in dim 2$", ((1, one), (1, one))),
+    ] + [("^stored zero at column 1$", ((0, one), (1, z))) for z in stored_zeros]
+    for message, row in bad_rows:
+        with pytest.raises(ValueError, match=message):
+            FdModule.from_entries(algebra, [good, (good[0], row)])
+    with pytest.raises(ValueError, match="^action matrices must be square of equal size$"):
+        FdModule.from_entries(algebra, [good, good + ((),)])
+    for count in (1, 3):
+        with pytest.raises(ValueError,
+                           match="^need one action matrix per algebra basis element$"):
+            FdModule.from_entries(algebra, [good] * count)
+        with pytest.raises(ValueError,
+                           match="^need one action matrix per algebra basis element$"):
+            FdModule(algebra, [identity_matrix(2, field)] * count)
+    with pytest.raises(ValueError, match="^action matrices must be square of equal size$"):
+        FdModule(algebra, [identity_matrix(2, field), ((one, zero),)])
+
+
+def test_regular_module_of_pair20_over_gf2_stays_sparse():
+    """The regular module of M_20 over GF(2) (dim 400) holds its 20^3
+    nonzero entries, not 400^3 dense ones, and builds and passes
+    ``check_module`` with a tracemalloc peak under 200 MB."""
+    g = pair_groupoid(20)
+    B = presentation_of_B(g, Cocycle.trivial(g, GF2))
+    tracemalloc.start()
+    try:
+        reg = regular_module(B)
+        violation = check_module(reg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reg.dim == 400 and violation is None
+    assert sum(len(row) for act in reg.entries for row in act) == 20**3
+    assert peak < 200 * 2**20

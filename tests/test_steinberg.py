@@ -9,7 +9,15 @@ import pytest
 
 from groupoidalg.errors import BisectionRequired
 from groupoidalg.groupoid import group_groupoid, pair_groupoid
-from groupoidalg.linalg import GF, QQ, identity_matrix, operator_matrix, right_kernel
+from groupoidalg.linalg import (
+    GF,
+    QQ,
+    dense_rows,
+    identity_matrix,
+    operator_matrix,
+    right_kernel,
+    sparse_rows,
+)
 from groupoidalg.isotropy import Inclusion
 from groupoidalg.steinberg import (
     AlgebraElement,
@@ -506,15 +514,20 @@ def random_presentations(rng):
 
 
 def test_mult_matrices_match_dense_oracle():
+    """``mult_rows`` holds exactly the nonzero entries of the dense
+    multiplication matrices, and its dense view is the oracle, type for type."""
     cases = [(label, pres) for label, pres, _ in presentation_cases()]
     for label, pres in cases + random_presentations(random.Random(11)):
         oracle = (dense_mult_matrices(pres), dense_mult_matrices(pres, right=True))
-        assert pres.mult_matrices() == oracle, label
-        assert repr(pres.mult_matrices()) == repr(oracle), label
+        rows = pres.mult_rows()
+        assert rows == tuple([sparse_rows(m) for m in side] for side in oracle), label
+        dense = tuple([dense_rows(m, pres.dim, pres.field) for m in side] for side in rows)
+        assert dense == oracle, label
+        assert repr(dense) == repr(oracle), label
 
 
 def test_compressed_mult_matrices_restrict_the_full_ones():
-    """mult_matrices(support) is the submatrix of every full matrix on the
+    """mult_rows(support) is the submatrix of every full matrix on the
     rows and columns in ``support``: on B over the twisted battery (at the
     arrows out of each unit, and at random supports) and on random
     multi-term presentations."""
@@ -528,15 +541,15 @@ def test_compressed_mult_matrices_restrict_the_full_ones():
         cases.append((label, pres, [list(range(pres.dim))]))
     assert len(cases) == len(twisted_battery()) + 8
     for label, pres, supports in cases:
-        full = pres.mult_matrices()
+        full = [[dense_rows(m, pres.dim, pres.field) for m in side] for side in pres.mult_rows()]
         for _ in range(3):
             supports.append(sorted(rng.sample(range(pres.dim), rng.randint(0, pres.dim))))
         for support in supports:
             expected = tuple(
-                [tuple(tuple(m[k][b] for b in support) for k in support) for m in side]
+                [sparse_rows(tuple(m[k][b] for b in support) for k in support) for m in side]
                 for side in full
             )
-            compressed = pres.mult_matrices(support)
+            compressed = pres.mult_rows(support)
             assert compressed == expected, (label, support)
             assert repr(compressed) == repr(expected), (label, support)
 

@@ -4,11 +4,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidalg.errors import CocycleDomainError, NoPartialInverse, ZeroCocycleValue
 from groupoidalg.linalg import GF, QQ
 from groupoidalg.twist import (
     Cocycle,
+    CocycleViolation,
     bundle_inverse_coefficient,
     coboundary,
     restrict_to_isotropy,
@@ -16,7 +19,7 @@ from groupoidalg.twist import (
     validate_group_cocycle,
 )
 
-from conftest import battery, quaternion_fixture
+from conftest import GROUPOID_MAKERS, battery, quaternion_fixture, twisted_battery
 
 GF5 = GF(5)
 
@@ -191,3 +194,69 @@ def test_unvalidated_cocycle_refused_downstream(pair2):
     raw = Cocycle(pair2, QQ, {})
     with pytest.raises(ValueError):
         delta(pair2, raw, 0)
+
+
+# -- the walk over composable triples against the dense scan it replaced --------
+
+
+def scanned_validate_cocycle(c):
+    """The check as it was: every pair (a, b) times every arrow d, each value
+    read through ``Cocycle.__call__``; the witness is the first failure."""
+    g, f = c.groupoid, c.field
+    one = f.one()
+    for gamma in g.arrows():
+        if c(gamma, g.src[gamma]) != one:
+            return CocycleViolation("unit-normalization", (gamma, g.src[gamma]))
+        if c(g.tgt[gamma], gamma) != one:
+            return CocycleViolation("unit-normalization", (g.tgt[gamma], gamma))
+    for a in g.arrows():
+        for b in g.arrows():
+            if g.src[a] != g.tgt[b]:
+                continue
+            for d in g.arrows():
+                if g.src[b] != g.tgt[d]:
+                    continue
+                lhs = f.mul(c(a, b), c(g.comp[a][b], d))
+                rhs = f.mul(c(a, g.comp[b][d]), c(b, d))
+                if lhs != rhs:
+                    return CocycleViolation("cocycle-identity", (a, b, d))
+    return None
+
+
+def test_validate_cocycle_matches_dense_scan_on_single_mutations():
+    """Every twisted battery cocycle, and every copy with one value changed
+    (to 2 over Q, to 2 or 6 over GF(7)), gets the same verdict and witness."""
+    seen = set()
+    for name, g, c in twisted_battery():
+        assert validate_cocycle(c) is None and scanned_validate_cocycle(c) is None, name
+        for pair in g.composable_pairs():
+            for value in (2, 6):
+                mutated = c.mutated(pair, value)
+                expected = scanned_validate_cocycle(mutated)
+                assert validate_cocycle(mutated) == expected, (name, pair, value)
+                assert mutated.validated is (expected is None), (name, pair)
+                seen.add(None if expected is None else expected.condition)
+    assert seen == {None, "unit-normalization", "cocycle-identity"}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)],
+                         ids=["Q", "GF2", "GF3", "GF7", "GF101"])
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_validate_cocycle_matches_dense_scan_on_random_mutations(field, data):
+    """A random coboundary (or the trivial cocycle) on a battery groupoid,
+    with up to three values changed, gets the same verdict and witness."""
+    names = sorted(GROUPOID_MAKERS)
+    g = GROUPOID_MAKERS[data.draw(st.sampled_from(names))]()
+    nonzero = st.integers(1, 3) if field.p is None else st.integers(1, field.p - 1)
+    if data.draw(st.booleans()):
+        b = [1 if g.is_unit(a) else data.draw(nonzero) for a in g.arrows()]
+        c = coboundary(g, field, b)
+    else:
+        c = Cocycle.trivial(g, field)
+    pairs = list(g.composable_pairs())
+    for _ in range(data.draw(st.integers(0, 3))):
+        c = c.mutated(data.draw(st.sampled_from(pairs)), data.draw(nonzero))
+    expected = scanned_validate_cocycle(c)
+    assert validate_cocycle(c) == expected
+    assert c.validated is (expected is None)
