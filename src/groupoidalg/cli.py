@@ -29,6 +29,7 @@ import sys
 from .errors import GroupoidAlgError, ProblemFileError, TheoremViolation
 from .groupoid import FiniteGroupoid
 from .ideals import (
+    GermDecomposition,
     effros_hahn_check,
     enumerate_ideals,
     germ_annihilator_decomposition,
@@ -518,9 +519,12 @@ def _ideal_enumeration_allowed(inclusion: Inclusion, report: Report) -> bool:
     return False
 
 
-def _report_thm_12_14(inclusion: Inclusion, report: Report, list_ideals: bool):
+def _report_thm_12_14(inclusion: Inclusion, report: Report, list_ideals: bool,
+                      regular: GermDecomposition | None = None):
     """Theorem 12.14 on every proper ideal (i) and every primitive ideal (ii):
-    one ``effros_hahn_check`` per proper ideal, with a witness if primitive."""
+    one ``effros_hahn_check`` per proper ideal, with a witness if primitive.
+    ``regular``, the decomposition of the regular module when the caller
+    holds it, serves the zero ideal, whose B/0 is that module."""
     lattice = left_ideals(inclusion)
     proper = [i for i in enumerate_ideals(inclusion, lattice) if i.dim < inclusion.m]
     witnesses = {ideal.basis: witness for ideal, witness in primitive_ideals(inclusion, lattice)}
@@ -528,7 +532,8 @@ def _report_thm_12_14(inclusion: Inclusion, report: Report, list_ideals: bool):
         raise TheoremViolation("a primitive ideal is missing from the proper ideals")
     ok_i = ok_ii = True
     for i, ideal in enumerate(proper):
-        check = effros_hahn_check(inclusion, ideal, witnesses.get(ideal.basis))
+        held = {"decomposition": regular} if regular is not None and ideal.dim == 0 else {}
+        check = effros_hahn_check(inclusion, ideal, witnesses.get(ideal.basis), **held)
         ok_i = check.ok and ok_i
         if ideal.basis in witnesses:
             ok_ii = check.primitive_single_unit is not None and ok_ii
@@ -666,7 +671,7 @@ def _verify_ideal_suite(problem, inclusion, report: Report):
     dec = germ_annihilator_decomposition(inclusion, reg)
     report.check("prop_12_12", dec.ok)
     if _ideal_enumeration_allowed(inclusion, report):
-        _report_thm_12_14(inclusion, report, list_ideals=False)
+        _report_thm_12_14(inclusion, report, list_ideals=False, regular=dec)
 
 
 VERIFY_SUITES = ("all", "inclusion", "bimodule", "roundtrip", "ideals")

@@ -208,21 +208,25 @@ class EffrosHahnReport:
         return self.decomposed
 
 
-def effros_hahn_check(inclusion: Inclusion, I: Subspace, witness: FdModule | None = None) -> EffrosHahnReport:
+def effros_hahn_check(inclusion: Inclusion, I: Subspace, witness: FdModule | None = None,
+                      decomposition: GermDecomposition | None = None) -> EffrosHahnReport:
     """Express an ideal as an intersection of induced ideals.
 
     Builds V = B/I, decomposes Ann(V) = I through the germ spaces; when a
     witness irreducible module with annihilator I is supplied, also finds
     a single unit x with I equal to the ideal induced from the
-    annihilator of the witness's germ space at x.
+    annihilator of the witness's germ space at x.  A caller that holds
+    the decomposition of B/I already (for I = 0, that of the regular
+    module) passes it as ``decomposition``, and B/I is not built again.
     """
     if not is_two_sided_ideal(inclusion.B, I):
         raise ValueError("not a two-sided ideal")
     if I.dim == inclusion.m:
         raise ValueError("the improper ideal has no decomposition report")
-    reg = regular_module(inclusion.B)
-    V, _ = quotient_module(reg, I, name="B/I")
-    decomposition = germ_annihilator_decomposition(inclusion, V)
+    if decomposition is None:
+        reg = regular_module(inclusion.B)
+        V, _ = quotient_module(reg, I, name="B/I")
+        decomposition = germ_annihilator_decomposition(inclusion, V)
     if decomposition.annihilator != I:
         raise TheoremViolation("Ann(B/I) differs from I")
     single = None

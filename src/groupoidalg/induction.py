@@ -12,7 +12,10 @@ unital left B(x, x)-module V to Ind_x V = M_x (x) V over B(x, x), carried
 by one copy of V per orbit point (zeta_y (x) V): a basis arrow gamma: y -> z
 sends the block of y to the block of z through V's action of the
 isotropy class nu(n_z* . gamma . zeta_y), the one way the bimodule gives
-the B(x, x)-coordinates of a class.
+the B(x, x)-coordinates of a class.  The inclusion keeps each bimodule
+under x and each induced module under (x, V), V keyed by identity, so
+the roundtrip certificate of a module just induced reuses the module
+already built and checked.
 
 The constructors verify the structural facts they rely on (injectivity
 and linearity of the standard inclusion, the three-case projection
@@ -210,7 +213,16 @@ def induce(inclusion: Inclusion, x: int, V: FdModule) -> InducedModule:
     gamma . zeta_y at z; block (z, y) of its matrix is V's action of h, so
     the rows of block z are V's sparse rows of h shifted to the columns of
     block y, and every other row is empty.
+
+    The result is kept on the inclusion, next to its bimodules, under the
+    key (x, V): V by identity (``FdModule`` defines no ``__eq__``, and its
+    rows are fixed at construction), so a later call on the same module
+    returns the module already built and checked, and a distinct V with
+    equal entries is induced afresh.  A call that raises keeps nothing.
     """
+    key = (x, V)
+    if key in inclusion._induced:
+        return inclusion._induced[key]
     bim = imprimitivity_bimodule(inclusion, x)
     data = bim.data
     if V.algebra.rows != data.presentation.rows:
@@ -239,7 +251,8 @@ def induce(inclusion: Inclusion, x: int, V: FdModule) -> InducedModule:
     violation = check_module(module)
     if violation is not None:
         raise TheoremViolation(f"induced module failed validation: {violation}")
-    return InducedModule(x, orbit, V, module, block_index)
+    inclusion._induced[key] = InducedModule(x, orbit, V, module, block_index)
+    return inclusion._induced[key]
 
 
 # ---------------------------------------------------------------------------

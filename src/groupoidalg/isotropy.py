@@ -96,9 +96,10 @@ class Inclusion:
     """Shared context for one groupoid, twist and coefficient field.
 
     Holds the presentation of B and caches per-pair isotropy data (whose
-    quotient section is the matrix of E(y, x)) and isotropy identifications;
-    every downstream construction (bimodules, induction, induced ideals)
-    runs through it.
+    quotient section is the matrix of E(y, x)), isotropy identifications,
+    and the bimodules and induced modules of ``induction``; every
+    downstream construction (bimodules, induction, induced ideals) runs
+    through it.
     Ideals of A, and every space built from a pair of them, are sets of
     arrows read off ``B.rows``; they are handed out as ``Subspace`` delta
     spans, whose pivots are those arrows.
@@ -115,6 +116,7 @@ class Inclusion:
         self._data = {}
         self._iso_cache = {}
         self._bimodules = {}
+        self._induced = {}
 
     # -- elementary vectors and subspaces -------------------------------------
 

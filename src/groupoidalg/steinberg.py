@@ -319,12 +319,29 @@ class AlgebraPresentation:
     def check_associativity(self):
         """None, or the first basis triple where (ij)k != i(jk).
 
-        For each (i, j) only the k where one side has a nonzero term are
-        compared; at every other k both sides are zero.
+        Only the triples where one side can have a nonzero term are
+        compared; at every other triple both sides are zero.  (ij)k has
+        one only when j is in row i and k in row l for an l of ij, and
+        i(jk) only when k is in row j and l is in row i for an l of jk; the
+        second kind is reached through ``left``, the i whose row holds l.
+        The triples are compared in (i, j, k) order, so the first failure
+        is the witness, for any structure constants.
         """
         f = self.field
         zero = f.zero()
         index = [dict(row) for row in self.rows]
+        left = [[] for _ in range(self.dim)]
+        for i, row in enumerate(self.rows):
+            for l, _ in row:
+                left[l].append(i)
+
+        triples = set()
+        for i, row in enumerate(self.rows):
+            for j, ij in row:
+                triples.update((i, j, k) for l, _ in ij for k in index[l])
+        for j, row in enumerate(self.rows):
+            for k, jk in row:
+                triples.update((i, j, k) for l, _ in jk for i in left[l])
 
         def accumulate(pairs):
             out = {}
@@ -333,17 +350,11 @@ class AlgebraPresentation:
                     out[k] = f.add(out.get(k, zero), f.mul(c, pk))
             return {k: c for k, c in out.items() if c != 0}
 
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = index[i].get(j, ())
-                candidates = set(index[j]).union(*(index[l] for l, _ in ij))
-                for k in sorted(candidates):
-                    lhs = accumulate((c, index[l].get(k, ())) for l, c in ij)
-                    rhs = accumulate(
-                        (c, index[i].get(l, ())) for l, c in index[j].get(k, ())
-                    )
-                    if lhs != rhs:
-                        return (i, j, k)
+        for i, j, k in sorted(triples):
+            lhs = accumulate((c, index[l].get(k, ())) for l, c in index[i].get(j, ()))
+            rhs = accumulate((c, index[i].get(l, ())) for l, c in index[j].get(k, ()))
+            if lhs != rhs:
+                return (i, j, k)
         return None
 
     def check_unit(self) -> bool:

@@ -81,7 +81,12 @@ def validate_cocycle(c: Cocycle):
     On success the cocycle is marked ``validated`` so downstream
     constructors will accept it.  The identity is checked on
     ``composable_triples``, in its order, so the first failing triple is
-    the witness.  Continuity is vacuous here: the groupoid is discrete.
+    the witness.  Both sides are compared in ints, with no ``Field`` or
+    `Fraction` arithmetic: over GF(p) each side is one product and one
+    ``% p``; over Q the values are reduced `Fraction`s with positive
+    denominators, so n1/d1 * n2/d2 = n3/d3 * n4/d4 exactly when
+    n1 n2 d3 d4 = n3 n4 d1 d2.  Continuity is vacuous here: the groupoid
+    is discrete.
     """
     g = c.groupoid
     f = c.field
@@ -93,12 +98,19 @@ def validate_cocycle(c: Cocycle):
             return CocycleViolation("unit-normalization", (g.tgt[gamma], gamma))
     # every pair read below composes, so the values are read without
     # ``Cocycle.__call__``'s domain check
-    comp, w = g.comp, c.values.get
-    for a, b, d in g.composable_triples():
-        lhs = f.mul(w((a, b), one), w((comp[a][b], d), one))
-        rhs = f.mul(w((a, comp[b][d]), one), w((b, d), one))
-        if lhs != rhs:
-            return CocycleViolation("cocycle-identity", (a, b, d))
+    comp, p = g.comp, f.p
+    if p is None:
+        w = {pair: (v.numerator, v.denominator) for pair, v in c.values.items()}.get
+        for a, b, d in g.composable_triples():
+            (n1, d1), (n2, d2) = w((a, b), (1, 1)), w((comp[a][b], d), (1, 1))
+            (n3, d3), (n4, d4) = w((a, comp[b][d]), (1, 1)), w((b, d), (1, 1))
+            if n1 * n2 * d3 * d4 != n3 * n4 * d1 * d2:
+                return CocycleViolation("cocycle-identity", (a, b, d))
+    else:
+        w = c.values.get
+        for a, b, d in g.composable_triples():
+            if w((a, b), 1) * w((comp[a][b], d), 1) % p != w((a, comp[b][d]), 1) * w((b, d), 1) % p:
+                return CocycleViolation("cocycle-identity", (a, b, d))
     c.validated = True
     return None
 

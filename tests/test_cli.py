@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from groupoidalg import cli, modrep
+from groupoidalg import cli, ideals, modrep
 from groupoidalg.cli import format_problem, main, parse, run
 from groupoidalg.errors import ProblemFileError, TheoremViolation
 from groupoidalg.groupoid import pair_groupoid
@@ -471,6 +471,33 @@ def test_effros_hahn_checks_each_ideal_once(monkeypatch):
     out, code = run("effros-hahn", str(FIXTURES / "gb3_gf2.gkd"))
     assert code == 0 and "ideals=11" in out and "primitive=3" in out
     assert (len(calls), sum(calls)) == (11, 3)
+
+
+def test_verify_ideals_decomposes_the_regular_module_once(monkeypatch):
+    """prop_12_12's decomposition of the regular module serves the zero
+    ideal's Theorem 12.14 check, whose B/0 is the same module: 12 calls on
+    gb3_gf2 become 11, one of them on the 4-dim regular module, and the
+    report is the one the zero ideal's own decomposition gives."""
+    dims = []
+    original = cli.germ_annihilator_decomposition
+
+    def counted(inclusion, module):
+        dims.append(module.dim)
+        return original(inclusion, module)
+
+    monkeypatch.setattr(cli, "germ_annihilator_decomposition", counted)
+    monkeypatch.setattr(ideals, "germ_annihilator_decomposition", counted)
+    path = str(FIXTURES / "gb3_gf2.gkd")
+    out, code = run("verify", path, ["ideals"])
+    assert code == 0 and "thm_12_14_i: PASS ideals=11" in out
+    assert (len(dims), dims.count(4)) == (11, 1)
+    # the zero ideal decomposing its own B/0 gives the same report
+    check = cli.effros_hahn_check
+    monkeypatch.setattr(cli, "effros_hahn_check",
+                        lambda inclusion, ideal, witness=None, **held: check(inclusion, ideal, witness))
+    dims.clear()
+    assert run("verify", path, ["ideals"]) == (out, code)
+    assert (len(dims), dims.count(4)) == (12, 2)
 
 
 def test_thm_12_14_refuses_a_primitive_ideal_outside_the_proper_ideals(monkeypatch):

@@ -105,6 +105,19 @@ def test_effros_hahn_check_computes_the_annihilator_once(monkeypatch):
         assert len(calls) == 1 + len(g.units)
 
 
+def test_effros_hahn_check_takes_a_held_decomposition():
+    """The zero ideal with the regular module's decomposition reports as it
+    does on its own B/0; a decomposition of another quotient is refused."""
+    g = make_gb()
+    inc = Inclusion(g, Cocycle.trivial(g, GF3))
+    zero = Subspace.zero(inc.m, GF3)
+    regular = germ_annihilator_decomposition(inc, regular_module(inc.B))
+    assert effros_hahn_check(inc, zero, decomposition=regular) == effros_hahn_check(inc, zero)
+    ideal = next(i for i in enumerate_ideals(inc, left_ideals(inc)) if 0 < i.dim < inc.m)
+    with pytest.raises(TheoremViolation, match="^Ann\\(B/I\\) differs from I$"):
+        effros_hahn_check(inc, ideal, decomposition=regular)
+
+
 def test_effros_hahn_check_refuses_a_wrong_annihilator(monkeypatch):
     """B/I replaced by B itself: its annihilator 0 is not the ideal I."""
     g = make_gb()

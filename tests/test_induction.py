@@ -37,6 +37,7 @@ from groupoidalg.linalg import (
 from groupoidalg.modrep import (
     FdModule,
     all_submodules,
+    check_module,
     direct_sum,
     germ_space,
     is_irreducible,
@@ -383,6 +384,77 @@ def test_roundtrip_regular_over_Q():
         for x in g.units:
             reg = regular_module(inc.isotropy_data(x, x).presentation)
             verify_res_ind_roundtrip(inc, x, reg)
+
+
+def counted_module_checks(monkeypatch):
+    """Record the module of every ``check_module`` call that ``induction`` makes."""
+    checked = []
+
+    def counted(module):
+        checked.append(module)
+        return check_module(module)
+
+    monkeypatch.setattr(induction, "check_module", counted)
+    return checked
+
+
+def test_roundtrip_after_induce_reuses_the_induced_module(monkeypatch):
+    """induce and then the roundtrip on the same (x, V): one induced module
+    is built, V is checked once and the induced module once."""
+    checked = counted_module_checks(monkeypatch)
+    built = []
+    from_entries = FdModule.from_entries.__func__
+
+    def counted_build(cls, algebra, entries, name=""):
+        module = from_entries(cls, algebra, entries, name)
+        built.append(module)
+        return module
+
+    monkeypatch.setattr(FdModule, "from_entries", classmethod(counted_build))
+    g = make_gb()
+    inc = Inclusion(g, Cocycle.trivial(g, QQ))
+    V = regular_module(inc.isotropy_data(0, 0).presentation)
+    built.clear()
+    ind = induce(inc, 0, V)
+    cert = verify_res_ind_roundtrip(inc, 0, V)
+    assert cert.induced_dim == ind.module.dim == 2
+    assert induce(inc, 0, V) is ind
+    assert [m for m in built if m.algebra is inc.B] == [ind.module]
+    assert [m for m in checked if m is V] == [V]
+    assert [m for m in checked if m is not V] == [ind.module]
+
+
+def test_a_distinct_module_with_equal_entries_is_induced_afresh(monkeypatch):
+    checked = counted_module_checks(monkeypatch)
+    g = pair_groupoid(2)
+    inc = Inclusion(g, Cocycle.trivial(g, GF3))
+    x, y = g.units
+    V = regular_module(inc.isotropy_data(x, x).presentation)
+    twin = FdModule.from_entries(V.algebra, V.entries, V.name)
+    ind, ind_twin = induce(inc, x, V), induce(inc, x, twin)
+    assert ind_twin is not ind and ind_twin.inducing is twin
+    assert ind_twin.module.entries == ind.module.entries
+    assert [m for m in checked if m is V or m is twin] == [V, twin]
+    # B(y, y) = K too, so V induces from y, under its own key
+    assert induce(inc, y, V) is not ind
+    assert [m for m in checked if m is V] == [V, V]
+    verify_res_ind_roundtrip(inc, x, twin)
+    assert [m for m in checked if m is twin] == [twin]
+
+
+def test_a_non_unital_module_is_refused_on_every_call():
+    """A call that raises keeps nothing, so the refusal repeats."""
+    from groupoidalg.errors import UnitalityError
+
+    from conftest import idempotent_unit_modules
+
+    g = make_gb()
+    inc = Inclusion(g, Cocycle.trivial(g, QQ))
+    for V in idempotent_unit_modules(inc.isotropy_data(0, 0).presentation):
+        for call in (induce, verify_res_ind_roundtrip, induce):
+            with pytest.raises(UnitalityError, match="inducing module must be unital"):
+                call(inc, 0, V)
+    assert inc._induced == {}
 
 
 def test_restriction_outside_orbit_is_computable():

@@ -475,6 +475,77 @@ def test_sparse_associativity_witness_matches_dense_oracle():
     assert perturbed > 0
 
 
+def pairwise_check_associativity(pres):
+    """The check as it was: every ordered pair (i, j), composable or not,
+    and for each the k in row j or in the row of a term of ij, in order."""
+    f = pres.field
+    index = [dict(row) for row in pres.rows]
+
+    def accumulate(pairs):
+        out = {}
+        for c, terms in pairs:
+            for k, pk in terms:
+                out[k] = f.add(out.get(k, f.zero()), f.mul(c, pk))
+        return {k: c for k, c in out.items() if c != 0}
+
+    for i in range(pres.dim):
+        for j in range(pres.dim):
+            ij = index[i].get(j, ())
+            for k in sorted(set(index[j]).union(*(index[l] for l, _ in ij))):
+                lhs = accumulate((c, index[l].get(k, ())) for l, c in ij)
+                rhs = accumulate((c, index[i].get(l, ())) for l, c in index[j].get(k, ()))
+                if lhs != rhs:
+                    return (i, j, k)
+    return None
+
+
+def with_constant(pres, i, j, k, value):
+    """A copy of the presentation with the coefficient of e_k in e_i e_j set."""
+    products = {(a, b): dict(terms) for a, row in enumerate(pres.rows) for b, terms in row}
+    products.setdefault((i, j), {})[k] = value
+    return AlgebraPresentation(pres.field, pres.labels, products, pres.unit)
+
+
+def random_presentation(rng, field, dim, density):
+    """Structure constants drawn at random: in general not associative."""
+    products = {}
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        if rng.random() < density:
+            products.setdefault((i, j), {})[k] = field.of(rng.randint(1, 5))
+    return AlgebraPresentation(field, [f"e{i}" for i in range(dim)], products)
+
+
+def test_associativity_witness_matches_the_pairwise_loop():
+    """The triples reached from the rows give the verdict and first witness
+    of the loop over every ordered pair: on the battery's presentations,
+    on copies with one structure constant added, changed or removed, and on
+    random structure constants (where the m^3 scan is checked too)."""
+    rng = random.Random(12)
+    failures = 0
+    for label, pres, _ in presentation_cases():
+        assert pres.check_associativity() is None is pairwise_check_associativity(pres), label
+        f = pres.field
+        terms = [(i, j, k) for i, row in enumerate(pres.rows) for j, ts in row for k, _ in ts]
+        for _ in range(4):
+            i, j, k = (rng.randrange(pres.dim) for _ in range(3))
+            mutants = [with_constant(pres, i, j, k, f.of(rng.randint(1, 4)))]
+            if terms:
+                mutants.append(with_constant(pres, *rng.choice(terms), f.zero()))
+            for broken in mutants:
+                expected = pairwise_check_associativity(broken)
+                assert broken.check_associativity() == expected, label
+                failures += expected is not None
+    for field in (QQ, GF(2), GF(7)):
+        for dim in (1, 2, 3, 5):
+            for density in (0.05, 0.2, 0.6):
+                pres = random_presentation(rng, field, dim, density)
+                expected = pairwise_check_associativity(pres)
+                assert pres.check_associativity() == expected, (field, dim, density)
+                assert dense_check_associativity(pres.table, field) == expected
+                failures += expected is not None
+    assert failures > 0
+
+
 def dense_mult_matrices(pres, right=False):
     """Oracle: the matrix of v -> e_i v (v -> v e_i if ``right``) for each i,
     by ``multiply`` on the standard basis vectors."""

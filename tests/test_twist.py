@@ -1,12 +1,16 @@
 """Cocycle validation, coboundaries, restrictions, bundle inverses."""
 
+import ast
 import itertools
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groupoidalg
 from groupoidalg.errors import CocycleDomainError, NoPartialInverse, ZeroCocycleValue
 from groupoidalg.linalg import GF, QQ
 from groupoidalg.twist import (
@@ -223,20 +227,98 @@ def scanned_validate_cocycle(c):
     return None
 
 
+def large_prime_battery():
+    """The battery over GF(101) and GF(2**61 - 1) under the coboundary of
+    b = 3 on non-units, as ``twisted_battery`` does over GF(7)."""
+    cases = []
+    for p in (101, 2**61 - 1):
+        field = GF(p)
+        for name, g, _ in battery(field):
+            values = {a: 1 if g.is_unit(a) else 3 for a in g.arrows()}
+            cases.append((f"{name}/GF{p}", g, coboundary(g, field, values)))
+    return cases
+
+
+def mutation_values(field):
+    """Values a mutation writes: over Q non-integers, a negative value and
+    one with a 31-digit numerator; over GF(p) small values, -1 and, for a
+    large p, residues whose products overflow 64 bits."""
+    if field.p is None:
+        return (2, Fraction(1, 2), Fraction(-3, 4), Fraction(10**30, 7))
+    if field.p == 7:
+        return (2, 6)
+    return (2, field.p - 1, field.p // 2, field.p // 3 + 1)
+
+
 def test_validate_cocycle_matches_dense_scan_on_single_mutations():
-    """Every twisted battery cocycle, and every copy with one value changed
-    (to 2 over Q, to 2 or 6 over GF(7)), gets the same verdict and witness."""
+    """Every twisted battery cocycle, the battery over GF(101) and
+    GF(2**61 - 1), and every copy with one value changed to each of
+    ``mutation_values`` gets the same verdict and witness."""
     seen = set()
-    for name, g, c in twisted_battery():
+    for name, g, c in twisted_battery() + large_prime_battery():
         assert validate_cocycle(c) is None and scanned_validate_cocycle(c) is None, name
         for pair in g.composable_pairs():
-            for value in (2, 6):
+            for value in mutation_values(c.field):
                 mutated = c.mutated(pair, value)
                 expected = scanned_validate_cocycle(mutated)
                 assert validate_cocycle(mutated) == expected, (name, pair, value)
                 assert mutated.validated is (expected is None), (name, pair)
                 seen.add(None if expected is None else expected.condition)
     assert seen == {None, "unit-normalization", "cocycle-identity"}
+
+
+FIELD_METHODS = {"mul", "add", "sub", "neg", "inv", "div", "of"}
+
+
+def triple_loop_arithmetic(source):
+    """(loop count, offending nodes) for the loops over ``composable_triples``
+    in ``validate_cocycle``: every ``Field`` method call, every use of
+    ``Fraction`` or of the field ``f``, and every read of ``.values``, whose
+    entries are `Fraction`s over Q."""
+    fn = next(node for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and node.name == "validate_cocycle")
+    loops = [node for node in ast.walk(fn) if isinstance(node, ast.For)
+             and isinstance(node.iter, ast.Call) and isinstance(node.iter.func, ast.Attribute)
+             and node.iter.func.attr == "composable_triples"]
+    found = []
+    for loop in loops:
+        for node in ast.walk(loop):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in FIELD_METHODS
+                    or isinstance(node, ast.Name) and node.id in ("Fraction", "f")
+                    or isinstance(node, ast.Attribute) and node.attr == "values"):
+                found.append(ast.unparse(node))
+    return len(loops), found
+
+
+def test_validate_cocycle_compares_the_identity_in_ints(monkeypatch):
+    """The triple loops make no ``Field`` call and no `Fraction` arithmetic:
+    by the source, and over Q by counting `Fraction`'s operators in a run."""
+    source = (Path(groupoidalg.__file__).parent / "twist.py").read_text(encoding="utf-8")
+    loops, found = triple_loop_arithmetic(source)
+    assert loops >= 1 and found == []
+    # the guard sees the body it replaced
+    old = ("def validate_cocycle(c):\n"
+           "    for a, b, d in g.composable_triples():\n"
+           "        lhs = f.mul(w((a, b), one), w((comp[a][b], d), one))\n")
+    assert triple_loop_arithmetic(old) == (
+        1, ["f.mul(w((a, b), one), w((comp[a][b], d), one))", "f"])
+    calls = []
+    for op in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
+        method = getattr(Fraction, op)
+
+        def counted(a, b, method=method, op=op):
+            calls.append(op)
+            return method(a, b)
+
+        monkeypatch.setattr(Fraction, op, counted)
+    g = GROUPOID_MAKERS["pair3"]()
+    c = coboundary(g, QQ, [1 if g.is_unit(a) else Fraction(a + 2, 3) for a in g.arrows()])
+    assert any(v.denominator > 1 for v in c.values.values())
+    cocycles = (c, c.mutated(next(iter(c.values)), Fraction(-3, 4)))
+    calls.clear()
+    assert [validate_cocycle(cocycle) is None for cocycle in cocycles] == [True, False]
+    assert calls == []
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)],
