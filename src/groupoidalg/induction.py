@@ -126,7 +126,7 @@ class ImprimitivityBimodule:
         mu_range = Subspace.span(zip(*self.mu), d, f)
         if mu_range.dim != k:
             raise TheoremViolation("standard inclusion is not injective")
-        _, right_mult = self.data.presentation.mult_rows()
+        right_mult = self.data.presentation.right_mult_rows()
         if not intertwines(self.mu, right_mult, self.right_action, f):
             raise TheoremViolation("standard inclusion is not right-linear")
         # nu o mu = id, mu o nu = pi

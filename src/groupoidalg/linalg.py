@@ -30,7 +30,9 @@ multiplication matrices, whole or compressed as the bimodule's actions,
 the center, induced ideals) are read straight off ``AlgebraPresentation.rows``.
 
 Scalars are `fractions.Fraction` over the rationals and plain ints in
-``[0, p)`` over GF(p), p < 2**64.  No floating point is used anywhere.
+``[0, p)`` over GF(p), p < 2**64, with p's primality decided by
+``isprime``, a deterministic Miller-Rabin test.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -38,9 +40,42 @@ from __future__ import annotations
 import bisect
 from fractions import Fraction
 
-from sympy import isprime
-
 from .errors import ContainmentError, DimensionMismatch
+
+# The first twelve primes.  A strong probable prime to all of them that is
+# below 318665857834031151167461 (about 3.18e23) is prime (Sorenson and
+# Webster, Math. Comp. 86 (2017) 985-1003), far above GF(p)'s 2**64.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Fraction is immutable, so every rational zero and one can be these two.
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+
+
+def isprime(n: int) -> bool:
+    """Whether n is prime; deterministic for every n below 3.18e23.
+
+    Trial division by the bases, then one strong-probable-prime round per
+    base (Miller-Rabin).
+    """
+    if n < 2:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class Field:
@@ -53,17 +88,17 @@ class Field:
 
     def __init__(self, p: int | None = None):
         if p is not None:
-            if p >= 2**64:  # where sympy's isprime stops being deterministic
+            if p >= 2**64:  # the supported range; isprime is exact far beyond it
                 raise ValueError("GF(p) needs a prime p < 2**64")
             if not isprime(p):
                 raise ValueError(f"{p} is not prime")
         self.p = p
 
     def zero(self):
-        return 0 if self.p is not None else Fraction(0)
+        return 0 if self.p is not None else _Q_ZERO
 
     def one(self):
-        return 1 if self.p is not None else Fraction(1)
+        return 1 if self.p is not None else _Q_ONE
 
     def of(self, n):
         """Coerce an int, Fraction or scalar string into this field."""

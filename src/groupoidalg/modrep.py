@@ -22,7 +22,7 @@ reducing each sum mod p once.  On top of that this module provides:
   verdict (reducible with witness, certified irreducible, or
   inconclusive) built from basis-cyclicity, the trace-form radical of
   the image algebra, and factoring minimal polynomials of commutant
-  elements;
+  elements (``_factor_over_Q``, the one place the package imports sympy);
 * annihilators, quotient/sub/direct-sum constructions and module
   isomorphism search;
 * restrictions to a unit (the part killed by the point ideal) and germ
@@ -36,8 +36,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy
 
 from .errors import BudgetExceeded, TheoremViolation, TrivialModuleError
 from .isotropy import Inclusion
@@ -301,8 +299,7 @@ def check_module(module: FdModule):
 
 
 def regular_module(algebra: AlgebraPresentation, name="regular") -> FdModule:
-    left, _ = algebra.mult_rows()
-    return FdModule.from_entries(algebra, left, name)
+    return FdModule.from_entries(algebra, algebra.left_mult_rows(), name)
 
 
 def direct_sum(m1: FdModule, m2: FdModule, name="") -> FdModule:
@@ -664,7 +661,13 @@ def _minimal_polynomial(matrix, dim, field):
 
 
 def _factor_over_Q(coeffs):
-    """Irreducible factors (as ascending coefficient lists) over the rationals."""
+    """Irreducible factors (as ascending coefficient lists) over the rationals.
+
+    sympy is imported here and nowhere else, so that only a path that
+    factors pays for loading it.
+    """
+    import sympy
+
     x = sympy.Symbol("x")
     poly = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
     _, factors = sympy.Poly(poly, x).factor_list()

@@ -298,19 +298,32 @@ class AlgebraPresentation:
         the span of those basis elements: rows and columns run over
         ``support``, and only terms with both indices in it count.
         """
+        return self._mult_rows(support, True, True)
+
+    def left_mult_rows(self):
+        """The left maps of ``mult_rows()``, built without the right ones."""
+        return self._mult_rows(None, True, False)[0]
+
+    def right_mult_rows(self):
+        """The right maps of ``mult_rows()``, built without the left ones."""
+        return self._mult_rows(None, False, True)[1]
+
+    def _mult_rows(self, support, left, right):
+        """``mult_rows(support)`` with each side built only if asked for (else None)."""
         index = {k: r for r, k in enumerate(range(self.dim) if support is None else support)}
         n = len(index)
-        left = [[[] for _ in range(n)] for _ in range(self.dim)]
-        right = [[[] for _ in range(n)] for _ in range(self.dim)]
+        left, right = ([[[] for _ in range(n)] for _ in range(self.dim)] if want else None
+                       for want in (left, right))
         for a, row in enumerate(self.rows):
             for b, terms in row:
                 for k, p in terms:
                     if k in index:
-                        if b in index:
+                        if left is not None and b in index:
                             left[a][index[k]].append((index[b], p))
-                        if a in index:
+                        if right is not None and a in index:
                             right[b][index[k]].append((index[a], p))
-        return [tuple(map(tuple, m)) for m in left], [tuple(map(tuple, m)) for m in right]
+        return tuple(None if m is None else [tuple(map(tuple, rows)) for rows in m]
+                     for m in (left, right))
 
     def basis_vector(self, i):
         f = self.field

@@ -1,5 +1,10 @@
 """Problem-file parsing, command execution, exit codes, determinism."""
 
+import ast
+import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -7,13 +12,14 @@ from types import SimpleNamespace
 
 import pytest
 
+import groupoidalg
 from groupoidalg import cli, ideals, modrep
 from groupoidalg.cli import format_problem, main, parse, run
 from groupoidalg.errors import ProblemFileError, TheoremViolation
 from groupoidalg.groupoid import pair_groupoid
 from groupoidalg.induction import imprimitivity_bimodule
 from groupoidalg.isotropy import Inclusion
-from groupoidalg.linalg import GF, QQ, identity_matrix, mat_mul
+from groupoidalg.linalg import GF, QQ, dense_rows, identity_matrix, mat_mul
 from groupoidalg.modrep import (
     FdModule,
     Restriction,
@@ -22,7 +28,7 @@ from groupoidalg.modrep import (
     restriction,
 )
 from groupoidalg.steinberg import presentation_of_B
-from groupoidalg.twist import Cocycle
+from groupoidalg.twist import Cocycle, validate_cocycle
 
 from conftest import idempotent_unit_modules, oracle_battery
 
@@ -623,3 +629,78 @@ def test_verify_certifies_each_arrow_once_and_searches_no_isomorphism(tmp_path, 
     out, code = run("verify", path, ["all"])
     assert code == 0 and "prop_5_10: PASS" in out and "prop_7_5: PASS" in out
     assert len(calls) == g.n_arrows == 36
+
+
+# -- sympy is loaded only to factor over Q ---------------------------------------
+
+
+def fixture_with_modules(tmp_path, fixture):
+    """The fixture with two modules at its first unit x appended: ``iso``, the
+    regular module of B(x, x), and ``col``, the column module B delta_x (the
+    left ideal on the arrows out of x), so that every command can run on it."""
+    problem = parse(str(fixture))
+    g, f = problem.groupoid, problem.field
+    x = g.units[0]
+    assert validate_cocycle(problem.cocycle) is None
+    inc = Inclusion(g, problem.cocycle)
+    iso = regular_module(inc.isotropy_data(x, x).presentation)
+    out_of_x = [a for a in g.arrows() if g.src[a] == x]
+    col = [dense_rows(m, len(out_of_x), f) for m in inc.B.mult_rows(out_of_x)[0]]
+    text = fixture.read_text(encoding="utf-8")
+    for name, dim, token, mats in [("iso", iso.dim, f"isotropy:{x}", iso.matrices),
+                                   ("col", len(out_of_x), "B", col)]:
+        text += f"[module] {name} {dim} {token}\n"
+        text += "".join(" ".join(f.format(v) for v in row) + "\n" for mat in mats for row in mat)
+    return write(tmp_path, text, fixture.name), str(x)
+
+
+GUARD_SCRIPT = """
+import json, sys
+import groupoidalg
+from groupoidalg import cli
+from groupoidalg.linalg import GF
+GF(2**61 - 1)
+codes = {}
+for path, x in json.loads(sys.argv[1]):
+    for command, args in [("validate", []), ("algebra", []), ("isotropy", [x]),
+                          ("induce", [x, "iso"]), ("restrict", [x, "col"]), ("germs", ["col"]),
+                          ("ideals", []), ("verify", ["all"]), ("effros-hahn", []), ("q1215", [])]:
+        codes[f"{path} {command}"] = cli.run(command, path, args)[1]
+print(json.dumps({"commands": sorted({key.split()[-1] for key in codes}),
+                  "codes": codes, "sympy": "sympy" in sys.modules}))
+"""
+
+
+def test_sympy_is_not_imported_by_any_command_on_any_fixture(tmp_path):
+    """A fresh interpreter imports the package and the CLI, makes
+    GF(2**61 - 1) and runs all ten commands on all five fixtures, each with
+    modules for induce, restrict and germs: every command exits 0 and sympy
+    is never imported."""
+    cases = [fixture_with_modules(tmp_path, fixture) for fixture in sorted(FIXTURES.glob("*.gkd"))]
+    assert len(cases) == 5
+    env = dict(os.environ)
+    src = str(Path(groupoidalg.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", GUARD_SCRIPT, json.dumps(cases)],
+                          capture_output=True, text=True, env=env, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["commands"] == sorted(cli.USAGE)
+    assert {key: code for key, code in result["codes"].items() if code != 0} == {}
+    assert len(result["codes"]) == 50
+    assert result["sympy"] is False
+
+
+def test_sympy_is_imported_only_inside_factor_over_Q():
+    """Every import of sympy in the package, with the innermost function it
+    sits in (None at module level)."""
+    found = []
+    for path in sorted(Path(groupoidalg.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "sympy" for name in names):
+                owners = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                found.append((path.name, owners[-1] if owners else None))
+    assert found == [("modrep.py", "_factor_over_Q")]

@@ -29,6 +29,7 @@ from groupoidalg.linalg import (
     combine,
     eliminate,
     insert_row,
+    isprime,
     quotient,
     right_kernel,
     rref,
@@ -790,6 +791,32 @@ def test_composites_and_small_values_are_not_prime(p):
 def test_values_from_two_to_the_64_are_refused(p):
     with pytest.raises(ValueError, match="2\\*\\*64"):
         GF(p)
+
+
+# spsp to the bases 2; 2, 3; 2, 3, 5; ...; 2, ..., 23 (the least of each)
+STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                       341550071728321, 3825123056546413051]
+CARMICHAEL_NUMBERS = [561, 1105, 1729, 41041, 825265]
+
+
+def test_isprime_agrees_with_sympy():
+    """The stdlib Miller-Rabin test against sympy's, on every n < 10**5,
+    on 10**5 seeded values below 2**64, and on composites that fool
+    Fermat or strong-probable-prime tests to fewer bases."""
+    from sympy import isprime as sympy_isprime
+
+    rng = random.Random(0)
+    values = (list(range(-3, 10**5)) + [rng.randrange(2**64) for _ in range(10**5)]
+              + STRONG_PSEUDOPRIMES + CARMICHAEL_NUMBERS)
+    assert [n for n in values if isprime(n) != sympy_isprime(n)] == []
+    assert not any(isprime(n) for n in STRONG_PSEUDOPRIMES + CARMICHAEL_NUMBERS)
+    assert sum(map(isprime, range(10**5))) == 9592
+
+
+def test_rational_zero_and_one_are_shared():
+    assert QQ.zero() is QQ.zero() and QQ.one() is QQ.one()
+    assert (repr(QQ.zero()), repr(QQ.one())) == ("Fraction(0, 1)", "Fraction(1, 1)")
+    assert (GF(5).zero(), GF(5).one()) == (0, 1)
 
 
 # dense reads of module actions allowed in the package, by (file, function):

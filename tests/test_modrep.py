@@ -3,6 +3,7 @@ restrictions, and germ spaces."""
 
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupoidalg import modrep
 from groupoidalg.errors import BudgetExceeded, TrivialModuleError
 from groupoidalg.groupoid import pair_groupoid
 from groupoidalg.induction import induce
@@ -211,13 +213,24 @@ def test_zero_module_raises():
         is_irreducible(zero)
 
 
-def test_quaternion_regular_certified_over_Q():
+def test_quaternion_regular_certified_over_Q(monkeypatch):
+    """The verdict comes from factoring minimal polynomials over Q, the one
+    path that imports sympy."""
+    factored = []
+    original = modrep._factor_over_Q
+
+    def spy(coeffs):
+        factored.append(coeffs)
+        return original(coeffs)
+
+    monkeypatch.setattr(modrep, "_factor_over_Q", spy)
     g, c = quaternion_fixture(QQ)
     inc = Inclusion(g, c)
     verdict = is_irreducible(regular_module(inc.B))
     assert verdict.status == "irreducible"
     assert verdict.certified
     assert verdict.method == "division-commutant"
+    assert factored and "sympy" in sys.modules
 
 
 def test_z2_regular_reducible_over_Q_with_eigenline():

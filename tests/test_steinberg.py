@@ -597,6 +597,14 @@ def test_mult_matrices_match_dense_oracle():
         assert repr(dense) == repr(oracle), label
 
 
+def test_one_sided_mult_rows_are_the_sides_of_mult_rows():
+    cases = [(label, pres) for label, pres, _ in presentation_cases()]
+    for label, pres in cases + random_presentations(random.Random(15)):
+        left, right = pres.mult_rows()
+        assert pres.left_mult_rows() == left, label
+        assert pres.right_mult_rows() == right, label
+
+
 def test_compressed_mult_matrices_restrict_the_full_ones():
     """mult_rows(support) is the submatrix of every full matrix on the
     rows and columns in ``support``: on B over the twisted battery (at the
