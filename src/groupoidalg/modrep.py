@@ -16,9 +16,9 @@ reducing each sum mod p once.  On top of that this module provides:
 
 * generated submodules and, over GF(p) within a budget, the full lattice
   of invariant subspaces, joined from the cyclic closures of every scalar
-  line, all computed in one memoised pass;
-* irreducibility verdicts: exact over GF(p) from the same pass, which
-  stops at the first proper closure; over the rationals a three-valued
+  line, each read off the line's images and checked invariant;
+* irreducibility verdicts: exact over GF(p) from the same closures,
+  stopping at the first proper one; over the rationals a three-valued
   verdict (reducible with witness, certified irreducible, or
   inconclusive) built from basis-cyclicity, the trace-form radical of
   the image algebra, and factoring minimal polynomials of commutant
@@ -384,7 +384,7 @@ def normalized_vectors(dim, p):
 def _bitmask_vectors(actions, dim):
     """Vector operations over GF(2) on int bitmasks, bit dim-1-i holding coordinate i.
 
-    Returns (encode, line, images, insert, subspace).  An echelon row is
+    Returns (encode, images, insert, subspace).  An echelon row is
     (pivot bit, vector): its highest set bit, its first nonzero coordinate.
     """
     # per action, the image of each bit as a mask: bit b is column dim-1-b
@@ -393,11 +393,6 @@ def _bitmask_vectors(actions, dim):
 
     def encode(seed):
         return sum(1 << (dim - 1 - i) for i, c in enumerate(seed) if c)
-
-    def line(v):
-        # v's position in normalized_vectors (1 is the only unit): the
-        # 2^dim - 2^b vectors with a later first coordinate come first
-        return (1 << dim) - 3 * (1 << (v.bit_length() - 1)) + v
 
     def images(v):
         out = []
@@ -429,32 +424,20 @@ def _bitmask_vectors(actions, dim):
         basis = [tuple((r >> (dim - 1 - i)) & 1 for i in range(dim)) for _, r in rows]
         return Subspace(dim, field, basis, [dim - r.bit_length() for _, r in rows])
 
-    return encode, line, images, insert, subspace
+    return encode, images, insert, subspace
 
 
 def _residue_vectors(actions, dim, p):
     """Vector operations over an odd GF(p) on int lists reduced mod p.
 
-    Returns (encode, line, images, insert, subspace).  An echelon row is
+    Returns (encode, images, insert, subspace).  An echelon row is
     (pivot, vector), with a 1 at its first nonzero coordinate, the pivot.
     """
     # per action, column c as its (row, entry) pairs; images reduce mod p
     columns = [transpose_rows(act, dim) for act in actions]
-    # position in normalized_vectors of the first vector with a given lead,
-    # less its base-p code (coordinate 0 most significant)
-    offset = [(p**dim - p**(dim - lead)) // (p - 1) - p**(dim - 1 - lead) for lead in range(dim)]
 
     def encode(seed):
         return list(seed)
-
-    def line(v):
-        # position in normalized_vectors of v's multiple with a leading 1
-        lead = next(i for i, x in enumerate(v) if x)
-        inv = pow(v[lead], -1, p)
-        code = 0
-        for x in v:
-            code = code * p + x * inv % p
-        return offset[lead] + code
 
     def images(v):
         support = [(c, a) for c, a in enumerate(v) if a]
@@ -489,59 +472,34 @@ def _residue_vectors(actions, dim, p):
         rows = sorted(rows)
         return Subspace(dim, field, [tuple(r) for _, r in rows], [pivot for pivot, _ in rows])
 
-    return encode, line, images, insert, subspace
+    return encode, images, insert, subspace
 
 
 def _cyclic_closures(actions, dim, field):
     """(seed, closure) for every seed of ``normalized_vectors``, in that order.
 
-    One memoised pass over the scalar lines, resting on
-    closure(v) = span(v) + sum_i closure(M_i v).  An image whose line
-    already has a stored closure adds it: that closure is invariant, so it
-    is not spun again.  An image on a later line than the closure being
-    built gets its own closure first, built and stored the same way; an
-    image on an earlier line with no stored closure is spun in place.
-    Lines strictly increase up the stack of closures in progress, so none
-    waits on itself.  Scalars are ints, never `Field` calls; equal
-    closures share one `Subspace`.
+    For a module the closure of v is Kv + Bv = span(v, M_1 v, ..., M_k v),
+    as M_j M_i is a combination of the M's.  Each distinct span is checked
+    invariant (no image of one of its rows may enlarge it), else the
+    actions are not closed under products and raise ``ValueError``.
+    Scalars are ints, never `Field` calls; equal closures share one
+    `Subspace`.
     """
     p = field.p
-    encode, line, images, insert, subspace = (
+    encode, images, insert, subspace = (
         _bitmask_vectors(actions, dim) if p == 2 else _residue_vectors(actions, dim, p))
-    memo = [None] * ((p**dim - 1) // (p - 1))  # line -> (echelon rows, Subspace)
-    shared = {}  # canonical echelon rows -> the memo entry of that closure
-
-    def absorb(rows, closure):
-        if len(closure[0]) == dim:  # the whole space: nothing to reduce
-            rows[:] = closure[0]
-            return
-        for _, r in closure[0]:
-            insert(rows, r)
-
-    for position, seed in enumerate(normalized_vectors(dim, p)):
-        # closures in progress: (line, echelon rows, images still to add)
-        stack = [(position, [], [encode(seed)])] if memo[position] is None else []
-        while stack:
-            own, rows, pending = stack[-1]
-            if pending and len(rows) < dim:
-                u = pending.pop()
-                if insert(rows, u):
-                    q = line(u)
-                    if memo[q] is not None:
-                        absorb(rows, memo[q])
-                    elif q > own:
-                        stack.append((q, [], [u]))
-                    else:
-                        pending.extend(images(u))
-                continue
-            stack.pop()
-            key = frozenset((pivot, r if p == 2 else tuple(r)) for pivot, r in rows)
-            if key not in shared:
-                shared[key] = (rows, subspace(rows, field))
-            memo[own] = shared[key]
-            if stack:
-                absorb(stack[-1][1], memo[own])
-        yield seed, memo[position][1]
+    shared = {}  # canonical echelon rows -> the Subspace of that closure
+    for seed in normalized_vectors(dim, p):
+        v, rows = encode(seed), []
+        for u in [v, *images(v)]:
+            if len(rows) < dim:
+                insert(rows, u)
+        key = frozenset((pivot, r if p == 2 else tuple(r)) for pivot, r in rows)
+        if key not in shared:
+            if len(rows) < dim and any(insert(rows, u) for _, r in list(rows) for u in images(r)):
+                raise ValueError(f"actions not closed under products: seed {seed} spans no closure")
+            shared[key] = subspace(rows, field)
+        yield seed, shared[key]
 
 
 def _require_enum_budget(field, dim):
@@ -556,10 +514,11 @@ def _require_enum_budget(field, dim):
 def all_invariant_subspaces(actions, dim, field):
     """Every subspace invariant under the actions (sparse rows), as a sorted list.
 
-    Every invariant subspace is a sum of cyclic closures, so the distinct
-    closures of one memoised pass over the projective seeds (the atoms)
-    are joined in turn into every subspace found so far that does not
-    already contain them.  Exact and exhaustive; refuses beyond the budget.
+    Every invariant subspace is a sum of cyclic closures span(v, M_1 v, ...),
+    so the distinct ones of the projective seeds (the atoms) are joined in
+    turn into every subspace found so far that does not already contain
+    them.  Exact and exhaustive; each atom is checked invariant, so actions
+    not closed under products raise ``ValueError``.  Refuses beyond budget.
     """
     _require_enum_budget(field, dim)
     zero = Subspace.zero(dim, field)
@@ -712,8 +671,8 @@ def _image_algebra_radical(module: FdModule):
 def is_irreducible(module: FdModule) -> IrreducibilityVerdict:
     """Irreducibility verdict; exact over GF(p), three-valued over Q.
 
-    Over GF(p) the memoised pass tries every scalar line as a generator in
-    ``normalized_vectors`` order and stops at the first proper closure,
+    Over GF(p) every scalar line is tried as a generator in
+    ``normalized_vectors`` order up to the first proper (checked) closure,
     which is the witness, so the answer is exact.  Over the rationals the
     reducible verdicts always carry an explicit invariant subspace, and
     "irreducible" from dimension one or from a semisimple image with

@@ -1,5 +1,6 @@
-"""Shared fixtures: the groupoid battery, twist constructors and modules
-that break unitality only."""
+"""Shared fixtures: the groupoid battery, twist constructors, modules
+that break unitality only, and the spinning reference for cyclic closures
+and invariant-subspace lattices."""
 
 import pytest
 
@@ -12,8 +13,14 @@ from groupoidalg.groupoid import (
     klein_four_table,
     pair_groupoid,
 )
-from groupoidalg.linalg import GF, QQ
-from groupoidalg.modrep import FdModule, direct_sum, regular_module
+from groupoidalg.linalg import GF, QQ, Subspace
+from groupoidalg.modrep import (
+    FdModule,
+    closure_under,
+    direct_sum,
+    normalized_vectors,
+    regular_module,
+)
 from groupoidalg.twist import Cocycle, coboundary, quaternion_sign_cocycle
 
 Z2_TABLE = cyclic_group_table(2)
@@ -143,3 +150,30 @@ def idempotent_unit_modules(algebra):
     square = FdModule(algebra, [((zero, zero), (zero, zero))] * algebra.dim, "zero^2")
     line = FdModule(algebra, [((zero,),)] * algebra.dim, "zero")
     return [square, direct_sum(regular_module(algebra), line)]
+
+
+def per_seed_closures(matrices, dim, field):
+    """The spinning reference: one `closure_under` per seed."""
+    return [(seed, closure_under(matrices, [seed], dim, field))
+            for seed in normalized_vectors(dim, field.p)]
+
+
+def all_pairs_lattice(matrices, dim, field):
+    """Zero and the per-seed spun closures, closed under sums by joining
+    every new subspace with every one found."""
+    zero = Subspace.zero(dim, field)
+    found = {zero.basis: zero}
+    for _, w in per_seed_closures(matrices, dim, field):
+        found.setdefault(w.basis, w)
+    worklist = list(found.values())
+    while worklist:
+        fresh = []
+        items = list(found.values())
+        for a in worklist:
+            for b in items:
+                s = a.add(b)
+                if s.basis not in found:
+                    found[s.basis] = s
+                    fresh.append(s)
+        worklist = fresh
+    return sorted(found.values(), key=lambda s: (s.dim, s.basis))

@@ -31,7 +31,6 @@ from groupoidalg.linalg import (
     zero_vector,
 )
 from groupoidalg.modrep import (
-    all_invariant_subspaces,
     all_submodules,
     annihilator,
     germ_space,
@@ -44,7 +43,14 @@ from groupoidalg.modrep import (
 )
 from groupoidalg.twist import Cocycle, coboundary
 
-from conftest import battery, make_gb, make_z2, quaternion_fixture, twisted_battery
+from conftest import (
+    all_pairs_lattice,
+    battery,
+    make_gb,
+    make_z2,
+    quaternion_fixture,
+    twisted_battery,
+)
 
 GF2 = GF(2)
 GF3 = GF(3)
@@ -461,9 +467,11 @@ def test_cor_12_11_specialization():
 
 def bimodule_ideals(inclusion):
     """The enumeration ``enumerate_ideals`` replaced: the subspaces invariant
-    under every left and right multiplication of B at once."""
+    under every left and right multiplication of B at once, spun seed by
+    seed (the left and right maps together are not closed under products,
+    so they are not a module action that the enumeration would accept)."""
     left, right = inclusion.B.mult_rows()
-    return all_invariant_subspaces(left + right, inclusion.m, inclusion.field)
+    return all_pairs_lattice(left + right, inclusion.m, inclusion.field)
 
 
 def small_field_battery():

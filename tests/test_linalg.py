@@ -654,9 +654,10 @@ def per_seed_scans(source, driver=None):
 
 
 def test_cyclic_closures_come_from_one_memoised_pass():
-    """Every cyclic closure over GF(p) comes from ``modrep._cyclic_closures``:
-    only it may walk ``normalized_vectors``, and no loop in the package may
-    call ``closure_under``, so the per-seed scans cannot come back."""
+    """Every cyclic closure over GF(p) comes from ``modrep._cyclic_closures``,
+    which reads each one off the seed's images: only it may walk
+    ``normalized_vectors``, and no loop in the package may call
+    ``closure_under``, so the per-seed spinning scans cannot come back."""
     offenders = []
     for path in sorted(Path(groupoidalg.__file__).parent.glob("*.py")):
         source = path.read_text(encoding="utf-8")

@@ -16,7 +16,16 @@ from groupoidalg.errors import BudgetExceeded, TrivialModuleError
 from groupoidalg.groupoid import pair_groupoid
 from groupoidalg.induction import induce
 from groupoidalg.isotropy import Inclusion
-from groupoidalg.linalg import GF, QQ, Subspace, identity_matrix, mat_mul, rref, sparse_rows
+from groupoidalg.linalg import (
+    GF,
+    QQ,
+    Subspace,
+    identity_matrix,
+    insert_row,
+    mat_mul,
+    rref,
+    sparse_rows,
+)
 from groupoidalg.ideals import left_ideals
 from groupoidalg.modrep import (
     ENUMERATION_BUDGET,
@@ -39,7 +48,6 @@ from groupoidalg.modrep import (
     isotropy_quotient_module,
     lattice_operations_agree,
     nonzero_germ_exists,
-    normalized_vectors,
     regular_module,
     restriction,
     submodule_module,
@@ -48,11 +56,13 @@ from groupoidalg.steinberg import AlgebraPresentation, presentation_of_B
 from groupoidalg.twist import Cocycle, coboundary
 
 from conftest import (
+    all_pairs_lattice,
     battery,
     idempotent_unit_modules,
     make_gb,
     make_z2,
     quaternion_fixture,
+    per_seed_closures,
     twisted_battery,
 )
 
@@ -250,6 +260,44 @@ def test_matrix_column_module_over_Q():
     inc = Inclusion(g, Cocycle.trivial(g, QQ))
     verdict = is_irreducible(column_module(inc))
     assert verdict.status == "irreducible" and verdict.certified
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the division-commutant probe factors only the commutant basis and its pairwise "
+    "sums, which does not prove the commutant a division algebra: it certifies 8 of "
+    "these 100 conjugates of the reducible regular module of M_2(Q) irreducible"))
+def test_conjugated_pair2_regular_module_is_never_certified_irreducible():
+    """The regular module of M_2(Q) is S + S, so no change of basis of it
+    may be certified irreducible: 100 conjugations P M P^-1 by random
+    invertible 4 x 4 integer matrices, entries in [-3, 3]."""
+    g = pair_groupoid(2)
+    reg = regular_module(presentation_of_B(g, Cocycle.trivial(g, QQ)))
+    rng = random.Random(0)
+    certified = 0
+    for _ in range(100):
+        while True:
+            p = tuple(tuple(QQ.of(rng.randint(-3, 3)) for _ in range(4)) for _ in range(4))
+            reduced, pivots = rref([row + e for row, e in zip(p, identity_matrix(4, QQ))], QQ)
+            if pivots[:4] == [0, 1, 2, 3]:
+                break
+        p_inv = tuple(tuple(row[4:]) for row in reduced)
+        mats = [mat_mul(mat_mul(p, m, QQ), p_inv, QQ) for m in reg.matrices]
+        verdict = is_irreducible(FdModule(reg.algebra, mats))
+        certified += verdict.status == "irreducible" and verdict.certified
+    assert certified == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "find_module_isomorphism samples only the first 3 of the 9 Hom basis vectors over Q, "
+    "and over GF(p) once p^9 > 4096, so it misses the identity of S^3"))
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=["Q", "GF7", "GF101"])
+def test_cube_of_column_module_is_isomorphic_to_itself(field):
+    """S^3, with S the column module of M_2, is isomorphic to itself, so
+    the search must return a map, not None."""
+    g = pair_groupoid(2)
+    s = column_module(Inclusion(g, Cocycle.trivial(g, field)))
+    cube = direct_sum(direct_sum(s, s), s)
+    assert find_module_isomorphism(cube, cube) is not None
 
 
 def test_quaternion_gf3_splits_into_two_dimensional_irreducible():
@@ -750,37 +798,30 @@ def test_first_failing_pair_with_zero_product_is_found():
     assert check_module(broken) == expected
 
 
-# -- the memoised closure pass against the per-seed scan it replaced ------------
+# -- cyclic closures read off the images, against the per-seed spinning scan ---
 
 # the largest dimension drawn per prime: keeps the all-pairs join oracle quick
 ORACLE_DIMS = {2: 5, 3: 4, 5: 3, 7: 3}
 
 
-def per_seed_closures(matrices, dim, field):
-    """The scan the memoised pass replaced: one `closure_under` per seed."""
-    return [(seed, closure_under(matrices, [seed], dim, field))
-            for seed in normalized_vectors(dim, field.p)]
+def product_closure(matrices, field):
+    """The matrices followed by products of them that span, with them, every
+    nonempty product: a spanning set of the algebra they generate, which has
+    the same invariant subspaces and the same cyclic closures."""
+    def flat(m):
+        return tuple(x for row in m for x in row)
 
-
-def all_pairs_lattice(matrices, dim, field):
-    """The join the memoised pass replaced: zero and the per-seed closures,
-    closed under sums by joining every new subspace with every one found."""
-    zero = Subspace.zero(dim, field)
-    found = {zero.basis: zero}
-    for _, w in per_seed_closures(matrices, dim, field):
-        found.setdefault(w.basis, w)
-    worklist = list(found.values())
-    while worklist:
-        fresh = []
-        items = list(found.values())
-        for a in worklist:
-            for b in items:
-                s = a.add(b)
-                if s.basis not in found:
-                    found[s.basis] = s
-                    fresh.append(s)
-        worklist = fresh
-    return sorted(found.values(), key=lambda s: (s.dim, s.basis))
+    basis, pivots = [], []
+    closed, stack = list(matrices), []
+    for m in matrices:
+        insert_row(basis, pivots, flat(m), field)
+        stack.extend(mat_mul(a, m, field) for a in matrices)
+    while stack:
+        m = stack.pop()
+        if insert_row(basis, pivots, flat(m), field):
+            closed.append(m)
+            stack.extend(mat_mul(a, m, field) for a in matrices)
+    return closed
 
 
 @st.composite
@@ -805,23 +846,52 @@ def matrix_sets(draw, p):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_memoised_closures_match_per_seed_scan(p, data):
-    """Every closure of the memoised pass, its lattice and the verdict of
-    ``is_irreducible`` equal those of the per-seed scan and all-pairs join."""
+    """On the product closure of a drawn matrix set, every closure read off
+    the images, its lattice and the verdict of ``is_irreducible`` equal the
+    spun closures, all-pairs join and first proper closure of the drawn set.
+    On the drawn set itself the lattice is the oracle's or a ValueError."""
     dim, matrices = data.draw(matrix_sets(p))
     field = GF(p)
     actions = [sparse_rows(m) for m in matrices]
+    closed = product_closure(matrices, field)
+    closed_actions = [sparse_rows(m) for m in closed]
     oracle = per_seed_closures(actions, dim, field)
-    got = list(_cyclic_closures(actions, dim, field))
+    lattice = all_pairs_lattice(actions, dim, field)
+    got = list(_cyclic_closures(closed_actions, dim, field))
     assert [(seed, w.basis, w.pivots) for seed, w in got] == [
         (seed, w.basis, w.pivots) for seed, w in oracle]
-    assert all_invariant_subspaces(actions, dim, field) == all_pairs_lattice(
-        actions, dim, field)
+    assert all_invariant_subspaces(closed_actions, dim, field) == lattice
+    try:
+        assert all_invariant_subspaces(actions, dim, field) == lattice
+    except ValueError:
+        pass
     if dim > 1 and matrices:
-        null_algebra = AlgebraPresentation(field, range(len(matrices)), {})
-        verdict = is_irreducible(FdModule(null_algebra, matrices))
+        null_algebra = AlgebraPresentation(field, range(len(closed)), {})
+        verdict = is_irreducible(FdModule(null_algebra, closed))
         witness = next((w for _, w in oracle if w.dim != dim), None)
         assert verdict.status == ("irreducible" if witness is None else "reducible")
         assert verdict.witness == witness
+
+
+JORDAN_3 = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_actions_not_closed_under_products_are_refused(p):
+    """span{J} for the nilpotent 3 x 3 Jordan block is not closed under
+    products (J^2 is not a multiple of J): span(e_3, J e_3) = span(e_2, e_3)
+    is not invariant, so the enumeration refuses J rather than answer from
+    spans that are not closures.  The verdict stops at the first seed e_1,
+    whose span is checked invariant, so its witness stands.  With J^2 added
+    the closures are the flag 0 < <e_1> < <e_1, e_2> < F^3."""
+    field = GF(p)
+    J = sparse_rows(JORDAN_3)
+    with pytest.raises(ValueError):
+        all_invariant_subspaces([J], 3, field)
+    verdict = is_irreducible(FdModule(AlgebraPresentation(field, ["J"], {}), [JORDAN_3]))
+    assert verdict.status == "reducible" and verdict.witness.basis == ((1, 0, 0),)
+    J2 = sparse_rows(mat_mul(JORDAN_3, JORDAN_3, field))
+    assert [w.dim for w in all_invariant_subspaces([J, J2], 3, field)] == [0, 1, 2, 3]
 
 
 def multiply_is_two_sided_ideal(algebra, S):
