@@ -8,7 +8,12 @@ with no elimination: the rows whose pivots are not the kernel's.
 
 All elimination goes through one incremental echelon engine: ``eliminate``
 reduces a vector against an RREF basis and ``insert_row`` adds one to it;
-``rref``, residuals and invariant closures are built on them.  Membership
+``rref``, residuals and invariant closures are built on them, the cyclic
+closures of module enumeration over odd GF(p) included.  The one exception
+is that enumeration over GF(2): ``modrep._bitmask_vectors`` holds its rows
+as int bitmasks and inserts them with the same calling convention, since
+through ``insert_row`` the left ideals of M_4(F_2) took 9.3-11.7 s instead
+of 2.4-3.6 s.  Membership
 (``Subspace.contains_all``) needs no elimination: it checks the equations
 an RREF basis puts on its non-pivot columns.  Spans of standard basis
 vectors (``Subspace.deltas``) need none either: their RREF bases are

@@ -16,7 +16,9 @@ reducing each sum mod p once.  On top of that this module provides:
 
 * generated submodules and, over GF(p) within a budget, the full lattice
   of invariant subspaces, joined from the cyclic closures of every scalar
-  line, each read off the line's images and checked invariant;
+  line, each read off the line's images with ``linalg.insert_row`` (over
+  GF(2) with the same insert on int bitmasks, about three times faster
+  there) and checked invariant;
 * irreducibility verdicts: exact over GF(p) from the same closures,
   stopping at the first proper one; over the rationals a three-valued
   verdict (reducible with witness, certified irreducible, or
@@ -32,6 +34,7 @@ reducing each sum mod p once.  On top of that this module provides:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -384,8 +387,10 @@ def normalized_vectors(dim, p):
 def _bitmask_vectors(actions, dim):
     """Vector operations over GF(2) on int bitmasks, bit dim-1-i holding coordinate i.
 
-    Returns (encode, images, insert, subspace).  An echelon row is
-    (pivot bit, vector): its highest set bit, its first nonzero coordinate.
+    Returns (encode, images, insert, decode): ``images`` gives v's nonzero
+    images, and ``insert(basis, pivots, v)`` has the calling convention of
+    ``linalg.insert_row``, keeping the rows fully reduced and in pivot
+    order, a row's pivot being its highest set bit.
     """
     # per action, the image of each bit as a mask: bit b is column dim-1-b
     columns = [[sum(1 << (dim - 1 - r) for r, a in col if a % 2)
@@ -402,103 +407,79 @@ def _bitmask_vectors(actions, dim):
                 low = rest & -rest
                 img ^= cols[low.bit_length() - 1]
                 rest ^= low
-            out.append(img)
+            if img:
+                out.append(img)
         return out
 
-    def insert(rows, v) -> bool:
-        # add v to the fully reduced rows in place; False when already spanned
-        for high, r in rows:
-            if v & high:
+    def insert(basis, pivots, v) -> bool:
+        for r in basis:
+            if v ^ r < v:  # v holds r's pivot, the highest bit r sets
                 v ^= r
         if not v:
             return False
-        high = 1 << (v.bit_length() - 1)
-        for i, (pivot, r) in enumerate(rows):
+        length = v.bit_length()
+        high, pivot = 1 << (length - 1), dim - length
+        for i, r in enumerate(basis):
             if r & high:
-                rows[i] = (pivot, r ^ v)
-        rows.append((high, v))
+                basis[i] = r ^ v
+        idx = bisect.bisect(pivots, pivot)
+        basis.insert(idx, v)
+        pivots.insert(idx, pivot)
         return True
 
-    def subspace(rows, field):
-        rows = sorted(rows, reverse=True)
-        basis = [tuple((r >> (dim - 1 - i)) & 1 for i in range(dim)) for _, r in rows]
-        return Subspace(dim, field, basis, [dim - r.bit_length() for _, r in rows])
+    def decode(v):
+        return tuple((v >> (dim - 1 - i)) & 1 for i in range(dim))
 
-    return encode, images, insert, subspace
-
-
-def _residue_vectors(actions, dim, p):
-    """Vector operations over an odd GF(p) on int lists reduced mod p.
-
-    Returns (encode, images, insert, subspace).  An echelon row is
-    (pivot, vector), with a 1 at its first nonzero coordinate, the pivot.
-    """
-    # per action, column c as its (row, entry) pairs; images reduce mod p
-    columns = [transpose_rows(act, dim) for act in actions]
-
-    def encode(seed):
-        return list(seed)
-
-    def images(v):
-        support = [(c, a) for c, a in enumerate(v) if a]
-        out = []
-        for cols in columns:
-            img = [0] * dim
-            for c, a in support:
-                for r, b in cols[c]:
-                    img[r] += a * b
-            out.append([x % p for x in img])
-        return out
-
-    def insert(rows, v) -> bool:
-        # add v to the fully reduced rows in place; False when already spanned
-        for pivot, r in rows:
-            c = v[pivot]
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, r)]
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            return False
-        inv = pow(v[lead], -1, p)
-        v = [x * inv % p for x in v]
-        for i, (pivot, r) in enumerate(rows):
-            c = r[lead]
-            if c:
-                rows[i] = (pivot, [(x - c * y) % p for x, y in zip(r, v)])
-        rows.append((lead, v))
-        return True
-
-    def subspace(rows, field):
-        rows = sorted(rows)
-        return Subspace(dim, field, [tuple(r) for _, r in rows], [pivot for pivot, _ in rows])
-
-    return encode, images, insert, subspace
+    return encode, images, insert, decode
 
 
 def _cyclic_closures(actions, dim, field):
     """(seed, closure) for every seed of ``normalized_vectors``, in that order.
 
     For a module the closure of v is Kv + Bv = span(v, M_1 v, ..., M_k v),
-    as M_j M_i is a combination of the M's.  Each distinct span is checked
-    invariant (no image of one of its rows may enlarge it), else the
-    actions are not closed under products and raise ``ValueError``.
-    Scalars are ints, never `Field` calls; equal closures share one
-    `Subspace`.
+    as M_j M_i is a combination of the M's.  The seed and its nonzero
+    images (int column sums, reduced mod p once) go into an RREF basis
+    through ``linalg.insert_row``.  Over GF(2) they are int bitmasks and go
+    in through ``_bitmask_vectors``' insert, the package's one other row
+    reduction, about three times faster there.  The rows are canonical, so
+    they key each distinct span, which is checked invariant (no image of
+    one of its rows may enlarge it), else the actions are not closed under
+    products and raise ``ValueError``.  Equal closures share one `Subspace`.
     """
     p = field.p
-    encode, images, insert, subspace = (
-        _bitmask_vectors(actions, dim) if p == 2 else _residue_vectors(actions, dim, p))
-    shared = {}  # canonical echelon rows -> the Subspace of that closure
+    if p == 2:
+        encode, images, insert, decode = _bitmask_vectors(actions, dim)
+    else:
+        encode = decode = tuple
+        columns = [transpose_rows(act, dim) for act in actions]  # column c's (row, entry)
+
+        def images(v):
+            support = [(c, a) for c, a in enumerate(v) if a]
+            out = []
+            for cols in columns:
+                img = [0] * dim
+                for c, a in support:
+                    for r, b in cols[c]:
+                        img[r] += a * b
+                img = [x % p for x in img]
+                if any(img):
+                    out.append(img)
+            return out
+
+        def insert(basis, pivots, v):
+            return insert_row(basis, pivots, v, field)
+    shared = {}  # canonical RREF rows -> the Subspace of that closure
     for seed in normalized_vectors(dim, p):
-        v, rows = encode(seed), []
+        v, basis, pivots = encode(seed), [], []
         for u in [v, *images(v)]:
-            if len(rows) < dim:
-                insert(rows, u)
-        key = frozenset((pivot, r if p == 2 else tuple(r)) for pivot, r in rows)
+            if len(basis) < dim:
+                insert(basis, pivots, u)
+        key = tuple(basis) if p == 2 else tuple(map(tuple, basis))
         if key not in shared:
-            if len(rows) < dim and any(insert(rows, u) for _, r in list(rows) for u in images(r)):
+            if len(basis) < dim and any(insert(basis, pivots, u)
+                                        for r in list(basis) for u in images(r)):
                 raise ValueError(f"actions not closed under products: seed {seed} spans no closure")
-            shared[key] = subspace(rows, field)
+            shared[key] = Subspace(dim, field, map(decode, key), pivots)
         yield seed, shared[key]
 
 

@@ -494,11 +494,13 @@ def test_ideals_from_left_ideals_match_bimodule_enumeration():
         assert enumerate_ideals(inc, left_ideals(inc)) == bimodule_ideals(inc), name
 
 
-@pytest.mark.parametrize("n,p,count", [(2, 5, 8), (2, 7, 10), (3, 2, 16), (4, 2, 67)])
+@pytest.mark.parametrize("n,p,count", [(2, 5, 8), (2, 7, 10), (2, 11, 14), (3, 2, 16),
+                                     (3, 3, 28), (4, 2, 67)])
 def test_matrix_algebra_left_ideals_are_subspaces(n, p, count):
     """The left ideals of M_n(F_p) are the matrices with rows in a fixed
-    subspace of F_p^n, one per subspace: 1 + (p + 1) + 1 of them for n = 2,
-    16 for F_2^3 and 67 for F_2^4.  Only 0 and B are two-sided."""
+    subspace of F_p^n, one per subspace: 1 + (p + 1) + 1 = p + 3 of them
+    for n = 2, 1 + (p^2 + p + 1) + (p^2 + p + 1) + 1 for n = 3 (16 over
+    F_2, 28 over F_3) and 67 for F_2^4.  Only 0 and B are two-sided."""
     g = pair_groupoid(n)
     inc = Inclusion(g, Cocycle.trivial(g, GF(p)))
     lattice = left_ideals(inc)

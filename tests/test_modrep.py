@@ -801,7 +801,7 @@ def test_first_failing_pair_with_zero_product_is_found():
 # -- cyclic closures read off the images, against the per-seed spinning scan ---
 
 # the largest dimension drawn per prime: keeps the all-pairs join oracle quick
-ORACLE_DIMS = {2: 5, 3: 4, 5: 3, 7: 3}
+ORACLE_DIMS = {2: 5, 3: 4, 5: 3, 7: 3, 11: 2}
 
 
 def product_closure(matrices, field):
@@ -842,7 +842,7 @@ def matrix_sets(draw, p):
     return dim, matrices
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_memoised_closures_match_per_seed_scan(p, data):
@@ -876,7 +876,7 @@ def test_memoised_closures_match_per_seed_scan(p, data):
 JORDAN_3 = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 11])
 def test_actions_not_closed_under_products_are_refused(p):
     """span{J} for the nilpotent 3 x 3 Jordan block is not closed under
     products (J^2 is not a multiple of J): span(e_3, J e_3) = span(e_2, e_3)
@@ -892,6 +892,18 @@ def test_actions_not_closed_under_products_are_refused(p):
     assert verdict.status == "reducible" and verdict.witness.basis == ((1, 0, 0),)
     J2 = sparse_rows(mat_mul(JORDAN_3, JORDAN_3, field))
     assert [w.dim for w in all_invariant_subspaces([J, J2], 3, field)] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("n,p", [(3, 2), (2, 3)])
+def test_equal_closures_are_one_subspace(n, p):
+    """Over the regular module of M_n(F_p), every seed whose closure is an
+    earlier one's gets that same `Subspace` object, so the lattice joins
+    each distinct closure once."""
+    g = pair_groupoid(n)
+    reg = regular_module(presentation_of_B(g, Cocycle.trivial(g, GF(p))))
+    closures = [w for _, w in _cyclic_closures(reg.entries, reg.dim, reg.field)]
+    assert len(closures) == (p**reg.dim - 1) // (p - 1)
+    assert len({id(w) for w in closures}) == len({w.basis for w in closures}) > 2
 
 
 def multiply_is_two_sided_ideal(algebra, S):
