@@ -20,14 +20,17 @@ is isolated) the inducing ideal can always be chosen primitive.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
-from .errors import TheoremViolation
+from .errors import BudgetExceeded, TheoremViolation
 from .isotropy import Inclusion
-from .linalg import Subspace, right_kernel
+from .linalg import Subspace, right_kernel, rref
 from .modrep import (
+    LATTICE_BUDGET,
     FdModule,
-    all_submodules,
+    all_invariant_subspaces,
     annihilator,
     germ_space,
     is_irreducible,
@@ -62,7 +65,13 @@ def induced_ideal(inclusion: Inclusion, x: int, I: Subspace) -> Subspace:
     (k, ((alpha k, w1),)) and rows[alpha k] holds (beta, ((alpha k beta, w2),)),
     so column k of the block is w1 w2 times the residual of E on the arrow
     alpha k beta.  Only the rows that some nonzero entry touches are kept.
+    The result is kept on the inclusion under (x, I.basis), next to its
+    induced modules, so both ideal checks run on the first call only; a
+    call that raises keeps nothing.
     """
+    key = (x, I.basis)
+    if key in inclusion._induced_ideals:
+        return inclusion._induced_ideals[key]
     data = inclusion.isotropy_data(x, x)
     if not is_two_sided_ideal(data.presentation, I):
         raise ValueError("I is not a two-sided ideal of the isotropy algebra")
@@ -81,6 +90,7 @@ def induced_ideal(inclusion: Inclusion, x: int, I: Subspace) -> Subspace:
     out = right_kernel(list(constraints.values()), m, f)
     if not is_two_sided_ideal(inclusion.B, out):
         raise TheoremViolation("induced ideal is not two-sided")
+    inclusion._induced_ideals[key] = out
     return out
 
 
@@ -139,14 +149,109 @@ def germ_annihilator_decomposition(inclusion: Inclusion, V: FdModule) -> GermDec
 # ideal enumeration and the decomposition reports
 
 
-def left_ideals(inclusion: Inclusion):
-    """Every left ideal of B: the submodule lattice of its regular module.
+def _moves(rows, g):
+    """delta_g delta_a = w delta_(g a) for each arrow a that g composes with,
+    read off ``B.rows`` as a -> (g a, w)."""
+    return {a: (ga, w) for a, ((ga, w),) in rows[g]}
 
-    Exhaustive over GF(p) within the budget; sorted by (dim, basis) so
-    reports are deterministic.  The ideals and the primitive ideals are
-    both read off this one lattice.
+
+def _orbit_left_ideals(inclusion: Inclusion, x: int, orbit):
+    """The left ideals of B inside the block of the orbit of x, as a list.
+
+    Each is B.W = sum_y delta_(n_y) W for a submodule W of delta_x B (the
+    arrows into x) under the left deltas of G_x, n_y the least arrow
+    x -> y (n_x = x), as the imprimitivity bimodule picks it.  A product of
+    deltas is one scaled delta, so delta_(n_y) W is read off ``B.rows``
+    and put in RREF on the arrows into y; these arrow sets are disjoint, so
+    the blocks' rows, sorted by pivot, are the RREF basis of B.W.  Every
+    gamma: y -> z is a multiple of n_z h n_y^-1 with h in G_x, so the
+    deltas of h, n_y and n_y^-1 generate the block, and B.W is checked
+    stable under them with ``contains_all``.
     """
-    return all_submodules(regular_module(inclusion.B))
+    f, gpd, rows, m = inclusion.field, inclusion.groupoid, inclusion.B.rows, inclusion.m
+    zero, arrows = f.zero(), gpd.into[x]
+    isotropy = gpd.isotropy_group(x)
+    local = inclusion.B.mult_rows(arrows)[0]  # left multiplications on delta_x B
+    actions = [local[h] for h in isotropy if h != x]
+    sections = {y: x if y == x else min(gpd.hom_set(y, x)) for y in orbit}
+    others = [n for y, n in sections.items() if y != x]
+    moves = [_moves(rows, g) for g in [*isotropy, *others, *(gpd.inv[n] for n in others)]]
+    placing = {}  # per y, the position of n_y a among the arrows into y and its scalar w
+    for y, n in sections.items():
+        position = {b: j for j, b in enumerate(gpd.into[y])}
+        placing[y] = [(position[na], w) for na, w in map(_moves(rows, n).get, arrows)]
+    out = []
+    for W in all_invariant_subspaces(actions, len(arrows), f, invertible=True):
+        placed = []
+        for y, targets in placing.items():
+            moved = []
+            for row in W.basis:
+                vec = [zero] * len(arrows)
+                for (j, w), c in zip(targets, row):
+                    if c != 0:
+                        vec[j] = f.mul(w, c)
+                moved.append(vec)
+            for r, pc in zip(*rref(moved, f)):
+                vec = [zero] * m
+                for b, c in zip(gpd.into[y], r):
+                    vec[b] = c
+                placed.append((gpd.into[y][pc], tuple(vec)))
+        ideal = _joined(placed, m, f)
+        if not ideal.contains_all(_images(ideal.basis, moves, m, f)):
+            raise TheoremViolation(f"B.W is not a left ideal for W of dim {W.dim} at {x}")
+        out.append(ideal)
+    return out
+
+
+def _joined(rows, m, f) -> Subspace:
+    """The span of RREF rows on disjoint sets of arrows, given as (pivot, row)
+    pairs: sorted by pivot, they are its RREF basis."""
+    rows = sorted(rows)
+    return Subspace(m, f, [r for _, r in rows], [pc for pc, _ in rows])
+
+
+def _images(vectors, moves, m, f):
+    """The nonzero images of the vectors under the deltas given by their ``_moves``."""
+    zero = f.zero()
+    for v in vectors:
+        support = [(a, c) for a, c in enumerate(v) if c != 0]
+        for move in moves:
+            terms = [(move[a], c) for a, c in support if a in move]
+            if terms:
+                img = [zero] * m
+                for (ga, w), c in terms:
+                    img[ga] = f.mul(w, c)
+                yield img
+
+
+def left_ideals(inclusion: Inclusion):
+    """Every left ideal of B, enumerated at one unit per orbit.
+
+    The orbit idempotents 1_O are central, so a left ideal L is the sum of
+    its blocks 1_O L, and the imprimitivity bimodule makes 1_O L = B.W for
+    W = delta_x L, x the least unit of O (``_orbit_left_ideals``): the
+    blocks are the submodules of delta_x B, of dimension |O| |G_x|, over
+    B(x, x).  L is one block per orbit; blocks sit on disjoint arrows, so
+    their rows join into one RREF basis.  Exhaustive over GF(p) within the
+    budgets: each enumeration within ``ENUMERATION_BUDGET``, and the
+    product of the block counts within ``LATTICE_BUDGET``, refused before
+    it is built.  Sorted by (dim, basis) so reports are deterministic; the
+    ideals and the primitive ideals are both read off this one lattice.
+    ``all_submodules(regular_module(B))`` is the same lattice at B level.
+    """
+    gpd, m, f = inclusion.groupoid, inclusion.m, inclusion.field
+    factors, seen = [], set()
+    for x in gpd.units:
+        if x not in seen:
+            orbit = gpd.orbit(x)
+            seen.update(orbit)
+            factors.append(_orbit_left_ideals(inclusion, x, orbit))
+    count = math.prod(map(len, factors))
+    if count > LATTICE_BUDGET:
+        raise BudgetExceeded(f"{count} left ideals exceed the lattice budget of {LATTICE_BUDGET}")
+    ideals = [_joined([row for b in blocks for row in zip(b.pivots, b.basis)], m, f)
+              for blocks in itertools.product(*factors)]
+    return sorted(ideals, key=lambda s: (s.dim, s.basis))
 
 
 def enumerate_ideals(inclusion: Inclusion, lattice):

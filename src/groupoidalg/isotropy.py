@@ -97,7 +97,8 @@ class Inclusion:
 
     Holds the presentation of B and caches per-pair isotropy data (whose
     quotient section is the matrix of E(y, x)), isotropy identifications,
-    and the bimodules and induced modules of ``induction``; every
+    the bimodules and induced modules of ``induction`` and the induced
+    ideals of ``ideals``; every
     downstream construction (bimodules, induction, induced ideals) runs
     through it.
     Ideals of A, and every space built from a pair of them, are sets of
@@ -117,6 +118,7 @@ class Inclusion:
         self._iso_cache = {}
         self._bimodules = {}
         self._induced = {}
+        self._induced_ideals = {}
 
     # -- elementary vectors and subspaces -------------------------------------
 

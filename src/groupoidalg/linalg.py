@@ -12,8 +12,11 @@ reduces a vector against an RREF basis and ``insert_row`` adds one to it;
 closures of module enumeration over odd GF(p) included.  The one exception
 is that enumeration over GF(2): ``modrep._bitmask_vectors`` holds its rows
 as int bitmasks and inserts them with the same calling convention, since
-through ``insert_row`` the left ideals of M_4(F_2) took 9.3-11.7 s instead
-of 2.4-3.6 s.  Membership
+through ``insert_row`` the submodules of the regular module of M_4(F_2)
+took 9.3-11.7 s instead of 2.4-3.6 s.  Left ideals are enumerated at one
+unit per orbit (``ideals.left_ideals``), so a whole B-module is enumerated
+only by ``all_submodules`` and ``is_irreducible`` on it: the test oracle of
+the left ideals, and the witnesses of the primitive ideals.  Membership
 (``Subspace.contains_all``) needs no elimination: it checks the equations
 an RREF basis puts on its non-pivot columns.  Spans of standard basis
 vectors (``Subspace.deltas``) need none either: their RREF bases are

@@ -23,8 +23,10 @@ reducing each sum mod p once.  On top of that this module provides:
   stopping at the first proper one; over the rationals a three-valued
   verdict (reducible with witness, certified irreducible, or
   inconclusive) built from basis-cyclicity, the trace-form radical of
-  the image algebra, and factoring minimal polynomials of commutant
-  elements (``_factor_over_Q``, the one place the package imports sympy);
+  the image algebra, the commutant (certified when it is the scalars, a
+  field or a definite quaternion algebra) and factoring minimal
+  polynomials of commutant elements (``_factor_over_Q``, the one place
+  the package imports sympy);
 * annihilators, quotient/sub/direct-sum constructions and module
   isomorphism search;
 * restrictions to a unit (the part killed by the point ideal) and germ
@@ -433,7 +435,7 @@ def _bitmask_vectors(actions, dim):
     return encode, images, insert, decode
 
 
-def _cyclic_closures(actions, dim, field):
+def _cyclic_closures(actions, dim, field, invertible=False):
     """(seed, closure) for every seed of ``normalized_vectors``, in that order.
 
     For a module the closure of v is Kv + Bv = span(v, M_1 v, ..., M_k v),
@@ -445,10 +447,19 @@ def _cyclic_closures(actions, dim, field):
     they key each distinct span, which is checked invariant (no image of
     one of its rows may enlarge it), else the actions are not closed under
     products and raise ``ValueError``.  Equal closures share one `Subspace`.
+
+    ``invertible`` says that every action is invertible on the closures
+    (a group's deltas): then M_i v generates the closure of v, so once a
+    seed's closure is checked, the seeds that are its images scaled to a
+    leading 1 take that closure when they come up, without being spun.
+    Actions not closed under products may give such an image a smaller
+    span and hide the refusal, so only a caller that knows them to be a
+    group's deltas passes it.
     """
     p = field.p
     if p == 2:
         encode, images, insert, decode = _bitmask_vectors(actions, dim)
+        normalize = int
     else:
         encode = decode = tuple
         columns = [transpose_rows(act, dim) for act in actions]  # column c's (row, entry)
@@ -468,10 +479,19 @@ def _cyclic_closures(actions, dim, field):
 
         def insert(basis, pivots, v):
             return insert_row(basis, pivots, v, field)
+
+        def normalize(v):
+            inv = pow(next(a for a in v if a), -1, p)
+            return tuple(a * inv % p for a in v)
     shared = {}  # canonical RREF rows -> the Subspace of that closure
+    reached = {}  # a normalized image of a spun seed -> that seed's closure
     for seed in normalized_vectors(dim, p):
-        v, basis, pivots = encode(seed), [], []
-        for u in [v, *images(v)]:
+        v = encode(seed)
+        if v in reached:
+            yield seed, reached.pop(v)
+            continue
+        basis, pivots, out = [], [], images(v)
+        for u in [v, *out]:
             if len(basis) < dim:
                 insert(basis, pivots, u)
         key = tuple(basis) if p == 2 else tuple(map(tuple, basis))
@@ -480,6 +500,9 @@ def _cyclic_closures(actions, dim, field):
                                         for r in list(basis) for u in images(r)):
                 raise ValueError(f"actions not closed under products: seed {seed} spans no closure")
             shared[key] = Subspace(dim, field, map(decode, key), pivots)
+        if invertible:
+            for u in out:
+                reached.setdefault(normalize(u), shared[key])
         yield seed, shared[key]
 
 
@@ -492,7 +515,7 @@ def _require_enum_budget(field, dim):
         )
 
 
-def all_invariant_subspaces(actions, dim, field):
+def all_invariant_subspaces(actions, dim, field, invertible=False):
     """Every subspace invariant under the actions (sparse rows), as a sorted list.
 
     Every invariant subspace is a sum of cyclic closures span(v, M_1 v, ...),
@@ -500,12 +523,13 @@ def all_invariant_subspaces(actions, dim, field):
     turn into every subspace found so far that does not already contain
     them.  Exact and exhaustive; each atom is checked invariant, so actions
     not closed under products raise ``ValueError``.  Refuses beyond budget.
+    ``invertible`` (a group's deltas) is passed on to ``_cyclic_closures``.
     """
     _require_enum_budget(field, dim)
     zero = Subspace.zero(dim, field)
     found = {zero.basis: zero}
     atoms = {}
-    for _, w in _cyclic_closures(actions, dim, field):
+    for _, w in _cyclic_closures(actions, dim, field, invertible):
         atoms.setdefault(id(w), w)
     for atom in atoms.values():
         for s in list(found.values()):
@@ -649,19 +673,75 @@ def _image_algebra_radical(module: FdModule):
     return [_square(combine(coords, span.basis, f), d) for coords in kern]
 
 
+def _leading_minors_definite(gram) -> bool:
+    """Whether the symmetric rational matrix is definite, by Sylvester's criterion.
+
+    Its leading principal minors D_1, ..., D_n are all positive (positive
+    definite) or alternate in sign from D_1 < 0 (negative definite).  They
+    are read off one exact elimination without row swaps: D_k is the
+    product of the first k pivots, and a zero pivot means D_k = 0.
+    """
+    rows = [list(r) for r in gram]
+    minors, det = [], Fraction(1)
+    for k in range(len(rows)):
+        pivot = rows[k][k]
+        if pivot == 0:
+            return False
+        det *= pivot
+        minors.append(det)
+        for r in rows[k + 1:]:
+            c = r[k] / pivot
+            for j in range(k, len(rows)):
+                r[j] -= c * rows[k][j]
+    return all(d > 0 for d in minors) or all((-1) ** k * d > 0 for k, d in enumerate(minors, 1))
+
+
+def _definite_quaternion_commutant(commutant, dim, field) -> bool:
+    """Whether the commutant E is a definite quaternion algebra, hence a division algebra.
+
+    E is 4-dimensional with center the scalars.  E is semisimple (the caller
+    found the image algebra's radical zero), so it is M_2(Q) or a division
+    quaternion algebra, and the trace form tr(xy) is a positive multiple of
+    the reduced trace form on it.  On the trace-zero part that form is
+    indefinite for M_2(Q) (as for M_2(R)) and definite exactly when
+    E (x) R is Hamilton's quaternions, so a definite form rules M_2(Q) out.
+    """
+    if len(commutant) != 4:
+        return False
+    flat = [_flatten(t) for t in commutant]
+    # the center: the c with sum_i c_i (t_i s - s t_i) = 0 for every s in E
+    rows = []
+    for s in commutant:
+        rows.extend(zip(*(map(field.sub, _flatten(mat_mul(t, s, field)), _flatten(mat_mul(s, t, field)))
+                          for t in commutant)))
+    if right_kernel(rows, 4, field).dim != 1:
+        return False
+
+    def trace(m):
+        return sum((m[i][i] for i in range(dim)), field.zero())
+
+    traceless = right_kernel([tuple(trace(t) for t in commutant)], 4, field)
+    pure = [_square(combine(c, flat, field), dim) for c in traceless.basis]
+    gram = [[trace(mat_mul(u, v, field)) for v in pure] for u in pure]
+    return _leading_minors_definite(gram)
+
+
 def is_irreducible(module: FdModule) -> IrreducibilityVerdict:
     """Irreducibility verdict; exact over GF(p), three-valued over Q.
 
     Over GF(p) every scalar line is tried as a generator in
     ``normalized_vectors`` order up to the first proper (checked) closure,
     which is the witness, so the answer is exact.  Over the rationals the
-    reducible verdicts always carry an explicit invariant subspace, and
-    "irreducible" from dimension one or from a semisimple image with
-    scalar commutant is sound.  The division-commutant probe is not: it
-    factors the minimal polynomials of the commutant basis and its pairwise
-    sums only, which does not prove the commutant a division algebra, and
-    it calls some changes of basis of the reducible regular module of
-    M_2(Q) irreducible.  Otherwise the verdict is inconclusive.
+    reducible verdicts always carry an explicit invariant subspace: a
+    proper cyclic submodule, the submodule the radical of the image algebra
+    generates, or the kernel of a proper factor of the minimal polynomial
+    of a commutant element.  The certified irreducible verdicts are proofs
+    once the image algebra is semisimple, when V is irreducible exactly
+    when its commutant E is a division algebra: dimension one, a scalar
+    commutant, a commutative E with an element whose minimal polynomial is
+    irreducible of degree dim E (so E is that field), and a definite
+    quaternion E (``_definite_quaternion_commutant``).  Everything else is
+    inconclusive.
     """
     if module.dim == 0:
         raise TrivialModuleError("the zero module has no irreducibility verdict")
@@ -688,33 +768,27 @@ def is_irreducible(module: FdModule) -> IrreducibilityVerdict:
         if 0 < w.dim < module.dim:
             return IrreducibilityVerdict("reducible", True, w, "radical")
         raise TheoremViolation("radical action produced no proper submodule")
-    commutant = _intertwiners(module, module)
-    pair = (f.one(), f.one())
-    probes = [_square(v, module.dim) for v in commutant] + [
-        _square(combine(pair, ab, f), module.dim)
-        for ab in itertools.combinations(commutant, 2)
-    ]
-    scalar_only = len(commutant) == 1
-    all_probes_irreducible = True
-    for t in probes:
-        mp = _minimal_polynomial(t, module.dim, f)
+    d = module.dim
+    commutant = [_square(v, d) for v in _intertwiners(module, module)]
+    if len(commutant) == 1:
+        return IrreducibilityVerdict("irreducible", True, method="scalar-commutant")
+    acts = [sparse_rows(t) for t in commutant]
+    commutative = all(intertwines(t, acts, acts, f) for t in commutant)
+    if not commutative and _definite_quaternion_commutant(commutant, d, f):
+        return IrreducibilityVerdict("irreducible", True, method="definite-quaternion-commutant")
+    for t in commutant:
+        mp = _minimal_polynomial(t, d, f)
         factors = _factor_over_Q(mp)
         if len(factors) > 1 or factors[0][1] > 1:
-            for fac, _ in factors:
-                if len(fac) - 1 == len(mp) - 1:
-                    continue
-                pt = _evaluate_poly(fac, t, module.dim, f)
-                w = right_kernel(pt, module.dim, f)
-                if 0 < w.dim < module.dim:
-                    # kernel of a commutant polynomial is invariant
-                    return IrreducibilityVerdict("reducible", True, w, "commutant-kernel")
-            all_probes_irreducible = False
-    if scalar_only:
-        return IrreducibilityVerdict("irreducible", True, method="scalar-commutant")
-    if all_probes_irreducible:
-        return IrreducibilityVerdict(
-            "irreducible", True, method="division-commutant"
-        )
+            # f(t) for a proper factor f of the minimal polynomial is a
+            # nonzero singular commutant element: its kernel is invariant
+            fac = factors[0][0]
+            w = right_kernel(_evaluate_poly(fac, t, d, f), d, f)
+            if not 0 < w.dim < d:
+                raise TheoremViolation("a proper factor of a minimal polynomial has a trivial kernel")
+            return IrreducibilityVerdict("reducible", True, w, "commutant-kernel")
+        if commutative and len(mp) - 1 == len(commutant):
+            return IrreducibilityVerdict("irreducible", True, method="field-commutant")
     return IrreducibilityVerdict("inconclusive", False, method="exhausted")
 
 

@@ -6,8 +6,14 @@ import random
 import pytest
 
 from groupoidalg import ideals
-from groupoidalg.errors import TheoremViolation
-from groupoidalg.groupoid import action_groupoid, cyclic_group_table, pair_groupoid
+from groupoidalg.errors import BudgetExceeded, TheoremViolation
+from groupoidalg.groupoid import (
+    action_groupoid,
+    cyclic_group_table,
+    group_bundle,
+    group_groupoid,
+    pair_groupoid,
+)
 from groupoidalg.ideals import (
     Ideal,
     effros_hahn_check,
@@ -31,6 +37,7 @@ from groupoidalg.linalg import (
     zero_vector,
 )
 from groupoidalg.modrep import (
+    LATTICE_BUDGET,
     all_submodules,
     annihilator,
     germ_space,
@@ -494,13 +501,65 @@ def test_ideals_from_left_ideals_match_bimodule_enumeration():
         assert enumerate_ideals(inc, left_ideals(inc)) == bimodule_ideals(inc), name
 
 
+def orbit_battery():
+    """``small_field_battery``, the battery over GF(5) and GF(7) with the
+    quaternion twist where the B-level oracle takes at most 7^6 seeds, and
+    action groupoids over GF(3) under a coboundary, whose sections n_y carry
+    scalars: Z_2 on 2 + 1 points, Z_3 on 3 points and Z_4 on 2 points; and
+    Z_3 with its identity as the last arrow."""
+    cases = small_field_battery()
+    for field in (GF(5), GF7):
+        cases += [(f"{name}/{field}", g, c)
+                  for name, g, c in [*battery(field), ("v4quat", *quaternion_fixture(field))]
+                  if field.p ** g.n_arrows <= 7**6]
+    actions = {"Z2 on 2+1": (2, [[0, 1, 2], [1, 0, 2]]),
+               "Z3 on 3": (3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+               "Z4 on 2": (4, [[0, 1], [1, 0], [0, 1], [1, 0]])}
+    for name, (n, action) in actions.items():
+        g = action_groupoid(cyclic_group_table(n), action)
+        values = {a: 1 if g.is_unit(a) else 2 for a in g.arrows()}
+        cases.append((f"{name}/GF3/coboundary", g, coboundary(g, GF3, values)))
+    # Z_3 with its identity last, so the unit is not the least isotropy arrow
+    g = group_groupoid([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+    cases += [(f"Z3, identity last/{field}", g, Cocycle.trivial(g, field)) for field in (GF2, GF3)]
+    return cases
+
+
+def test_left_ideals_match_the_regular_module_lattice():
+    """Enumerated at one unit per orbit and placed by the sections, the left
+    ideals are the B-level lattice of the regular module, in its order."""
+    for name, g, c in orbit_battery():
+        inc = Inclusion(g, c)
+        assert left_ideals(inc) == all_submodules(regular_module(inc.B)), name
+
+
+def test_left_ideals_refusals():
+    """``left_ideals`` refuses over Q; when a module of arrows into a unit
+    is past the enumeration budget (Z_13 over GF(3): 3^13 > 2^20); and
+    when the product of the orbit counts is past the lattice budget, before
+    it is built (ten Z_2 over GF(2): 3 left ideals each, 3^10 > 20000)."""
+    g = make_z2()
+    with pytest.raises(BudgetExceeded, match="requires a prime field"):
+        left_ideals(Inclusion(g, Cocycle.trivial(g, QQ)))
+    g = group_groupoid(cyclic_group_table(13))
+    with pytest.raises(BudgetExceeded, match=r"3\^13 candidate vectors exceed the budget"):
+        left_ideals(Inclusion(g, Cocycle.trivial(g, GF3)))
+    g = group_bundle([cyclic_group_table(2)] * 10)
+    with pytest.raises(BudgetExceeded, match=f"59049 left ideals exceed the lattice budget of {LATTICE_BUDGET}"):
+        left_ideals(Inclusion(g, Cocycle.trivial(g, GF2)))
+
+
 @pytest.mark.parametrize("n,p,count", [(2, 5, 8), (2, 7, 10), (2, 11, 14), (3, 2, 16),
-                                     (3, 3, 28), (4, 2, 67)])
+                                     (3, 3, 28), (4, 2, 67), (4, 3, 212), (5, 2, 374),
+                                     (6, 2, 2825)])
 def test_matrix_algebra_left_ideals_are_subspaces(n, p, count):
     """The left ideals of M_n(F_p) are the matrices with rows in a fixed
     subspace of F_p^n, one per subspace: 1 + (p + 1) + 1 = p + 3 of them
     for n = 2, 1 + (p^2 + p + 1) + (p^2 + p + 1) + 1 for n = 3 (16 over
-    F_2, 28 over F_3) and 67 for F_2^4.  Only 0 and B are two-sided."""
+    F_2, 28 over F_3), and the sums of the Gaussian binomials for n >= 4:
+    1 + 15 + 35 + 15 + 1 = 67 over F_2 and 1 + 40 + 130 + 40 + 1 = 212 over
+    F_3 for n = 4, 374 and 2825 over F_2 for n = 5 and 6.  Only 0 and B
+    are two-sided."""
     g = pair_groupoid(n)
     inc = Inclusion(g, Cocycle.trivial(g, GF(p)))
     lattice = left_ideals(inc)

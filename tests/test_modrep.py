@@ -1,9 +1,9 @@
 """Modules: validation, submodule lattices, irreducibility, annihilators,
 restrictions, and germ spaces."""
 
+import itertools
 import random
 import re
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -13,13 +13,19 @@ from hypothesis import strategies as st
 
 from groupoidalg import modrep
 from groupoidalg.errors import BudgetExceeded, TrivialModuleError
-from groupoidalg.groupoid import pair_groupoid
+from groupoidalg.groupoid import (
+    cyclic_group_table,
+    group_groupoid,
+    klein_four_table,
+    pair_groupoid,
+)
 from groupoidalg.induction import induce
 from groupoidalg.isotropy import Inclusion
 from groupoidalg.linalg import (
     GF,
     QQ,
     Subspace,
+    apply_rows,
     identity_matrix,
     insert_row,
     mat_mul,
@@ -53,7 +59,7 @@ from groupoidalg.modrep import (
     submodule_module,
 )
 from groupoidalg.steinberg import AlgebraPresentation, presentation_of_B
-from groupoidalg.twist import Cocycle, coboundary
+from groupoidalg.twist import Cocycle, coboundary, validate_cocycle
 
 from conftest import (
     all_pairs_lattice,
@@ -190,7 +196,9 @@ def test_matrix_algebra_column_module_irreducible_gf2():
 
 def test_budget_refusal():
     """Past ENUMERATION_BUDGET candidate vectors every GF(p) enumeration
-    refuses: the regular module of M_4(F_3) has 3^16 > 2^20 of them."""
+    refuses: the regular module of M_4(F_3) has 3^16 > 2^20 of them.
+    ``left_ideals`` enumerates at one unit, the 3^4 vectors of F_3^4, and
+    answers its 1 + 40 + 130 + 40 + 1 = 212 subspaces."""
     g = pair_groupoid(4)
     inc = Inclusion(g, Cocycle.trivial(g, GF3))
     reg = regular_module(inc.B)
@@ -198,8 +206,7 @@ def test_budget_refusal():
     for enumeration in (all_submodules, is_irreducible):
         with pytest.raises(BudgetExceeded, match=r"3\^16 candidate vectors exceed the budget"):
             enumeration(reg)
-    with pytest.raises(BudgetExceeded):
-        left_ideals(inc)
+    assert len(left_ideals(inc)) == 212
     with pytest.raises(BudgetExceeded):
         qreg = regular_module(presentation_of_B(*battery(QQ, ["z2"])[0][1:]))
         all_submodules(qreg)
@@ -224,8 +231,8 @@ def test_zero_module_raises():
 
 
 def test_quaternion_regular_certified_over_Q(monkeypatch):
-    """The verdict comes from factoring minimal polynomials over Q, the one
-    path that imports sympy."""
+    """The commutant is Hamilton's quaternions, whose trace form is definite
+    on the trace-zero part, so the verdict needs no factoring."""
     factored = []
     original = modrep._factor_over_Q
 
@@ -239,8 +246,21 @@ def test_quaternion_regular_certified_over_Q(monkeypatch):
     verdict = is_irreducible(regular_module(inc.B))
     assert verdict.status == "irreducible"
     assert verdict.certified
-    assert verdict.method == "division-commutant"
-    assert factored and "sympy" in sys.modules
+    assert verdict.method == "definite-quaternion-commutant"
+    assert factored == []
+
+
+def test_conjugated_quaternion_regular_module_stays_certified():
+    """The definite trace form does not depend on the basis: the regular
+    module of the quaternions in five random unitriangular bases keeps its
+    certified verdict, with no factoring."""
+    g, c = quaternion_fixture(QQ)
+    reg = regular_module(presentation_of_B(g, c))
+    rng = random.Random(3)
+    for _ in range(5):
+        verdict = is_irreducible(conjugated(reg, rng))
+        assert (verdict.status, verdict.certified, verdict.method) == (
+            "irreducible", True, "definite-quaternion-commutant")
 
 
 def test_z2_regular_reducible_over_Q_with_eigenline():
@@ -262,10 +282,6 @@ def test_matrix_column_module_over_Q():
     assert verdict.status == "irreducible" and verdict.certified
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the division-commutant probe factors only the commutant basis and its pairwise "
-    "sums, which does not prove the commutant a division algebra: it certifies 8 of "
-    "these 100 conjugates of the reducible regular module of M_2(Q) irreducible"))
 def test_conjugated_pair2_regular_module_is_never_certified_irreducible():
     """The regular module of M_2(Q) is S + S, so no change of basis of it
     may be certified irreducible: 100 conjugations P M P^-1 by random
@@ -285,6 +301,40 @@ def test_conjugated_pair2_regular_module_is_never_certified_irreducible():
         verdict = is_irreducible(FdModule(reg.algebra, mats))
         certified += verdict.status == "irreducible" and verdict.certified
     assert certified == 0
+
+
+def twisted_cyclic(n, a, field):
+    """Z_n with sigma(g^i, g^j) = a when i + j >= n: its algebra is K[t]/(t^n - a)."""
+    g = group_groupoid(cyclic_group_table(n))
+    c = Cocycle(g, field, {(i, j): a for i in range(n) for j in range(n) if i + j >= n})
+    assert validate_cocycle(c) is None
+    c.validated = True
+    return g, c
+
+
+@pytest.mark.parametrize("n,a", [(2, 2), (3, 2), (6, 3)])
+def test_twisted_cyclic_field_is_certified_irreducible_over_Q(n, a):
+    """Q[t]/(t^n - a) is a field for these (t^n - a is irreducible), so its
+    regular module is irreducible: its commutant is that field, and t has
+    the minimal polynomial t^n - a, irreducible of degree n = dim E."""
+    reg = regular_module(presentation_of_B(*twisted_cyclic(n, a, QQ)))
+    verdict = is_irreducible(reg)
+    assert (verdict.status, verdict.certified, verdict.method) == (
+        "irreducible", True, "field-commutant")
+
+
+@pytest.mark.parametrize("n,a", [(2, 4), (4, -4)])
+def test_twisted_cyclic_split_over_Q_has_a_witness(n, a):
+    """t^2 - 4 and t^4 + 4 = (t^2 + 2t + 2)(t^2 - 2t + 2) factor over Q, so
+    the regular module of Q[t]/(t^n - a) is reducible, with the kernel of a
+    factor as its checked witness."""
+    reg = regular_module(presentation_of_B(*twisted_cyclic(n, a, QQ)))
+    verdict = is_irreducible(reg)
+    assert (verdict.status, verdict.certified, verdict.method) == (
+        "reducible", True, "commutant-kernel")
+    w = verdict.witness
+    assert 0 < w.dim < reg.dim
+    assert w.contains_all(apply_rows(act, v, QQ) for act in reg.entries for v in w.basis)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -904,6 +954,36 @@ def test_equal_closures_are_one_subspace(n, p):
     closures = [w for _, w in _cyclic_closures(reg.entries, reg.dim, reg.field)]
     assert len(closures) == (p**reg.dim - 1) // (p - 1)
     assert len({id(w) for w in closures}) == len({w.basis for w in closures}) > 2
+
+
+def symmetric3_table():
+    """S3 as the permutations of three points, composed as maps."""
+    perms = list(itertools.permutations(range(3)))
+    return [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+
+
+def isotropy_regular_modules(field):
+    """(name, regular module) of the twisted group algebras of Z_2, Z_3, Z_4,
+    V4 with and without the quaternion twist, and S3: the modules
+    ``left_ideals`` enumerates at a unit of trivial orbit."""
+    cases = [(f"Z{n}", group_groupoid(cyclic_group_table(n))) for n in (2, 3, 4)]
+    cases += [("V4", group_groupoid(klein_four_table())), ("S3", group_groupoid(symmetric3_table()))]
+    out = [(name, Cocycle.trivial(g, field), g) for name, g in cases]
+    g, c = quaternion_fixture(field)
+    out.append(("V4quat", c, g))
+    return [(name, regular_module(presentation_of_B(g, c))) for name, c, g in out]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_group_delta_skip_matches_per_seed_scan(p):
+    """With ``invertible`` the seeds that are normalized images of a spun
+    seed take its closure unspun; over the regular modules of isotropy
+    algebras the (seed, closure) sequence is still the spinning scan's."""
+    for name, reg in isotropy_regular_modules(GF(p)):
+        got = _cyclic_closures(reg.entries, reg.dim, reg.field, invertible=True)
+        oracle = per_seed_closures(reg.entries, reg.dim, reg.field)
+        assert [(seed, w.basis) for seed, w in got] == [
+            (seed, w.basis) for seed, w in oracle], name
 
 
 def multiply_is_two_sided_ideal(algebra, S):
