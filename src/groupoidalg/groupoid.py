@@ -205,6 +205,10 @@ class FiniteGroupoid:
         self._require_unit(x)
         return sorted({self.src[g] for g in self.into[x]})
 
+    def sections(self, x):
+        """n_y: x -> y per unit y of the orbit of x: x, else the least of hom_set(y, x)."""
+        return {y: x if y == x else min(self.hom_set(y, x)) for y in self.orbit(x)}
+
     def is_bisection(self, arrows) -> bool:
         arrows = list(arrows)
         srcs = {self.src[a] for a in arrows}

@@ -155,15 +155,15 @@ def _moves(rows, g):
     return {a: (ga, w) for a, ((ga, w),) in rows[g]}
 
 
-def _orbit_left_ideals(inclusion: Inclusion, x: int, orbit):
+def _orbit_left_ideals(inclusion: Inclusion, x: int):
     """The left ideals of B inside the block of the orbit of x, as a list.
 
     Each is B.W = sum_y delta_(n_y) W for a submodule W of delta_x B (the
-    arrows into x) under the left deltas of G_x, n_y the least arrow
-    x -> y (n_x = x), as the imprimitivity bimodule picks it.  A product of
-    deltas is one scaled delta, so delta_(n_y) W is read off ``B.rows``
-    and put in RREF on the arrows into y; these arrow sets are disjoint, so
-    the blocks' rows, sorted by pivot, are the RREF basis of B.W.  Every
+    arrows into x) under the left deltas of G_x, n_y from ``FiniteGroupoid.sections``.
+    A product of deltas is one scaled delta, so delta_(n_y) W is read off
+    ``B.rows`` and put in RREF on the arrows into y, except delta_x W = W
+    (a normalized cocycle), RREF already.  These arrow sets are disjoint,
+    so the blocks' rows, sorted by pivot, are the RREF basis of B.W.  Every
     gamma: y -> z is a multiple of n_z h n_y^-1 with h in G_x, so the
     deltas of h, n_y and n_y^-1 generate the block, and B.W is checked
     stable under them with ``contains_all``.
@@ -171,35 +171,39 @@ def _orbit_left_ideals(inclusion: Inclusion, x: int, orbit):
     f, gpd, rows, m = inclusion.field, inclusion.groupoid, inclusion.B.rows, inclusion.m
     zero, arrows = f.zero(), gpd.into[x]
     isotropy = gpd.isotropy_group(x)
-    local = inclusion.B.mult_rows(arrows)[0]  # left multiplications on delta_x B
+    local = inclusion.B.left_mult_rows(arrows)  # left multiplications on delta_x B
     actions = [local[h] for h in isotropy if h != x]
-    sections = {y: x if y == x else min(gpd.hom_set(y, x)) for y in orbit}
-    others = [n for y, n in sections.items() if y != x]
-    moves = [_moves(rows, g) for g in [*isotropy, *others, *(gpd.inv[n] for n in others)]]
-    placing = {}  # per y, the position of n_y a among the arrows into y and its scalar w
-    for y, n in sections.items():
-        position = {b: j for j, b in enumerate(gpd.into[y])}
-        placing[y] = [(position[na], w) for na, w in map(_moves(rows, n).get, arrows)]
+    sections = [n for y, n in gpd.sections(x).items() if y != x]
+    moves = [_moves(rows, g) for g in [*isotropy, *sections, *(gpd.inv[n] for n in sections)]]
+    placing = {}  # per y != x, the position of n_y a among the arrows into y and its scalar w
+    for n in sections:
+        position = {b: j for j, b in enumerate(gpd.into[gpd.tgt[n]])}
+        placing[gpd.tgt[n]] = [(position[na], w) for na, w in map(_moves(rows, n).get, arrows)]
     out = []
-    for W in all_invariant_subspaces(actions, len(arrows), f, invertible=True):
-        placed = []
+    for W in all_invariant_subspaces(actions, len(arrows), f):
+        placed = _placed(W.basis, W.pivots, arrows, m, zero)
         for y, targets in placing.items():
-            moved = []
-            for row in W.basis:
-                vec = [zero] * len(arrows)
+            moved = [[zero] * len(arrows) for _ in W.basis]
+            for vec, row in zip(moved, W.basis):
                 for (j, w), c in zip(targets, row):
                     if c != 0:
                         vec[j] = f.mul(w, c)
-                moved.append(vec)
-            for r, pc in zip(*rref(moved, f)):
-                vec = [zero] * m
-                for b, c in zip(gpd.into[y], r):
-                    vec[b] = c
-                placed.append((gpd.into[y][pc], tuple(vec)))
+            placed += _placed(*rref(moved, f), gpd.into[y], m, zero)
         ideal = _joined(placed, m, f)
         if not ideal.contains_all(_images(ideal.basis, moves, m, f)):
             raise TheoremViolation(f"B.W is not a left ideal for W of dim {W.dim} at {x}")
         out.append(ideal)
+    return out
+
+
+def _placed(rows, pivots, support, m, zero):
+    """(pivot arrow, vector of B) of each RREF row on the arrows ``support``."""
+    out = []
+    for r, pc in zip(rows, pivots):
+        vec = [zero] * m
+        for b, c in zip(support, r):
+            vec[b] = c
+        out.append((support[pc], tuple(vec)))
     return out
 
 
@@ -240,12 +244,7 @@ def left_ideals(inclusion: Inclusion):
     ``all_submodules(regular_module(B))`` is the same lattice at B level.
     """
     gpd, m, f = inclusion.groupoid, inclusion.m, inclusion.field
-    factors, seen = [], set()
-    for x in gpd.units:
-        if x not in seen:
-            orbit = gpd.orbit(x)
-            seen.update(orbit)
-            factors.append(_orbit_left_ideals(inclusion, x, orbit))
+    factors = [_orbit_left_ideals(inclusion, x) for x in gpd.units if gpd.orbit(x)[0] == x]
     count = math.prod(map(len, factors))
     if count > LATTICE_BUDGET:
         raise BudgetExceeded(f"{count} left ideals exceed the lattice budget of {LATTICE_BUDGET}")

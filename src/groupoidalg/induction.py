@@ -43,7 +43,6 @@ from .linalg import (
     mat_vec,
     operator_matrix,
     right_kernel,
-    zero_vector,
 )
 from .modrep import (
     FdModule,
@@ -59,10 +58,10 @@ from .steinberg import delta, partial_inverse
 class ImprimitivityBimodule:
     """M_x = B / BJ_x with both actions and the free-basis bookkeeping.
 
-    Both actions are sparse rows, ``B.mult_rows`` compressed to the arrows
-    out of x, the right one taken at the isotropy arrows, B(x, x)'s
-    section basis.  ``stars[y]`` holds the one scaled delta {a: c} of the
-    partial inverse n_y* of each section, computed once.
+    Both actions are sparse rows, B's multiplication maps compressed to the
+    arrows out of x, the right one at the isotropy arrows (B(x, x)'s section
+    basis).  ``stars[y]`` holds the one scaled delta {a: c} of the partial
+    inverse n_y* of each section (``FiniteGroupoid.sections``), computed once.
     """
 
     def __init__(self, inclusion: Inclusion, x: int):
@@ -73,11 +72,10 @@ class ImprimitivityBimodule:
         f = inclusion.field
         self.field = f
         self.quotient = QuotientSpace(Subspace.full(inclusion.m, f), inclusion.BJ(x))
-        self.orbit = tuple(gpd.orbit(x))
+        self.sections = gpd.sections(x)
+        self.orbit = tuple(self.sections)
         self.data = inclusion.isotropy_data(x, x)
 
-        # the section at y = x is delta_x, elsewhere the least arrow x -> y
-        self.sections = {y: x if y == x else min(gpd.hom_set(y, x)) for y in self.orbit}
         self.chosen = {y: delta(gpd, inclusion.cocycle, a) for y, a in self.sections.items()}
         self.stars = {y: partial_inverse(n).coeffs for y, n in self.chosen.items()}
         self.zeta = {y: self.quotient.project(n.to_vector()) for y, n in self.chosen.items()}
@@ -86,7 +84,8 @@ class ImprimitivityBimodule:
         # basis, the deltas of the arrows out of x
         arrows = self.quotient.section.pivots
         isotropy = self.data.quotient.section.pivots
-        self.left_action, right = inclusion.B.mult_rows(arrows)
+        self.left_action = inclusion.B.left_mult_rows(arrows)
+        right = inclusion.B.right_mult_rows(arrows)  # only the isotropy arrows' maps have entries
         self.right_action = [right[g] for g in isotropy]
         # mu: B(x,x) -> M_x, c + H -> c + BJ_x, the inclusion of isotropy arrows
         one, zero = f.one(), f.zero()
@@ -100,12 +99,7 @@ class ImprimitivityBimodule:
     def right_apply(self, xi, hcoords):
         """The class xi times the element of B(x,x) with the given coordinates."""
         f = self.field
-        zero = zero_vector(self.quotient.dim, f)
-        images = [
-            apply_rows(ra, xi, f) if c != 0 else zero
-            for c, ra in zip(hcoords, self.right_action)
-        ]
-        return combine(hcoords, images, f)
+        return combine(hcoords, [apply_rows(ra, xi, f) for ra in self.right_action], f)
 
     # -- verification ----------------------------------------------------------
 

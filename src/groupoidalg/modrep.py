@@ -18,7 +18,8 @@ reducing each sum mod p once.  On top of that this module provides:
   of invariant subspaces, joined from the cyclic closures of every scalar
   line, each read off the line's images with ``linalg.insert_row`` (over
   GF(2) with the same insert on int bitmasks, about three times faster
-  there) and checked invariant;
+  there) and checked invariant, except a line M v for an invertible M and
+  a spun v: M^-1 is a polynomial in M, so M v has v's closure;
 * irreducibility verdicts: exact over GF(p) from the same closures,
   stopping at the first proper one; over the rationals a three-valued
   verdict (reducible with witness, certified irreducible, or
@@ -435,7 +436,7 @@ def _bitmask_vectors(actions, dim):
     return encode, images, insert, decode
 
 
-def _cyclic_closures(actions, dim, field, invertible=False):
+def _cyclic_closures(actions, dim, field):
     """(seed, closure) for every seed of ``normalized_vectors``, in that order.
 
     For a module the closure of v is Kv + Bv = span(v, M_1 v, ..., M_k v),
@@ -448,14 +449,18 @@ def _cyclic_closures(actions, dim, field, invertible=False):
     one of its rows may enlarge it), else the actions are not closed under
     products and raise ``ValueError``.  Equal closures share one `Subspace`.
 
-    ``invertible`` says that every action is invertible on the closures
-    (a group's deltas): then M_i v generates the closure of v, so once a
-    seed's closure is checked, the seeds that are its images scaled to a
-    leading 1 take that closure when they come up, without being spun.
-    Actions not closed under products may give such an image a smaller
-    span and hide the refusal, so only a caller that knows them to be a
-    group's deltas passes it.
+    The actions invertible on the carrier (rank dim) are found once.  For
+    such an M, M^-1 is a polynomial in M (Cayley-Hamilton), so an invariant
+    subspace holding M v holds v, and M v has v's closure: a seed that is
+    M v scaled to a leading 1, v spun and checked, takes v's closure unspun
+    (one that is v itself, as under a unit delta, is not kept).  This holds
+    for any actions, so the answer stays exact or a ``ValueError``; every
+    delta of a twisted group algebra, such as B(x, x), is invertible.
     """
+    # invertible actions first, so the first ``reusing`` images of any v != 0 are theirs
+    invertible = [Subspace.span(dense_rows(a, dim, field), dim, field).dim == dim for a in actions]
+    actions = [a for first in (True, False) for a, inv in zip(actions, invertible) if inv == first]
+    reusing = sum(invertible)
     p = field.p
     if p == 2:
         encode, images, insert, decode = _bitmask_vectors(actions, dim)
@@ -484,7 +489,7 @@ def _cyclic_closures(actions, dim, field, invertible=False):
             inv = pow(next(a for a in v if a), -1, p)
             return tuple(a * inv % p for a in v)
     shared = {}  # canonical RREF rows -> the Subspace of that closure
-    reached = {}  # a normalized image of a spun seed -> that seed's closure
+    reached = {}  # a normalized invertible image of a spun seed -> that seed's closure
     for seed in normalized_vectors(dim, p):
         v = encode(seed)
         if v in reached:
@@ -500,9 +505,9 @@ def _cyclic_closures(actions, dim, field, invertible=False):
                                         for r in list(basis) for u in images(r)):
                 raise ValueError(f"actions not closed under products: seed {seed} spans no closure")
             shared[key] = Subspace(dim, field, map(decode, key), pivots)
-        if invertible:
-            for u in out:
-                reached.setdefault(normalize(u), shared[key])
+        for u in map(normalize, out[:reusing]):
+            if u != v:
+                reached[u] = shared[key]
         yield seed, shared[key]
 
 
@@ -515,7 +520,7 @@ def _require_enum_budget(field, dim):
         )
 
 
-def all_invariant_subspaces(actions, dim, field, invertible=False):
+def all_invariant_subspaces(actions, dim, field):
     """Every subspace invariant under the actions (sparse rows), as a sorted list.
 
     Every invariant subspace is a sum of cyclic closures span(v, M_1 v, ...),
@@ -523,13 +528,14 @@ def all_invariant_subspaces(actions, dim, field, invertible=False):
     turn into every subspace found so far that does not already contain
     them.  Exact and exhaustive; each atom is checked invariant, so actions
     not closed under products raise ``ValueError``.  Refuses beyond budget.
-    ``invertible`` (a group's deltas) is passed on to ``_cyclic_closures``.
+    A seed M v, M invertible and v spun, takes v's closure unspun: M^-1 is
+    a polynomial in M, so an invariant subspace holding M v holds v.
     """
     _require_enum_budget(field, dim)
     zero = Subspace.zero(dim, field)
     found = {zero.basis: zero}
     atoms = {}
-    for _, w in _cyclic_closures(actions, dim, field, invertible):
+    for _, w in _cyclic_closures(actions, dim, field):
         atoms.setdefault(id(w), w)
     for atom in atoms.values():
         for s in list(found.values()):

@@ -288,42 +288,39 @@ class AlgebraPresentation:
                         out[k] = f.add(out[k], f.mul(c, pk))
         return tuple(out)
 
-    def mult_rows(self, support=None):
-        """(left, right): for each basis element i, the maps v -> e_i v and v -> v e_i as sparse rows.
+    def left_mult_rows(self, support=None):
+        """For each basis element a, the map v -> e_a v as sparse rows.
 
         Read off ``rows``: a product e_a e_b = sum p_k e_k puts p_k at
-        (k, b) of left[a] and at (k, a) of right[b].  Row k of a map holds
-        its nonzero entries (column, value) in column order, the form of
-        ``FdModule.entries``.  A sorted ``support`` compresses every map to
-        the span of those basis elements: rows and columns run over
-        ``support``, and only terms with both indices in it count.
+        (k, b) of the map of a.  Row k of a map holds its nonzero entries
+        (column, value) in column order, the form of ``FdModule.entries``.
+        A sorted ``support`` compresses every map to the span of those basis
+        elements: rows and columns run over ``support``, and only terms with
+        both indices in it count.  The maps left with no entry are one
+        shared map of empty rows.
         """
-        return self._mult_rows(support, True, True)
-
-    def left_mult_rows(self):
-        """The left maps of ``mult_rows()``, built without the right ones."""
-        return self._mult_rows(None, True, False)[0]
-
-    def right_mult_rows(self):
-        """The right maps of ``mult_rows()``, built without the left ones."""
-        return self._mult_rows(None, False, True)[1]
-
-    def _mult_rows(self, support, left, right):
-        """``mult_rows(support)`` with each side built only if asked for (else None)."""
         index = {k: r for r, k in enumerate(range(self.dim) if support is None else support)}
-        n = len(index)
-        left, right = ([[[] for _ in range(n)] for _ in range(self.dim)] if want else None
-                       for want in (left, right))
-        for a, row in enumerate(self.rows):
-            for b, terms in row:
-                for k, p in terms:
-                    if k in index:
-                        if left is not None and b in index:
-                            left[a][index[k]].append((index[b], p))
-                        if right is not None and a in index:
-                            right[b][index[k]].append((index[a], p))
-        return tuple(None if m is None else [tuple(map(tuple, rows)) for rows in m]
-                     for m in (left, right))
+        return self._maps(index, ((a, b, terms) for a, row in enumerate(self.rows)
+                                  for b, terms in row if b in index))
+
+    def right_mult_rows(self, support=None):
+        """For each basis element b, the map v -> v e_b, in the form of
+        ``left_mult_rows``: e_a e_b = sum p_k e_k puts p_k at (k, a) of the
+        map of b, so only the rows of ``rows`` at the a in ``support`` are read."""
+        index = {k: r for r, k in enumerate(range(self.dim) if support is None else support)}
+        return self._maps(index, ((b, a, terms) for a in index for b, terms in self.rows[a]))
+
+    def _maps(self, index, products):
+        """Each i's map from (i, column, terms): p at (k, column) per term (k, p), k in index."""
+        maps = [None] * self.dim
+        for i, col, terms in products:
+            for k, p in terms:
+                if k in index:
+                    if maps[i] is None:
+                        maps[i] = [[] for _ in index]
+                    maps[i][index[k]].append((index[col], p))
+        empty = ((),) * len(index)
+        return [empty if m is None else tuple(map(tuple, m)) for m in maps]
 
     def basis_vector(self, i):
         f = self.field

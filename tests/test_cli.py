@@ -645,7 +645,7 @@ def fixture_with_modules(tmp_path, fixture):
     inc = Inclusion(g, problem.cocycle)
     iso = regular_module(inc.isotropy_data(x, x).presentation)
     out_of_x = [a for a in g.arrows() if g.src[a] == x]
-    col = [dense_rows(m, len(out_of_x), f) for m in inc.B.mult_rows(out_of_x)[0]]
+    col = [dense_rows(m, len(out_of_x), f) for m in inc.B.left_mult_rows(out_of_x)]
     text = fixture.read_text(encoding="utf-8")
     for name, dim, token, mats in [("iso", iso.dim, f"isotropy:{x}", iso.matrices),
                                    ("col", len(out_of_x), "B", col)]:

@@ -477,7 +477,7 @@ def bimodule_ideals(inclusion):
     under every left and right multiplication of B at once, spun seed by
     seed (the left and right maps together are not closed under products,
     so they are not a module action that the enumeration would accept)."""
-    left, right = inclusion.B.mult_rows()
+    left, right = inclusion.B.left_mult_rows(), inclusion.B.right_mult_rows()
     return all_pairs_lattice(left + right, inclusion.m, inclusion.field)
 
 

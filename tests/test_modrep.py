@@ -976,14 +976,33 @@ def isotropy_regular_modules(field):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_group_delta_skip_matches_per_seed_scan(p):
-    """With ``invertible`` the seeds that are normalized images of a spun
-    seed take its closure unspun; over the regular modules of isotropy
-    algebras the (seed, closure) sequence is still the spinning scan's."""
+    """A group's deltas are invertible, so the seeds that are normalized
+    images of a spun seed take its closure unspun.  Over the regular modules
+    of isotropy algebras, and over each in a random unitriangular basis
+    (invertible actions that are not monomial), the (seed, closure)
+    sequence is still the spinning scan's."""
+    rng = random.Random(p)
     for name, reg in isotropy_regular_modules(GF(p)):
-        got = _cyclic_closures(reg.entries, reg.dim, reg.field, invertible=True)
-        oracle = per_seed_closures(reg.entries, reg.dim, reg.field)
-        assert [(seed, w.basis) for seed, w in got] == [
-            (seed, w.basis) for seed, w in oracle], name
+        conj = conjugated(reg, rng)
+        while all(len(row) <= 1 for act in conj.entries for row in act):
+            conj = conjugated(reg, rng)  # this basis keeps every action monomial
+        for module in (reg, conj):
+            got = _cyclic_closures(module.entries, module.dim, module.field)
+            oracle = per_seed_closures(module.entries, module.dim, module.field)
+            assert [(seed, w.basis) for seed, w in got] == [
+                (seed, w.basis) for seed, w in oracle], (name, module.name)
+
+
+@pytest.mark.parametrize("n,p,count", [(6, 5, 16), (12, 2, 25)])
+def test_cyclic_group_algebra_submodule_counts(n, p, count):
+    """The submodules of the regular module of the commutative F_p[Z_n] are
+    its ideals (f) for the monic divisors f of t^n - 1, so there are
+    prod(e_i + 1) of them for t^n - 1 = prod f_i^e_i: over GF(5),
+    t^6 - 1 = (t - 1)(t + 1)(t^2 + t + 1)(t^2 - t + 1) gives 16, and over
+    GF(2), t^12 - 1 = (t + 1)^4 (t^2 + t + 1)^4 gives 25."""
+    g = group_groupoid(cyclic_group_table(n))
+    reg = regular_module(presentation_of_B(g, Cocycle.trivial(g, GF(p))))
+    assert len(all_submodules(reg)) == count
 
 
 def multiply_is_two_sided_ideal(algebra, S):
@@ -1003,7 +1022,7 @@ def test_two_sided_ideal_test_matches_multiply_oracle():
     for name, g, c in twisted_battery():
         B = presentation_of_B(g, c)
         f, m = B.field, B.dim
-        left, right = B.mult_rows()
+        left, right = B.left_mult_rows(), B.right_mult_rows()
         vectors = [B.basis_vector(i) for i in range(m)] + [
             tuple(f.of(rng.randint(-2, 2)) for _ in range(m)) for _ in range(3)]
         candidates = [Subspace.zero(m, f), Subspace.full(m, f)]

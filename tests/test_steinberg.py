@@ -585,31 +585,24 @@ def random_presentations(rng):
 
 
 def test_mult_matrices_match_dense_oracle():
-    """``mult_rows`` holds exactly the nonzero entries of the dense
-    multiplication matrices, and its dense view is the oracle, type for type."""
+    """``left_mult_rows`` and ``right_mult_rows`` hold exactly the nonzero
+    entries of the dense multiplication matrices, and their dense views are
+    the oracle, type for type."""
     cases = [(label, pres) for label, pres, _ in presentation_cases()]
     for label, pres in cases + random_presentations(random.Random(11)):
         oracle = (dense_mult_matrices(pres), dense_mult_matrices(pres, right=True))
-        rows = pres.mult_rows()
+        rows = (pres.left_mult_rows(), pres.right_mult_rows())
         assert rows == tuple([sparse_rows(m) for m in side] for side in oracle), label
         dense = tuple([dense_rows(m, pres.dim, pres.field) for m in side] for side in rows)
         assert dense == oracle, label
         assert repr(dense) == repr(oracle), label
 
 
-def test_one_sided_mult_rows_are_the_sides_of_mult_rows():
-    cases = [(label, pres) for label, pres, _ in presentation_cases()]
-    for label, pres in cases + random_presentations(random.Random(15)):
-        left, right = pres.mult_rows()
-        assert pres.left_mult_rows() == left, label
-        assert pres.right_mult_rows() == right, label
-
-
 def test_compressed_mult_matrices_restrict_the_full_ones():
-    """mult_rows(support) is the submatrix of every full matrix on the
-    rows and columns in ``support``: on B over the twisted battery (at the
-    arrows out of each unit, and at random supports) and on random
-    multi-term presentations."""
+    """Each builder's maps at ``support`` are the submatrices of its full
+    maps on the rows and columns in ``support``: on B over the twisted
+    battery (at the arrows out of each unit, and at random supports) and on
+    random multi-term presentations."""
     rng = random.Random(13)
     cases = []
     for name, g, c in twisted_battery():
@@ -620,7 +613,8 @@ def test_compressed_mult_matrices_restrict_the_full_ones():
         cases.append((label, pres, [list(range(pres.dim))]))
     assert len(cases) == len(twisted_battery()) + 8
     for label, pres, supports in cases:
-        full = [[dense_rows(m, pres.dim, pres.field) for m in side] for side in pres.mult_rows()]
+        full = [[dense_rows(m, pres.dim, pres.field) for m in side]
+                for side in (pres.left_mult_rows(), pres.right_mult_rows())]
         for _ in range(3):
             supports.append(sorted(rng.sample(range(pres.dim), rng.randint(0, pres.dim))))
         for support in supports:
@@ -628,9 +622,23 @@ def test_compressed_mult_matrices_restrict_the_full_ones():
                 [sparse_rows(tuple(m[k][b] for b in support) for k in support) for m in side]
                 for side in full
             )
-            compressed = pres.mult_rows(support)
+            compressed = (pres.left_mult_rows(support), pres.right_mult_rows(support))
             assert compressed == expected, (label, support)
             assert repr(compressed) == repr(expected), (label, support)
+
+
+def test_right_maps_out_of_a_unit_are_those_of_the_isotropy_arrows():
+    """Compressed to the arrows out of a unit x, the right maps with an
+    entry are those of G_x (a e_b stays out of x only for b: x -> x), and
+    every other map is the one shared map of empty rows, so the imprimitivity
+    bimodule's right action builds no map it does not keep."""
+    for name, g, c in twisted_battery():
+        B = Inclusion(g, c).B
+        for x in g.units:
+            arrows = [a for a in g.arrows() if g.src[a] == x]
+            right = B.right_mult_rows(arrows)
+            assert [b for b, m in enumerate(right) if any(m)] == g.isotropy_group(x), name
+            assert len({id(m) for m in right if not any(m)}) <= 1, name
 
 
 def test_center_matches_dense_oracle():
