@@ -16,10 +16,21 @@ annihilators of its germ spaces, every two-sided ideal is an
 intersection of induced ideals, every primitive ideal is a single
 induced ideal, and (in this finite discrete setting, where every unit
 is isolated) the inducing ideal can always be chosen primitive.
+
+The germ annihilators have a closed form.  For a unital B-module V, a
+unit x and c in B(x, x) = delta_x B delta_x,
+
+    Ann_{B(x,x)}(V / J_x V) = delta_x Ann(V) delta_x,
+
+since c V lies in J_x V = (1 - delta_x) V iff delta_x c V = 0 iff c V = 0.
+With V = B/I for a two-sided ideal I, Ann(V) = I, so the ideal that
+induces I's summand at x is delta_x I delta_x, read off I's basis with no
+module built (``ideal_decomposition``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -113,36 +124,26 @@ def primitive_from_isotropy(inclusion: Inclusion, x: int, W: FdModule) -> Subspa
     return ideal
 
 
-@dataclass
-class GermDecomposition:
-    """Per-unit induced annihilators of the germ spaces and their intersection."""
+def ideal_decomposition(inclusion: Inclusion, I: Subspace) -> dict:
+    """{x: the ideal induced from delta_x I delta_x} over the units of B, for a
+    two-sided ideal I, checked to intersect to I.
 
-    annihilator: Subspace
-    per_unit: dict
-    intersection: Subspace
-
-    @property
-    def ok(self) -> bool:
-        return self.annihilator == self.intersection
-
-
-def germ_annihilator_decomposition(inclusion: Inclusion, V: FdModule) -> GermDecomposition:
-    """Ann(V) as the intersection of the ideals induced from the germ annihilators."""
-    ann = annihilator(V)
-    per_unit = {}
-    intersection = None
+    delta_x I delta_x is the annihilator of the germ of B/I at x: c in
+    delta_x B delta_x kills (B/I) / J_x (B/I) iff delta_x c (B/I) = 0 iff
+    c (B/I) = 0 iff c lies in Ann(B/I) = I.  In B(x, x)'s coordinates it
+    is the span of I's basis rows read at the isotropy arrows of x, the
+    section pivots of C(x, x)/H(x, x).  So this is Prop 12.12 for V = B/I
+    (I = 0 gives the regular module) with neither B/I nor a germ module
+    built.  Raises TheoremViolation unless the intersection is I.
+    """
+    f, per_unit = inclusion.field, {}
     for x in inclusion.groupoid.units:
-        g = germ_space(inclusion, V, x)
-        ann_g = annihilator(g.module)
-        ind = induced_ideal(inclusion, x, ann_g)
-        per_unit[x] = ind
-        intersection = ind if intersection is None else intersection.intersect(ind)
-    if intersection is None:
-        intersection = Subspace.full(inclusion.m, inclusion.field)
-    out = GermDecomposition(ann, per_unit, intersection)
-    if not out.ok:
-        raise TheoremViolation("germ decomposition missed the annihilator")
-    return out
+        arrows = inclusion.isotropy_data(x, x).quotient.section.pivots
+        corner = Subspace.span([tuple(row[a] for a in arrows) for row in I.basis], len(arrows), f)
+        per_unit[x] = induced_ideal(inclusion, x, corner)
+    if functools.reduce(Subspace.intersect, per_unit.values()) != I:
+        raise TheoremViolation("the induced ideals do not intersect to I")
+    return per_unit
 
 
 # ---------------------------------------------------------------------------
@@ -312,27 +313,22 @@ class EffrosHahnReport:
         return self.decomposed
 
 
-def effros_hahn_check(inclusion: Inclusion, I: Subspace, witness: FdModule | None = None,
-                      decomposition: GermDecomposition | None = None) -> EffrosHahnReport:
+def effros_hahn_check(inclusion: Inclusion, I: Subspace,
+                      witness: FdModule | None = None) -> EffrosHahnReport:
     """Express an ideal as an intersection of induced ideals.
 
-    Builds V = B/I, decomposes Ann(V) = I through the germ spaces; when a
-    witness irreducible module with annihilator I is supplied, also finds
-    a single unit x with I equal to the ideal induced from the
-    annihilator of the witness's germ space at x.  A caller that holds
-    the decomposition of B/I already (for I = 0, that of the regular
-    module) passes it as ``decomposition``, and B/I is not built again.
+    Decomposes I through ``ideal_decomposition``: the germ of B/I at x has
+    annihilator delta_x Ann(B/I) delta_x = delta_x I delta_x (c V lies in
+    J_x V = (1 - delta_x) V iff delta_x c V = 0 iff c V = 0), so neither B/I
+    nor its germ modules are built.  When a witness irreducible module with
+    annihilator I is supplied, also finds a single unit x with I equal to
+    the ideal induced from the annihilator of the witness's germ space at x.
     """
     if not is_two_sided_ideal(inclusion.B, I):
         raise ValueError("not a two-sided ideal")
     if I.dim == inclusion.m:
         raise ValueError("the improper ideal has no decomposition report")
-    if decomposition is None:
-        reg = regular_module(inclusion.B)
-        V, _ = quotient_module(reg, I, name="B/I")
-        decomposition = germ_annihilator_decomposition(inclusion, V)
-    if decomposition.annihilator != I:
-        raise TheoremViolation("Ann(B/I) differs from I")
+    per_unit = ideal_decomposition(inclusion, I)
     single = None
     if witness is not None:
         if annihilator(witness) != I:
@@ -347,12 +343,7 @@ def effros_hahn_check(inclusion: Inclusion, I: Subspace, witness: FdModule | Non
                 break
         if single is None:
             raise TheoremViolation("no single inducing unit found for a primitive ideal")
-    return EffrosHahnReport(
-        I.dim,
-        {x: s.dim for x, s in decomposition.per_unit.items()},
-        decomposition.ok,
-        single,
-    )
+    return EffrosHahnReport(I.dim, {x: s.dim for x, s in per_unit.items()}, True, single)
 
 
 @dataclass

@@ -23,9 +23,9 @@ vectors (``Subspace.deltas``) need none either: their RREF bases are
 written down directly.
 Linear combinations of rows and the matrix products that build
 matrices go through ``combine``, which skips zero coefficients and zero
-entries; the exact checks of the module law and of module maps
-(``modrep.check_module``, ``modrep.intertwines``) multiply their nonzero
-entries in ints instead.  Module actions and multiplication maps are
+entries; the exact checks of the module law, module maps and associativity
+multiply their nonzero entries in ints instead (``int_row``, scaled over Q
+by a ``common_denominator``).  Module actions and multiplication maps are
 held as sparse rows, each row the (column, value) pairs of its nonzero
 entries in column order: ``apply_rows`` applies one to a vector,
 ``transpose_rows`` transposes one, and ``sparse_rows`` and
@@ -46,6 +46,7 @@ anywhere.
 from __future__ import annotations
 
 import bisect
+import math
 from fractions import Fraction
 
 from .errors import ContainmentError, DimensionMismatch
@@ -212,6 +213,25 @@ def insert_row(basis, pivots, v, field) -> bool:
     basis.insert(idx, v)
     pivots.insert(idx, piv)
     return True
+
+
+def common_denominator(field, values):
+    """The least common denominator of the values over Q.
+
+    None over GF(p), whose entries already are ints.
+    """
+    return None if field.p is not None else math.lcm(*{a.denominator for a in values})
+
+
+def int_row(row, scale):
+    """A sparse row's (index, a) pairs with each a times ``scale``, as ints.
+
+    ``scale`` is a common denominator, so ``scale // a.denominator`` is
+    exact and no `Fraction` is built; a None scale (GF(p)) keeps the row.
+    """
+    if scale is None:
+        return row
+    return [(k, a.numerator * (scale // a.denominator)) for k, a in row]
 
 
 def rref(rows, field):

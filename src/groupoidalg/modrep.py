@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,9 +49,11 @@ from .linalg import (
     Subspace,
     apply_rows,
     combine,
+    common_denominator,
     dense_rows,
     identity_matrix,
     insert_row,
+    int_row,
     mat_mul,
     right_kernel,
     solve_right,
@@ -173,40 +174,21 @@ class FdModule:
         return f"FdModule(dim={self.dim}, over dim-{self.algebra.dim} algebra{name})"
 
 
-def _common_denominator(field, values):
-    """The least common denominator of the values over Q.
-
-    None over GF(p), whose entries already are ints.
-    """
-    return None if field.p is not None else math.lcm(*{a.denominator for a in values})
-
-
-def _ints(row, scale):
-    """A sparse row's (index, a) pairs with each a times ``scale``, as ints.
-
-    ``scale`` is a common denominator, so ``scale // a.denominator`` is
-    exact and no `Fraction` is built; a None scale (GF(p)) keeps the row.
-    """
-    if scale is None:
-        return row
-    return [(k, a.numerator * (scale // a.denominator)) for k, a in row]
-
-
 def _int_rows(matrices, field):
     """Sparse matrices with their entries as ints, each matrix converted once.
 
     Over Q all are scaled by the matrices' common denominator; over GF(p)
     the entries already are ints and the matrices are returned as they are.
     """
-    scale = _common_denominator(field, (a for m in matrices for row in m for _, a in row))
+    scale = common_denominator(field, (a for m in matrices for row in m for _, a in row))
     return _scaled(matrices, scale)
 
 
 def _scaled(matrices, scale):
-    """Every row through ``_ints``; an empty row, the most common, is kept as it is."""
+    """Every row through ``int_row``; an empty row, the most common, is kept as it is."""
     if scale is None:
         return matrices
-    return [[_ints(row, scale) if row else row for row in m] for m in matrices]
+    return [[int_row(row, scale) if row else row for row in m] for m in matrices]
 
 
 def _accumulate(acc, left, right, width):
@@ -279,7 +261,7 @@ def check_module(module: FdModule):
     d = module.dim
     block = d * d
     unit = [(k, u) for k, u in enumerate(alg.unit or ()) if u]
-    scale = _common_denominator(f, itertools.chain(
+    scale = common_denominator(f, itertools.chain(
         (a for mat in module.entries for row in mat for _, a in row),
         (c for row in alg.rows for _, terms in row for _, c in terms),
         (u for _, u in unit)))
@@ -291,14 +273,14 @@ def check_module(module: FdModule):
     for i, row in enumerate(alg.rows):
         combination = [()] * alg.dim
         for j, terms in row:
-            combination[j] = _ints(terms, scale)
+            combination[j] = int_row(terms, scale)
         acc = _accumulate({}, acts[i], by_row, d)  # A_i A_j at j * d^2 + r * d + col
         _accumulate(acc, combination, minus_flat, block)  # minus sum_k c_k A_k
         differing = _nonzero_keys(acc, f)
         if differing:
             return ModuleViolation("structure-constants", (i, min(differing) // block))
     acc = {r * d + r: 1 if scale is None else scale * scale for r in range(d)}
-    _accumulate(acc, [_ints(unit, scale)], minus_flat, block)  # minus sum_k u_k A_k
+    _accumulate(acc, [int_row(unit, scale)], minus_flat, block)  # minus sum_k u_k A_k
     if alg.unit is None or _nonzero_keys(acc, f):
         return ModuleViolation("unitality", ())
     return None

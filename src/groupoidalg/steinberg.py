@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import BisectionRequired, NoPartialInverse
 from .groupoid import FiniteGroupoid
-from .linalg import Field, Subspace, right_kernel
+from .linalg import Field, Subspace, common_denominator, int_row, right_kernel
 from .twist import Cocycle, bundle_inverse_coefficient
 
 
@@ -335,11 +335,14 @@ class AlgebraPresentation:
         i(jk) only when k is in row j and l is in row i for an l of jk; the
         second kind is reached through ``left``, the i whose row holds l.
         The triples are compared in (i, j, k) order, so the first failure
-        is the witness, for any structure constants.
+        is the witness, for any structure constants.  Each side is summed in
+        ints: over Q every constant is scaled by their common denominator D,
+        so both sides scale by D^2; over GF(p) each side is reduced mod p once.
         """
-        f = self.field
-        zero = f.zero()
-        index = [dict(row) for row in self.rows]
+        p = self.field.p
+        scale = common_denominator(self.field, (c for row in self.rows for _, terms in row
+                                                for _, c in terms))
+        index = [{j: int_row(terms, scale) for j, terms in row} for row in self.rows]
         left = [[] for _ in range(self.dim)]
         for i, row in enumerate(self.rows):
             for l, _ in row:
@@ -357,8 +360,10 @@ class AlgebraPresentation:
             out = {}
             for c, terms in pairs:
                 for k, pk in terms:
-                    out[k] = f.add(out.get(k, zero), f.mul(c, pk))
-            return {k: c for k, c in out.items() if c != 0}
+                    out[k] = out.get(k, 0) + c * pk
+            if p is not None:
+                out = {k: c % p for k, c in out.items()}
+            return {k: c for k, c in out.items() if c}
 
         for i, j, k in sorted(triples):
             lhs = accumulate((c, index[l].get(k, ())) for l, c in index[i].get(j, ()))

@@ -1,8 +1,12 @@
 """Shared fixtures: the groupoid battery, twist constructors, modules
-that break unitality only, and the spinning reference for cyclic closures
-and invariant-subspace lattices."""
+that break unitality only, the spinning reference for cyclic closures
+and invariant-subspace lattices, and the germ-module route of Prop 12.12."""
+
+from dataclasses import dataclass
 
 import pytest
+
+from groupoidalg.errors import TheoremViolation
 
 from groupoidalg.groupoid import (
     action_groupoid,
@@ -13,11 +17,14 @@ from groupoidalg.groupoid import (
     klein_four_table,
     pair_groupoid,
 )
+from groupoidalg.ideals import induced_ideal
 from groupoidalg.linalg import GF, QQ, Subspace
 from groupoidalg.modrep import (
     FdModule,
+    annihilator,
     closure_under,
     direct_sum,
+    germ_space,
     normalized_vectors,
     regular_module,
 )
@@ -109,6 +116,21 @@ def twisted_battery():
     return cases
 
 
+def prime_twisted_battery(primes=(2, 3, 5, 7)):
+    """(name, groupoid, cocycle) over each GF(p): the battery under the
+    coboundary of b = 2 on non-units (trivial over GF(2), whose only
+    nonzero scalar is 1), and the quaternion twist for odd p."""
+    cases = []
+    for p in primes:
+        field = GF(p)
+        for name, g, _ in battery(field):
+            values = {a: 1 if g.is_unit(a) else (1 if p == 2 else 2) for a in g.arrows()}
+            cases.append((f"{name}/GF{p}", g, coboundary(g, field, values)))
+        if p > 2:
+            cases.append((f"v4quat/GF{p}", *quaternion_fixture(field)))
+    return cases
+
+
 def oracle_battery():
     """The twisted battery (Q, the quaternion twist, GF(7) coboundaries) and
     the battery over GF(2) and GF(3), the quaternion twist over GF(3) included."""
@@ -177,3 +199,34 @@ def all_pairs_lattice(matrices, dim, field):
                     fresh.append(s)
         worklist = fresh
     return sorted(found.values(), key=lambda s: (s.dim, s.basis))
+
+
+@dataclass
+class GermDecomposition:
+    """Per-unit induced annihilators of the germ spaces and their intersection."""
+
+    annihilator: Subspace
+    per_unit: dict
+    intersection: Subspace
+
+    @property
+    def ok(self) -> bool:
+        return self.annihilator == self.intersection
+
+
+def germ_annihilator_decomposition(inclusion, V) -> GermDecomposition:
+    """The general germ route of Prop 12.12, the oracle of
+    ``ideals.ideal_decomposition``: Ann(V) as the intersection of the ideals
+    induced from the annihilators of the germ modules V / J_x V."""
+    ann = annihilator(V)
+    per_unit = {}
+    intersection = None
+    for x in inclusion.groupoid.units:
+        g = germ_space(inclusion, V, x)
+        ind = induced_ideal(inclusion, x, annihilator(g.module))
+        per_unit[x] = ind
+        intersection = ind if intersection is None else intersection.intersect(ind)
+    out = GermDecomposition(ann, per_unit, intersection)
+    if not out.ok:
+        raise TheoremViolation("germ decomposition missed the annihilator")
+    return out

@@ -13,13 +13,13 @@ from types import SimpleNamespace
 import pytest
 
 import groupoidalg
-from groupoidalg import cli, ideals, modrep
+from groupoidalg import cli, ideals, induction, modrep
 from groupoidalg.cli import format_problem, main, parse, run
 from groupoidalg.errors import ProblemFileError, TheoremViolation
 from groupoidalg.groupoid import pair_groupoid
 from groupoidalg.induction import imprimitivity_bimodule
 from groupoidalg.isotropy import Inclusion
-from groupoidalg.linalg import GF, QQ, dense_rows, identity_matrix, mat_mul
+from groupoidalg.linalg import GF, QQ, Subspace, dense_rows, identity_matrix, mat_mul
 from groupoidalg.modrep import (
     FdModule,
     Restriction,
@@ -480,30 +480,98 @@ def test_effros_hahn_checks_each_ideal_once(monkeypatch):
 
 
 def test_verify_ideals_decomposes_the_regular_module_once(monkeypatch):
-    """prop_12_12's decomposition of the regular module serves the zero
-    ideal's Theorem 12.14 check, whose B/0 is the same module: 12 calls on
-    gb3_gf2 become 11, one of them on the 4-dim regular module, and the
-    report is the one the zero ideal's own decomposition gives."""
-    dims = []
-    original = cli.germ_annihilator_decomposition
+    """prop_12_12 decomposes the regular module B/0 and the zero ideal's
+    Theorem 12.14 check decomposes it again: 12 decompositions on gb3_gf2,
+    two of the zero ideal, and the second one builds no induced ideal (each
+    kernel of ``induced_ideal`` is kept on the inclusion).  The report is
+    the one a fresh inclusion per decomposition gives."""
+    calls = []
+    decompose, kernel = ideals.ideal_decomposition, ideals.right_kernel
 
-    def counted(inclusion, module):
-        dims.append(module.dim)
-        return original(inclusion, module)
+    def counted(inclusion, I):
+        calls.append([I.dim, 0])
+        return decompose(inclusion, I)
 
-    monkeypatch.setattr(cli, "germ_annihilator_decomposition", counted)
-    monkeypatch.setattr(ideals, "germ_annihilator_decomposition", counted)
+    def kernel_counted(*args):
+        calls[-1][1] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(cli, "ideal_decomposition", counted)
+    monkeypatch.setattr(ideals, "ideal_decomposition", counted)
+    monkeypatch.setattr(ideals, "right_kernel", kernel_counted)
     path = str(FIXTURES / "gb3_gf2.gkd")
     out, code = run("verify", path, ["ideals"])
     assert code == 0 and "thm_12_14_i: PASS ideals=11" in out
-    assert (len(dims), dims.count(4)) == (11, 1)
-    # the zero ideal decomposing its own B/0 gives the same report
-    check = cli.effros_hahn_check
-    monkeypatch.setattr(cli, "effros_hahn_check",
-                        lambda inclusion, ideal, witness=None, **held: check(inclusion, ideal, witness))
-    dims.clear()
+    assert len(calls) == 12 and [k for d, k in calls if d == 0] == [3, 0]
+    # no induced ideal held from an earlier decomposition: the same report
+    monkeypatch.setattr(ideals, "ideal_decomposition",
+                        lambda inclusion, I: decompose(Inclusion(inclusion.groupoid, inclusion.cocycle), I))
     assert run("verify", path, ["ideals"]) == (out, code)
-    assert (len(dims), dims.count(4)) == (12, 2)
+
+
+FIVE_FIXTURES = ("gb3_gf2", "gb3_sign", "pair2", "pair2_gf3", "v4quat")
+
+
+def test_ideal_reports_build_no_quotient_by_an_ideal(monkeypatch):
+    """effros-hahn, ideals and verify ideals build B/I for no ideal I and no
+    germ module of one: every quotient of the regular module they build is
+    a simple quotient B/M by a maximal left ideal M (a primitive ideal's
+    witness, none in ``ideals``), and every germ space is one of such a
+    witness (the thm_12_14_ii path)."""
+    quotients, germs = [], []
+    quotient, germ = ideals.quotient_module, ideals.germ_space
+
+    def quotient_recorded(module, W, name=""):
+        out = quotient(module, W, name)
+        quotients.append((W, out[0]))
+        return out
+
+    def germ_recorded(inclusion, module, x):
+        germs.append(module)
+        return germ(inclusion, module, x)
+
+    for module in (ideals, cli, modrep, induction):
+        monkeypatch.setattr(module, "germ_space", germ_recorded)
+    monkeypatch.setattr(ideals, "quotient_module", quotient_recorded)
+    monkeypatch.setattr(modrep, "quotient_module", quotient_recorded)
+    for name in FIVE_FIXTURES:
+        path = str(FIXTURES / f"{name}.gkd")
+        problem = parse(path)
+        maximal = []
+        if problem.field.p is not None:  # the fixtures the ideals are enumerated on
+            assert validate_cocycle(problem.cocycle) is None
+            lattice = ideals.left_ideals(Inclusion(problem.groupoid, problem.cocycle))
+            maximal = [M.basis for M in lattice if M.dim < lattice[-1].dim
+                       and not any(M.dim < W.dim < lattice[-1].dim and W.contains_subspace(M)
+                                   for W in lattice)]
+        for command, args in [("effros-hahn", []), ("ideals", []), ("verify", ["ideals"])]:
+            quotients.clear()
+            germs.clear()
+            out, code = run(command, path, args)
+            assert code == 0, (name, command)
+            enumerated = "enumeration: skipped" not in out
+            expected = maximal if enumerated and command != "ideals" else []
+            assert [W.basis for W, _ in quotients] == expected, (name, command)
+            witnesses = [id(simple) for _, simple in quotients]
+            assert all(id(module) in witnesses for module in germs), (name, command)
+
+
+def test_a_wrong_inducing_ideal_fails_theorem_12_14(monkeypatch):
+    """induced_ideal returning B at the first unit of gb3_gf2: the zero
+    ideal, seen only there, is no longer the intersection, and every ideal
+    report fails as an internal consistency check."""
+    original = ideals.induced_ideal
+    path = str(FIXTURES / "gb3_gf2.gkd")
+    first = parse(path).groupoid.units[0]
+
+    def wrong(inclusion, x, I):
+        return Subspace.full(inclusion.m, inclusion.field) if x == first else original(inclusion, x, I)
+
+    monkeypatch.setattr(ideals, "induced_ideal", wrong)
+    for command, args in [("effros-hahn", []), ("ideals", []), ("verify", ["ideals"])]:
+        out, code = run(command, path, args)
+        assert code == 1, command
+        assert out.endswith("internal_consistency: FAIL the induced ideals do not intersect to I\n")
 
 
 def test_thm_12_14_refuses_a_primitive_ideal_outside_the_proper_ideals(monkeypatch):
@@ -541,6 +609,19 @@ def test_main_entrypoint(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "groupoid_axioms: PASS" in captured.out
+
+
+def test_main_reports_an_internal_error_with_exit_code_3(monkeypatch, capsys):
+    """A handler's KeyError is a bug, told apart from a failed check (1) and
+    bad input (2): main writes it to stderr, nothing to stdout, and returns 3."""
+    def broken(problem, args, report):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli._DISPATCH, "validate", broken)
+    code = main(["validate", str(FIXTURES / "pair2.gkd")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "internal error: KeyError: 'internal'\n"
 
 
 # -- prop_7_5: mu is the isomorphism Res_x M_x = B(x,x) ---------------------------

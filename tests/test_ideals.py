@@ -18,7 +18,7 @@ from groupoidalg.ideals import (
     Ideal,
     effros_hahn_check,
     enumerate_ideals,
-    germ_annihilator_decomposition,
+    ideal_decomposition,
     induced_ideal,
     left_ideals,
     primitive_from_isotropy,
@@ -53,8 +53,10 @@ from groupoidalg.twist import Cocycle, coboundary
 from conftest import (
     all_pairs_lattice,
     battery,
+    germ_annihilator_decomposition,
     make_gb,
     make_z2,
+    prime_twisted_battery,
     quaternion_fixture,
     twisted_battery,
 )
@@ -97,48 +99,90 @@ def test_ideal_checks_refuse_a_non_ideal():
         effros_hahn_check(inc, line)
 
 
-def test_effros_hahn_check_computes_the_annihilator_once(monkeypatch):
-    """Ann(B/I) is the germ decomposition's own: one annihilator call for B/I
-    and one per unit for its germ module, on every proper ideal of gb/GF(3)."""
+def test_effros_hahn_check_builds_no_module_without_a_witness(monkeypatch):
+    """The germ annihilators of B/I are read off I: no annihilator, quotient
+    or germ module is computed on any proper ideal of gb/GF(3), and the
+    report's per-unit dims are those of the germ route on B/I."""
     g = make_gb()
     inc = Inclusion(g, Cocycle.trivial(g, GF3))
     proper = [i for i in enumerate_ideals(inc, left_ideals(inc)) if i.dim < inc.m]
     assert proper
+    reg = regular_module(inc.B)
+    germ_dims = [{x: s.dim for x, s in
+                  germ_annihilator_decomposition(inc, quotient_module(reg, i)[0]).per_unit.items()}
+                 for i in proper]
     calls = []
-    original = ideals.annihilator
-
-    def counted(module):
-        calls.append(module)
-        return original(module)
-
-    monkeypatch.setattr(ideals, "annihilator", counted)
-    for ideal in proper:
-        calls.clear()
-        assert effros_hahn_check(inc, ideal).ok
-        assert len(calls) == 1 + len(g.units)
+    for name in ("annihilator", "quotient_module", "germ_space"):
+        monkeypatch.setattr(ideals, name, lambda *args, name=name, **kw: calls.append(name))
+    for ideal, dims in zip(proper, germ_dims):
+        rep = effros_hahn_check(inc, ideal)
+        assert rep.ok and rep.per_unit_dims == dims
+    assert calls == []
 
 
-def test_effros_hahn_check_takes_a_held_decomposition():
-    """The zero ideal with the regular module's decomposition reports as it
-    does on its own B/0; a decomposition of another quotient is refused."""
+def test_effros_hahn_check_takes_a_held_decomposition(monkeypatch):
+    """The zero ideal's check takes the induced ideals that prop_12_12's
+    decomposition of B/0 left on the inclusion: it builds no kernel and
+    reports the same per-unit ideals.  A subspace that is not the
+    intersection of its induced ideals (a one-sided ideal of M_2) is refused."""
     g = make_gb()
     inc = Inclusion(g, Cocycle.trivial(g, GF3))
     zero = Subspace.zero(inc.m, GF3)
-    regular = germ_annihilator_decomposition(inc, regular_module(inc.B))
-    assert effros_hahn_check(inc, zero, decomposition=regular) == effros_hahn_check(inc, zero)
-    ideal = next(i for i in enumerate_ideals(inc, left_ideals(inc)) if 0 < i.dim < inc.m)
-    with pytest.raises(TheoremViolation, match="^Ann\\(B/I\\) differs from I$"):
-        effros_hahn_check(inc, ideal, decomposition=regular)
+    regular = ideal_decomposition(inc, zero)
+    kernels, kernel = [], ideals.right_kernel
+    monkeypatch.setattr(ideals, "right_kernel", lambda *args: kernels.append(args) or kernel(*args))
+    rep = effros_hahn_check(inc, zero)
+    assert kernels == [] and rep.per_unit_dims == {x: s.dim for x, s in regular.items()}
+    monkeypatch.undo()
+    g = pair_groupoid(2)
+    inc = Inclusion(g, Cocycle.trivial(g, GF3))
+    one_sided = next(s for s in left_ideals(inc) if not is_two_sided_ideal(inc.B, s))
+    with pytest.raises(TheoremViolation, match="^the induced ideals do not intersect to I$"):
+        ideal_decomposition(inc, one_sided)
 
 
 def test_effros_hahn_check_refuses_a_wrong_annihilator(monkeypatch):
-    """B/I replaced by B itself: its annihilator 0 is not the ideal I."""
+    """Each unit's inducing ideal replaced by the annihilator of the regular
+    module's germ, 0, instead of that of B/I's: the intersection is not I."""
     g = make_gb()
     inc = Inclusion(g, Cocycle.trivial(g, GF3))
     ideal = next(i for i in enumerate_ideals(inc, left_ideals(inc)) if 0 < i.dim < inc.m)
-    monkeypatch.setattr(ideals, "quotient_module", lambda module, I, name: (module, None))
-    with pytest.raises(TheoremViolation, match="^Ann\\(B/I\\) differs from I$"):
+    original = ideals.induced_ideal
+    monkeypatch.setattr(ideals, "induced_ideal",
+                        lambda inc, x, I: original(inc, x, Subspace.zero(I.ambient_dim, I.field)))
+    with pytest.raises(TheoremViolation, match="^the induced ideals do not intersect to I$"):
         effros_hahn_check(inc, ideal)
+
+
+def test_ideal_decomposition_matches_the_germ_route():
+    """ideal_decomposition against the germ-module oracle on B/I, with B/I
+    built through quotient_module: equal per-unit bases, an intersection
+    equal to Ann(B/I), and Ann(B/I) = I.  Every proper ideal of the battery
+    over GF(2), GF(3), GF(5) and GF(7), twisted by coboundaries and the
+    quaternion cocycle; over Q, the zero ideal and the ideals induced from
+    0 and from B(x, x) at each unit (the latter is B, whose quotient is 0)."""
+    checked = 0
+    cases = prime_twisted_battery() + twisted_battery()
+    for name, g, c in cases:
+        inc = Inclusion(g, c)
+        if c.field.p is None:
+            corners = [(x, make(inc.isotropy_data(x, x).dim, c.field))
+                       for x in g.units for make in (Subspace.zero, Subspace.full)]
+            candidates = {Subspace.zero(inc.m, c.field),
+                          *(induced_ideal(inc, x, corner) for x, corner in corners)}
+        else:
+            candidates = [i for i in enumerate_ideals(inc, left_ideals(inc)) if i.dim < inc.m]
+        reg = regular_module(inc.B)
+        for I in candidates:
+            V, _ = quotient_module(reg, I)
+            oracle = germ_annihilator_decomposition(inc, V)
+            assert oracle.annihilator == I, (name, I)
+            per_unit = ideal_decomposition(inc, I)
+            assert {x: s.basis for x, s in per_unit.items()} == \
+                {x: s.basis for x, s in oracle.per_unit.items()}, (name, I)
+            assert oracle.intersection == I, (name, I)
+            checked += 1
+    assert checked > len(cases)
 
 
 def test_zero_ideal_induces_zero_for_pair_groupoid():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import groupoidalg
 from groupoidalg.errors import ContainmentError, DimensionMismatch
-from groupoidalg.ideals import effros_hahn_check, induced_ideal
+from groupoidalg.ideals import induced_ideal
 from groupoidalg.induction import ImprimitivityBimodule
 from groupoidalg.isotropy import Inclusion
 from groupoidalg.linalg import (
@@ -35,7 +35,7 @@ from groupoidalg.linalg import (
     rref,
     span,
 )
-from groupoidalg.modrep import germ_space, regular_module
+from groupoidalg.modrep import germ_space, quotient_module, regular_module
 
 from conftest import twisted_battery
 
@@ -496,7 +496,9 @@ def test_layer_quotients_agree_with_elimination(monkeypatch):
                    for x in g.units]
         for I in {Subspace.zero(inc.m, c.field), *induced}:
             if I.dim < inc.m:
-                effros_hahn_check(inc, I)
+                V, _ = quotient_module(reg, I)
+                for x in g.units:
+                    germ_space(inc, V, x)
     assert {kind for kind, _ in built} == {"C/H", "M_x", "germ", "B/I"}
     for _, q in built:
         n, field = q.ambient.ambient_dim, q.field
