@@ -235,11 +235,18 @@ def parse(path) -> ProblemFile:
     except GroupoidAlgError as exc:
         raise ProblemFileError(str(exc)) from exc
 
+    scalars = {}  # each distinct scalar token parsed once; one that fails is not kept
+
+    def scalar(token):
+        if token not in scalars:
+            scalars[token] = field.parse(token)
+        return scalars[token]
+
     cvals = {}
     for no, (a, b, val) in cocycle_rows:
         a, b = _integer(a, "arrow id", no), _integer(b, "arrow id", no)
         try:
-            cvals[(a, b)] = field.parse(val)
+            cvals[(a, b)] = scalar(val)
         except (ValueError, ZeroDivisionError) as exc:
             raise ProblemFileError(f"bad scalar {val!r}: {exc}", line=no) from exc
     try:
@@ -254,7 +261,7 @@ def parse(path) -> ProblemFile:
             if not (0 <= arrow < m):
                 raise ProblemFileError(f"dangling arrow reference {arrow}", line=no)
             try:
-                coeffs.append((arrow, field.parse(val)))
+                coeffs.append((arrow, scalar(val)))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ProblemFileError(f"bad scalar {val!r}: {exc}", line=no) from exc
         parsed_elements[name] = coeffs
@@ -268,7 +275,7 @@ def parse(path) -> ProblemFile:
                     f"module {name}: row has {len(toks)} entries, expected {dim}", line=no
                 )
             try:
-                mat_rows.append(tuple(field.parse(t) for t in toks))
+                mat_rows.append(tuple(map(scalar, toks)))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ProblemFileError(f"bad scalar in module {name}", line=no) from exc
         parsed_modules[name] = (dim, token, mat_rows)

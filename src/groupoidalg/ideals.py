@@ -2,13 +2,15 @@
 
 For an ideal I of the isotropy algebra B(x, x), the induced ideal is
 
-    { b in B : E(x,x)(g b h) lies in I for all g, h in B }.
+    Ind_x(I) = { b in B : E(x,x)(g b h) lies in I for all g, h in B },
 
-The quantifier over g and h reduces to basis elements: (g, h) -> E(gbh)
-is bilinear, so membership of E(gbh) mod I for all basis pairs forces it
-for all pairs (one line: residuals of a bilinear map vanish on a basis
-iff they vanish everywhere).  This makes the induced ideal the kernel
-of an explicit linear map and keeps everything exact.
+the largest ideal whose corner delta_x . delta_x lies in I.  The
+imprimitivity bimodule makes the block 1_O B of the orbit O of x Morita
+equivalent to B(x, x), so Ind_x(I) is the span of the arrows outside O
+and of the blocks delta_(n_z) I delta_(n_y^-1) for y, z in O, n_y: x -> y
+the orbit sections.  ``induced_ideal`` places these blocks with no linear
+system solved and checks the result against a lemma that makes it exactly
+Ind_x(I), all in exact arithmetic.
 
 The decomposition theory verified here: the annihilator of any unital
 module is the intersection over units of the ideals induced from the
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, TheoremViolation
 from .isotropy import Inclusion
-from .linalg import Subspace, right_kernel, rref
+from .linalg import Subspace, rref
 from .modrep import (
     LATTICE_BUDGET,
     FdModule,
@@ -68,41 +70,86 @@ class Ideal:
 
 
 def induced_ideal(inclusion: Inclusion, x: int, I: Subspace) -> Subspace:
-    """The ideal of B induced from an ideal I of the isotropy algebra at x.
+    """Ind_x(I), the ideal of B induced from an ideal I of the isotropy
+    algebra at x: {b in B : E(x,x)(g b h) lies in I for all g, h in B}.
 
-    The kernel of one block of constraint rows per basis pair
-    (alpha, beta): the matrix of c -> I.reduce(E(x,x)(delta_alpha c delta_beta)).
-    Both products are read off ``B.rows``: rows[alpha] holds
-    (k, ((alpha k, w1),)) and rows[alpha k] holds (beta, ((alpha k beta, w2),)),
-    so column k of the block is w1 w2 times the residual of E on the arrow
-    alpha k beta.  Only the rows that some nonzero entry touches are kept.
+    E(x,x)(c) is the corner delta_x c delta_x read at the isotropy arrows
+    of x.  ``_place_induced`` places the ideal with no linear system
+    solved, and the lemma below checks that it is Ind_x(I).  Let O be the
+    orbit of x, 1_O (the indicator of its units) its central idempotent
+    and n_y: x -> y the sections of ``FiniteGroupoid.sections``.
+
+    Lemma.  An ideal P of B that contains (1 - 1_O) B and has corner
+    delta_x P delta_x = I is Ind_x(I).
+    (a) Ind_x(I) is the largest ideal whose corner lies in I: it is an
+        ideal, g = h = delta_x puts its corner in I, and for b in an ideal
+        K with corner in I, E(g b h) lies in delta_x K delta_x, inside I.
+    (b) Every ideal K inside 1_O B is B (delta_x K delta_x) B: K = 1_O K 1_O
+        is the sum of the delta_z K delta_y over y, z in O, and delta_y is
+        a scaled delta_(n_y) delta_x delta_(n_y^-1), so delta_z k delta_y
+        lies in B delta_x (delta_(n_z^-1) k delta_(n_y)) delta_x B.
+    (c) By (a), P lies in Q = Ind_x(I).  Q = (1 - 1_O) Q + 1_O Q, the first
+        term lies in P, and by (b) 1_O Q = B (delta_x Q delta_x) B lies in
+        B (delta_x P delta_x) B, inside P.  So P = Q.
+    An ideal contains (1 - 1_O) B iff it contains 1 - 1_O.  So the result
+    is refused with a TheoremViolation unless it contains 1 - 1_O, its rows
+    read at the isotropy arrows of x span I, and it is two-sided: whatever
+    the placement did, what is returned is Ind_x(I).
+
     The result is kept on the inclusion under (x, I.basis), next to its
-    induced modules, so both ideal checks run on the first call only; a
+    induced modules.  The units of one orbit induce one ideal from the
+    corners of one ideal, so a result equal to one held already is taken
+    as that one, and the two-sided check runs once per distinct result.  A
     call that raises keeps nothing.
     """
     key = (x, I.basis)
-    if key in inclusion._induced_ideals:
-        return inclusion._induced_ideals[key]
+    held = inclusion._induced_ideals
+    if key in held:
+        return held[key]
     data = inclusion.isotropy_data(x, x)
     if not is_two_sided_ideal(data.presentation, I):
         raise ValueError("I is not a two-sided ideal of the isotropy algebra")
-    f, m, rows = inclusion.field, inclusion.m, inclusion.B.rows
-    # residual[k] = I.reduce(E(x,x)(delta_k)), by linearity of the reduction
-    residual = [I.reduce(col) for col in zip(*inclusion.projection_matrix(x, x))]
-    constraints = {}
-    for alpha, row in enumerate(rows):
-        for k, ((ak, w1),) in row:
-            for beta, ((akb, w2),) in rows[ak]:
-                w = f.mul(w1, w2)
-                for r, res in enumerate(residual[akb]):
-                    if res != 0:
-                        constraint = constraints.setdefault((alpha, beta, r), [f.zero()] * m)
-                        constraint[k] = f.mul(w, res)
-    out = right_kernel(list(constraints.values()), m, f)
-    if not is_two_sided_ideal(inclusion.B, out):
+    gpd, isotropy = inclusion.groupoid, data.quotient.section.pivots
+    placed = _place_induced(inclusion, x, I)
+    out = next((s for s in held.values() if s == placed), placed)
+    orbit = gpd.orbit(x)
+    if inclusion.unit_indicator_vector([u for u in gpd.units if u not in orbit]) not in out:
+        raise TheoremViolation("induced ideal misses a unit outside the orbit")
+    corner = [tuple(row[a] for a in isotropy) for row in out.basis]
+    if Subspace.span(corner, len(isotropy), inclusion.field) != I:
+        raise TheoremViolation("the corner of the induced ideal is not I")
+    if out is placed and not is_two_sided_ideal(inclusion.B, out):
         raise TheoremViolation("induced ideal is not two-sided")
-    inclusion._induced_ideals[key] = out
+    held[key] = out
     return out
+
+
+def _place_induced(inclusion: Inclusion, x: int, I: Subspace) -> Subspace:
+    """The span of the deltas of the arrows outside the orbit O of x and,
+    for each pair (y, z) of O, the block delta_(n_z) I delta_(n_y^-1).
+
+    h -> n_z h n_y^-1 maps G_x (I's coordinates) onto the arrows y -> z,
+    and delta_(n_z) (delta_h delta_(n_y^-1)) = w1 w2 delta_(n_z h n_y^-1),
+    both scalars read off ``B.rows`` through ``_moves``.  The blocks sit on
+    disjoint arrows, so their RREF rows join into one RREF basis."""
+    f, gpd, rows, m = inclusion.field, inclusion.groupoid, inclusion.B.rows, inclusion.m
+    sections = gpd.sections(x)
+    outside = [a for a in range(m) if gpd.tgt[a] not in sections]
+    placed = list(zip(outside, Subspace.deltas(outside, m, f).basis))
+    if I.dim:
+        right = [_moves(rows, h) for h in inclusion.isotropy_data(x, x).quotient.section.pivots]
+        for z, nz in sections.items():
+            left, hom = _moves(rows, nz), {y: [] for y in sections}  # hom[y]: the arrows y -> z
+            for b in gpd.into[z]:
+                hom[gpd.src[b]].append(b)
+            for y, ny in sections.items():
+                position, targets = {b: j for j, b in enumerate(hom[y])}, []
+                for move in right:
+                    hb, w1 = move[gpd.inv[ny]]
+                    a, w2 = left[hb]
+                    targets.append((position[a], f.mul(w1, w2)))
+                placed += _block(I.basis, targets, hom[y], m, f)
+    return _joined(placed, m, f)
 
 
 def primitive_from_isotropy(inclusion: Inclusion, x: int, W: FdModule) -> Subspace:
@@ -184,12 +231,7 @@ def _orbit_left_ideals(inclusion: Inclusion, x: int):
     for W in all_invariant_subspaces(actions, len(arrows), f):
         placed = _placed(W.basis, W.pivots, arrows, m, zero)
         for y, targets in placing.items():
-            moved = [[zero] * len(arrows) for _ in W.basis]
-            for vec, row in zip(moved, W.basis):
-                for (j, w), c in zip(targets, row):
-                    if c != 0:
-                        vec[j] = f.mul(w, c)
-            placed += _placed(*rref(moved, f), gpd.into[y], m, zero)
+            placed += _block(W.basis, targets, gpd.into[y], m, f)
         ideal = _joined(placed, m, f)
         if not ideal.contains_all(_images(ideal.basis, moves, m, f)):
             raise TheoremViolation(f"B.W is not a left ideal for W of dim {W.dim} at {x}")
@@ -206,6 +248,19 @@ def _placed(rows, pivots, support, m, zero):
             vec[b] = c
         out.append((support[pc], tuple(vec)))
     return out
+
+
+def _block(basis, targets, support, m, f):
+    """``_placed`` of the RREF of the basis rows moved onto the arrows
+    ``support``: coordinate i goes to position j, scaled by w, for
+    (j, w) = targets[i]."""
+    zero = f.zero()
+    moved = [[zero] * len(support) for _ in basis]
+    for vec, row in zip(moved, basis):
+        for (j, w), c in zip(targets, row):
+            if c != 0:
+                vec[j] = f.mul(w, c)
+    return _placed(*rref(moved, f), support, m, zero)
 
 
 def _joined(rows, m, f) -> Subspace:
@@ -323,6 +378,9 @@ def effros_hahn_check(inclusion: Inclusion, I: Subspace,
     nor its germ modules are built.  When a witness irreducible module with
     annihilator I is supplied, also finds a single unit x with I equal to
     the ideal induced from the annihilator of the witness's germ space at x.
+    By the same lemma that annihilator is delta_x I delta_x, so the ideal it
+    induces is the decomposition's entry at x, and x is the first unit
+    whose entry is I (a zero germ has annihilator B(x, x), which induces B).
     """
     if not is_two_sided_ideal(inclusion.B, I):
         raise ValueError("not a two-sided ideal")
@@ -333,14 +391,7 @@ def effros_hahn_check(inclusion: Inclusion, I: Subspace,
     if witness is not None:
         if annihilator(witness) != I:
             raise ValueError("witness module does not have annihilator I")
-        for x in inclusion.groupoid.units:
-            g = germ_space(inclusion, witness, x)
-            if g.quotient.dim == 0:
-                continue
-            candidate = induced_ideal(inclusion, x, annihilator(g.module))
-            if candidate == I:
-                single = x
-                break
+        single = next((x for x, s in per_unit.items() if s == I), None)
         if single is None:
             raise TheoremViolation("no single inducing unit found for a primitive ideal")
     return EffrosHahnReport(I.dim, {x: s.dim for x, s in per_unit.items()}, True, single)

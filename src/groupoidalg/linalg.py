@@ -35,7 +35,8 @@ of a linear map given by its values on a domain basis is taken through
 ``operator_matrix``: column k is the map applied to the k-th basis
 vector.  Matrices and constraint rows that come from a product law (the
 multiplication matrices, whole or compressed as the bimodule's actions,
-the center, induced ideals) are read straight off ``AlgebraPresentation.rows``.
+the center) are read straight off ``AlgebraPresentation.rows``, and so are
+the scalars that place left and induced ideals block by block.
 
 Scalars are `fractions.Fraction` over the rationals and plain ints in
 ``[0, p)`` over GF(p), p < 2**64, with p's primality decided by

@@ -508,8 +508,10 @@ def all_invariant_subspaces(actions, dim, field):
     Every invariant subspace is a sum of cyclic closures span(v, M_1 v, ...),
     so the distinct ones of the projective seeds (the atoms) are joined in
     turn into every subspace found so far that does not already contain
-    them.  Exact and exhaustive; each atom is checked invariant, so actions
-    not closed under products raise ``ValueError``.  Refuses beyond budget.
+    them.  Each is invariant, so it contains an atom iff it holds a seed
+    whose closure the atom is.  Exact and exhaustive; each atom is checked
+    invariant, so actions not closed under products raise ``ValueError``.
+    Refuses beyond budget.
     A seed M v, M invertible and v spun, takes v's closure unspun: M^-1 is
     a polynomial in M, so an invariant subspace holding M v holds v.
     """
@@ -517,11 +519,11 @@ def all_invariant_subspaces(actions, dim, field):
     zero = Subspace.zero(dim, field)
     found = {zero.basis: zero}
     atoms = {}
-    for _, w in _cyclic_closures(actions, dim, field):
-        atoms.setdefault(id(w), w)
-    for atom in atoms.values():
+    for seed, w in _cyclic_closures(actions, dim, field):
+        atoms.setdefault(id(w), (seed, w))
+    for seed, atom in atoms.values():
         for s in list(found.values()):
-            if s.contains_subspace(atom):
+            if s.contains_all((seed,)):
                 continue
             joined = s.add(atom)
             if joined.basis not in found:

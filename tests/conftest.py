@@ -1,6 +1,7 @@
 """Shared fixtures: the groupoid battery, twist constructors, modules
 that break unitality only, the spinning reference for cyclic closures
-and invariant-subspace lattices, and the germ-module route of Prop 12.12."""
+and invariant-subspace lattices, the germ-module route of Prop 12.12 and
+Theorem 12.14 (ii), and the constraint kernel of an induced ideal."""
 
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ from groupoidalg.groupoid import (
     pair_groupoid,
 )
 from groupoidalg.ideals import induced_ideal
-from groupoidalg.linalg import GF, QQ, Subspace
+from groupoidalg.linalg import GF, QQ, Subspace, right_kernel
 from groupoidalg.modrep import (
     FdModule,
     annihilator,
@@ -230,3 +231,37 @@ def germ_annihilator_decomposition(inclusion, V) -> GermDecomposition:
     if not out.ok:
         raise TheoremViolation("germ decomposition missed the annihilator")
     return out
+
+
+def germ_inducing_unit(inclusion, witness):
+    """The germ route of Theorem 12.14 (ii), the oracle of the single unit
+    of ``ideals.effros_hahn_check``: the first unit whose nonzero germ of
+    the witness has an annihilator inducing Ann(witness), else None."""
+    ann = annihilator(witness)
+    for x in inclusion.groupoid.units:
+        g = germ_space(inclusion, witness, x)
+        if g.quotient.dim and induced_ideal(inclusion, x, annihilator(g.module)) == ann:
+            return x
+    return None
+
+
+def kernel_induced_ideal(inclusion, x, I):
+    """The oracle of ``ideals.induced_ideal``: Ind_x(I) as the kernel of one
+    block of constraint rows per basis pair (alpha, beta), the matrix of
+    c -> I.reduce(E(x,x)(delta_alpha c delta_beta)).  Both products are
+    read off ``B.rows``: rows[alpha] holds (k, ((alpha k, w1),)) and
+    rows[alpha k] holds (beta, ((alpha k beta, w2),)), so column k of the
+    block is w1 w2 times the residual of E on the arrow alpha k beta."""
+    f, m, rows = inclusion.field, inclusion.m, inclusion.B.rows
+    # residual[k] = I.reduce(E(x,x)(delta_k)), by linearity of the reduction
+    residual = [I.reduce(col) for col in zip(*inclusion.projection_matrix(x, x))]
+    constraints = {}
+    for alpha, row in enumerate(rows):
+        for k, ((ak, w1),) in row:
+            for beta, ((akb, w2),) in rows[ak]:
+                w = f.mul(w1, w2)
+                for r, res in enumerate(residual[akb]):
+                    if res != 0:
+                        constraint = constraints.setdefault((alpha, beta, r), [f.zero()] * m)
+                        constraint[k] = f.mul(w, res)
+    return right_kernel(list(constraints.values()), m, f)

@@ -19,7 +19,7 @@ from groupoidalg.errors import ProblemFileError, TheoremViolation
 from groupoidalg.groupoid import pair_groupoid
 from groupoidalg.induction import imprimitivity_bimodule
 from groupoidalg.isotropy import Inclusion
-from groupoidalg.linalg import GF, QQ, Subspace, dense_rows, identity_matrix, mat_mul
+from groupoidalg.linalg import GF, QQ, Field, Subspace, dense_rows, identity_matrix, mat_mul
 from groupoidalg.modrep import (
     FdModule,
     Restriction,
@@ -75,6 +75,24 @@ def test_zero_cocycle_value_is_input_error(tmp_path):
     text, code = run("validate", path)
     assert code == 2
     assert "zero" in text.lower() or "0" in text
+
+
+def test_parse_reads_each_scalar_token_once(tmp_path, monkeypatch):
+    """Each distinct scalar token of a file is parsed once, in the cocycle,
+    element and module sections alike; a token that fails is not kept, so
+    a bad scalar on two lines is reported at the first."""
+    base = format_problem(QQ, pair_groupoid(2), None)
+    tokens, parse_scalar = [], Field.parse
+    monkeypatch.setattr(Field, "parse", lambda self, text: tokens.append(text) or parse_scalar(self, text))
+    text = base + "[cocycle]\n1 2 1\n[element] e\n0 1/2\n3 1/2\n[module] M 2 B\n" + "1/2 0\n0 1\n" * 4
+    problem = parse(write(tmp_path, text))
+    assert sorted(tokens) == ["0", "1", "1/2"]
+    assert problem.elements["e"] == [(0, Fraction(1, 2)), (3, Fraction(1, 2))]
+    assert problem.modules["M"][2] == [(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1))] * 4
+    bad = base + "[cocycle]\n1 2 1/x\n2 1 1/x\n"
+    first = bad.splitlines().index("1 2 1/x") + 1
+    with pytest.raises(ProblemFileError, match=f"^line {first}: bad scalar '1/x'"):
+        parse(write(tmp_path, bad))
 
 
 def test_unknown_section_reports_line(tmp_path):
@@ -482,23 +500,23 @@ def test_effros_hahn_checks_each_ideal_once(monkeypatch):
 def test_verify_ideals_decomposes_the_regular_module_once(monkeypatch):
     """prop_12_12 decomposes the regular module B/0 and the zero ideal's
     Theorem 12.14 check decomposes it again: 12 decompositions on gb3_gf2,
-    two of the zero ideal, and the second one builds no induced ideal (each
-    kernel of ``induced_ideal`` is kept on the inclusion).  The report is
+    two of the zero ideal, and the second one places no induced ideal (each
+    ideal ``induced_ideal`` places is kept on the inclusion).  The report is
     the one a fresh inclusion per decomposition gives."""
     calls = []
-    decompose, kernel = ideals.ideal_decomposition, ideals.right_kernel
+    decompose, place = ideals.ideal_decomposition, ideals._place_induced
 
     def counted(inclusion, I):
         calls.append([I.dim, 0])
         return decompose(inclusion, I)
 
-    def kernel_counted(*args):
+    def place_counted(*args):
         calls[-1][1] += 1
-        return kernel(*args)
+        return place(*args)
 
     monkeypatch.setattr(cli, "ideal_decomposition", counted)
     monkeypatch.setattr(ideals, "ideal_decomposition", counted)
-    monkeypatch.setattr(ideals, "right_kernel", kernel_counted)
+    monkeypatch.setattr(ideals, "_place_induced", place_counted)
     path = str(FIXTURES / "gb3_gf2.gkd")
     out, code = run("verify", path, ["ideals"])
     assert code == 0 and "thm_12_14_i: PASS ideals=11" in out
@@ -516,8 +534,8 @@ def test_ideal_reports_build_no_quotient_by_an_ideal(monkeypatch):
     """effros-hahn, ideals and verify ideals build B/I for no ideal I and no
     germ module of one: every quotient of the regular module they build is
     a simple quotient B/M by a maximal left ideal M (a primitive ideal's
-    witness, none in ``ideals``), and every germ space is one of such a
-    witness (the thm_12_14_ii path)."""
+    witness, none in ``ideals``), and no germ space is built, not even of
+    a witness: thm_12_14_ii reads its unit off the decomposition."""
     quotients, germs = [], []
     quotient, germ = ideals.quotient_module, ideals.germ_space
 
@@ -552,8 +570,7 @@ def test_ideal_reports_build_no_quotient_by_an_ideal(monkeypatch):
             enumerated = "enumeration: skipped" not in out
             expected = maximal if enumerated and command != "ideals" else []
             assert [W.basis for W, _ in quotients] == expected, (name, command)
-            witnesses = [id(simple) for _, simple in quotients]
-            assert all(id(module) in witnesses for module in germs), (name, command)
+            assert germs == [], (name, command)
 
 
 def test_a_wrong_inducing_ideal_fails_theorem_12_14(monkeypatch):

@@ -54,7 +54,10 @@ from conftest import (
     all_pairs_lattice,
     battery,
     germ_annihilator_decomposition,
+    germ_inducing_unit,
+    kernel_induced_ideal,
     make_gb,
+    make_swap3_action,
     make_z2,
     prime_twisted_battery,
     quaternion_fixture,
@@ -122,17 +125,17 @@ def test_effros_hahn_check_builds_no_module_without_a_witness(monkeypatch):
 
 def test_effros_hahn_check_takes_a_held_decomposition(monkeypatch):
     """The zero ideal's check takes the induced ideals that prop_12_12's
-    decomposition of B/0 left on the inclusion: it builds no kernel and
+    decomposition of B/0 left on the inclusion: it places no ideal and
     reports the same per-unit ideals.  A subspace that is not the
     intersection of its induced ideals (a one-sided ideal of M_2) is refused."""
     g = make_gb()
     inc = Inclusion(g, Cocycle.trivial(g, GF3))
     zero = Subspace.zero(inc.m, GF3)
     regular = ideal_decomposition(inc, zero)
-    kernels, kernel = [], ideals.right_kernel
-    monkeypatch.setattr(ideals, "right_kernel", lambda *args: kernels.append(args) or kernel(*args))
+    placements, place = [], ideals._place_induced
+    monkeypatch.setattr(ideals, "_place_induced", lambda *args: placements.append(args) or place(*args))
     rep = effros_hahn_check(inc, zero)
-    assert kernels == [] and rep.per_unit_dims == {x: s.dim for x, s in regular.items()}
+    assert placements == [] and rep.per_unit_dims == {x: s.dim for x, s in regular.items()}
     monkeypatch.undo()
     g = pair_groupoid(2)
     inc = Inclusion(g, Cocycle.trivial(g, GF3))
@@ -183,6 +186,21 @@ def test_ideal_decomposition_matches_the_germ_route():
             assert oracle.intersection == I, (name, I)
             checked += 1
     assert checked > len(cases)
+
+
+def test_effros_hahn_single_unit_matches_the_germ_route():
+    """The single inducing unit of a primitive ideal, read off the
+    decomposition, is the one the germ loop finds (the first unit whose
+    nonzero germ of the witness induces I), on every primitive ideal of the
+    prime twisted battery."""
+    checked = 0
+    for name, g, c in prime_twisted_battery():
+        inc = Inclusion(g, c)
+        for I, witness in primitive_ideals(inc, left_ideals(inc)):
+            unit = effros_hahn_check(inc, I, witness).primitive_single_unit
+            assert unit is not None and unit == germ_inducing_unit(inc, witness), (name, I)
+            checked += 1
+    assert checked > len(prime_twisted_battery())
 
 
 def test_zero_ideal_induces_zero_for_pair_groupoid():
@@ -272,20 +290,117 @@ def sandwich_induced_ideal(inc, x, I):
     return right_kernel(rows, m, f)
 
 
+def isotropy_ideals(inc, x):
+    """The two-sided ideals of B(x, x): all of them over GF(p), 0 and B(x, x) over Q."""
+    iso = inc.isotropy_data(x, x).presentation
+    if inc.field.p is None:
+        return [Subspace.zero(iso.dim, inc.field), Subspace.full(iso.dim, inc.field)]
+    return [s for s in all_submodules(regular_module(iso)) if is_two_sided_ideal(iso, s)]
+
+
 def test_induced_ideal_matches_sandwich_oracle():
     """At every unit of the twisted battery: I = 0 and I = B(x,x), and over
     GF(7) every ideal of B(x,x)."""
     for name, g, c in twisted_battery():
         inc = Inclusion(g, c)
         for x in g.units:
-            iso = inc.isotropy_data(x, x).presentation
-            if c.field.p is None:
-                ideals = [Subspace.zero(iso.dim, c.field), Subspace.full(iso.dim, c.field)]
-            else:
-                ideals = [s for s in all_submodules(regular_module(iso))
-                          if is_two_sided_ideal(iso, s)]
-            for I in ideals:
+            for I in isotropy_ideals(inc, x):
                 assert induced_ideal(inc, x, I) == sandwich_induced_ideal(inc, x, I), (name, x, I)
+
+
+def test_placed_induced_ideal_matches_the_kernel_oracle():
+    """induced_ideal, placed through the orbit sections, against the
+    constraint kernel at every unit, the units after the first of their
+    orbit included: every two-sided ideal of B(x, x) over the prime twisted
+    battery, and 0 and B(x, x) over Q, the quaternion twist included."""
+    cases = prime_twisted_battery() + [case for case in twisted_battery() if case[2].field.p is None]
+    later = 0
+    for name, g, c in cases:
+        inc = Inclusion(g, c)
+        for x in g.units:
+            later += g.orbit(x)[0] != x
+            for I in isotropy_ideals(inc, x):
+                assert induced_ideal(inc, x, I) == kernel_induced_ideal(inc, x, I), (name, x, I)
+    assert later > 0
+
+
+def test_units_of_one_orbit_share_one_induced_ideal(monkeypatch):
+    """The corners of one ideal at the units of one orbit induce one ideal,
+    held once and checked two-sided in B once: on swap3 over GF(3) (a free
+    orbit {0, 1} next to a fixed point with isotropy Z2) the zero ideal's
+    three units give two ideals and two B-level checks."""
+    g = make_swap3_action()
+    inc = Inclusion(g, Cocycle.trivial(g, GF3))
+    checked, check = [], ideals.is_two_sided_ideal
+    monkeypatch.setattr(ideals, "is_two_sided_ideal",
+                        lambda algebra, S: checked.append(algebra is inc.B) or check(algebra, S))
+    per_unit = ideal_decomposition(inc, Subspace.zero(inc.m, GF3))
+    assert per_unit[0] is per_unit[1] and per_unit[0] != per_unit[2]
+    assert checked.count(True) == 2
+
+
+def test_a_changed_block_scalar_is_refused(monkeypatch):
+    """One scalar of one block delta_(n_z) I delta_(n_y^-1), z != x, doubled:
+    the placed span keeps its corner and the arrows outside the orbit, so by
+    the lemma of ``induced_ideal`` it is not two-sided.  Z4 acting on two
+    points through Z2 (isotropy Z2) under a coboundary twist over GF(3),
+    every scalar of n_z's moves, both proper ideals of B(x, x)."""
+    g = action_groupoid(cyclic_group_table(4), [[(p + k) % 2 for p in range(2)] for k in range(4)])
+    c = coboundary(g, GF3, {a: 1 if g.is_unit(a) else 2 for a in g.arrows()})
+    x = g.units[0]
+    nz = next(n for y, n in g.sections(x).items() if y != x)
+    inc, moves = Inclusion(g, c), ideals._moves
+    proper = [I for I in isotropy_ideals(inc, x) if 0 < I.dim < inc.isotropy_data(x, x).dim]
+    assert len(proper) == 2
+    for I in proper:
+        for arrow in moves(inc.B.rows, nz):
+            def mutant(rows, h, arrow=arrow):
+                out = moves(rows, h)
+                if h == nz:
+                    target, w = out[arrow]
+                    out = {**out, arrow: (target, GF3.mul(2, w))}
+                return out
+
+            with monkeypatch.context() as m:
+                m.setattr(ideals, "_moves", mutant)
+                with pytest.raises(TheoremViolation, match="^induced ideal is not two-sided$"):
+                    induced_ideal(Inclusion(g, c), x, I)
+
+
+def test_a_placement_of_another_ideal_is_refused(monkeypatch):
+    """The placement of Ind_x(0) handed back for I = B(x, x) on gb over
+    GF(3): an ideal holding 1 - 1_O, refused because its corner is not I."""
+    g, place = make_gb(), ideals._place_induced
+    inc = Inclusion(g, Cocycle.trivial(g, GF3))
+    dim = inc.isotropy_data(0, 0).dim
+    zero, full = Subspace.zero(dim, GF3), Subspace.full(dim, GF3)
+    monkeypatch.setattr(ideals, "_place_induced", lambda inclusion, unit, J: place(inclusion, unit, zero))
+    with pytest.raises(TheoremViolation, match="^the corner of the induced ideal is not I$"):
+        induced_ideal(inc, 0, full)
+
+
+def test_a_dropped_outside_delta_is_refused(monkeypatch):
+    """The placement with the delta of one arrow outside the orbit of x left
+    out, for every such arrow, unit x and I in (0, B(x, x)) of gb, du and
+    swap3 over GF(3).  A unit left out can leave an ideal with corner I
+    (B = K G_0 x K x K on gb), refused as missing 1 - 1_O."""
+    place, refusals = ideals._place_induced, set()
+    for name, g, c in battery(GF3, ["gb", "du", "swap3"]):
+        for x in g.units:
+            dim = Inclusion(g, c).isotropy_data(x, x).dim
+            for a in (a for a in g.arrows() if g.orbit(g.tgt[a]) != g.orbit(x)):
+                def dropped(inclusion, unit, J, a=a):
+                    P = place(inclusion, unit, J)
+                    kept = [(pc, row) for pc, row in zip(P.pivots, P.basis) if pc != a]
+                    return Subspace(P.ambient_dim, P.field, [r for _, r in kept], [pc for pc, _ in kept])
+
+                for I in (Subspace.zero(dim, GF3), Subspace.full(dim, GF3)):
+                    with monkeypatch.context() as m:
+                        m.setattr(ideals, "_place_induced", dropped)
+                        with pytest.raises(TheoremViolation) as err:
+                            induced_ideal(Inclusion(g, c), x, I)
+                    refusals.add(str(err.value))
+    assert refusals == {"induced ideal misses a unit outside the orbit", "induced ideal is not two-sided"}
 
 
 def test_induced_ideal_closed_forms_on_pair12():
