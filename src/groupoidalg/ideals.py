@@ -181,14 +181,16 @@ def ideal_decomposition(inclusion: Inclusion, I: Subspace) -> dict:
     is the span of I's basis rows read at the isotropy arrows of x, the
     section pivots of C(x, x)/H(x, x).  So this is Prop 12.12 for V = B/I
     (I = 0 gives the regular module) with neither B/I nor a germ module
-    built.  Raises TheoremViolation unless the intersection is I.
+    built.  Raises TheoremViolation unless the intersection is I.  Each
+    distinct ideal enters the intersection once (the units of one orbit
+    share one held ideal): S cap S = S, and RREF bases are canonical.
     """
     f, per_unit = inclusion.field, {}
     for x in inclusion.groupoid.units:
         arrows = inclusion.isotropy_data(x, x).quotient.section.pivots
         corner = Subspace.span([tuple(row[a] for a in arrows) for row in I.basis], len(arrows), f)
         per_unit[x] = induced_ideal(inclusion, x, corner)
-    if functools.reduce(Subspace.intersect, per_unit.values()) != I:
+    if functools.reduce(Subspace.intersect, dict.fromkeys(per_unit.values())) != I:
         raise TheoremViolation("the induced ideals do not intersect to I")
     return per_unit
 

@@ -11,19 +11,25 @@ those arrows, with no product projected onto the quotient.  Induction takes a
 unital left B(x, x)-module V to Ind_x V = M_x (x) V over B(x, x), carried
 by one copy of V per orbit point (zeta_y (x) V): a basis arrow gamma: y -> z
 sends the block of y to the block of z through V's action of the
-isotropy class nu(n_z* . gamma . zeta_y), the one way the bimodule gives
-the B(x, x)-coordinates of a class.  The inclusion keeps each bimodule
-under x and each induced module under (x, V), V keyed by identity, so
-the roundtrip certificate of a module just induced reuses the module
-already built and checked.
+isotropy class nu(n_z* . gamma . zeta_y).  That class is s delta_h with
+h = n_z^-1 gamma n_y, read off B's product index once per arrow
+(``ImprimitivityBimodule.arrow_classes``), so each block is V's sparse
+rows at h scaled by s; ``isotropy_class`` gives the B(x, x)-coordinates
+of a general class.  The inclusion keeps each bimodule under x and each
+induced module under (x, V), V keyed by identity, so the roundtrip
+certificate of a module just induced reuses the module already built and
+checked.
 
 The constructors verify the structural facts they rely on (injectivity
 and linearity of the standard inclusion, the three-case projection
 formula, freeness) and the verifier functions produce certificates for
 the restriction/induction roundtrip, the embedding of an induced
 restriction, and the transfer of submodule lattices.  Each linearity claim
-is one ``modrep.intertwines`` call, each invariance claim one
-``Subspace.contains_all`` call over the images.
+is one ``modrep.intertwines`` call (the bimodule law one
+``modrep.commute`` call), each matrix identity of the bimodule one
+``modrep.is_product`` call, each invariance claim one
+``Subspace.contains_all`` call over the images; all of these but the
+last run on sparse rows in ints.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TheoremViolation, UnitalityError
+from .ideals import _moves
 from .isotropy import Inclusion
 from .linalg import (
     QuotientSpace,
@@ -43,13 +50,17 @@ from .linalg import (
     mat_vec,
     operator_matrix,
     right_kernel,
+    rref,
+    zero_vector,
 )
 from .modrep import (
     FdModule,
     annihilator,
     check_module,
+    commute,
     germ_space,
     intertwines,
+    is_product,
     restriction,
 )
 from .steinberg import delta, partial_inverse
@@ -62,6 +73,9 @@ class ImprimitivityBimodule:
     arrows out of x, the right one at the isotropy arrows (B(x, x)'s section
     basis).  ``stars[y]`` holds the one scaled delta {a: c} of the partial
     inverse n_y* of each section (``FiniteGroupoid.sections``), computed once.
+    ``arrow_classes[gamma]`` holds the class of gamma . zeta_y at the target
+    of gamma, for each arrow gamma into the orbit, read once; ``induce``
+    builds its blocks from it.
     """
 
     def __init__(self, inclusion: Inclusion, x: int):
@@ -76,19 +90,23 @@ class ImprimitivityBimodule:
         self.orbit = tuple(self.sections)
         self.data = inclusion.isotropy_data(x, x)
 
-        self.chosen = {y: delta(gpd, inclusion.cocycle, a) for y, a in self.sections.items()}
-        self.stars = {y: partial_inverse(n).coeffs for y, n in self.chosen.items()}
-        self.zeta = {y: self.quotient.project(n.to_vector()) for y, n in self.chosen.items()}
-
         # every operator acts on M_x in the coordinates of its section
         # basis, the deltas of the arrows out of x
         arrows = self.quotient.section.pivots
         isotropy = self.data.quotient.section.pivots
+        one, zero = f.one(), f.zero()
+
+        self.chosen = {y: delta(gpd, inclusion.cocycle, a) for y, a in self.sections.items()}
+        self.stars = {y: partial_inverse(n).coeffs for y, n in self.chosen.items()}
+        # n_y is an arrow out of x, so its class is that basis vector of M_x
+        self.zeta = {y: tuple(one if a == n else zero for a in arrows)
+                     for y, n in self.sections.items()}
+        self.arrow_classes = self._arrow_classes()
+
         self.left_action = inclusion.B.left_mult_rows(arrows)
         right = inclusion.B.right_mult_rows(arrows)  # only the isotropy arrows' maps have entries
         self.right_action = [right[g] for g in isotropy]
         # mu: B(x,x) -> M_x, c + H -> c + BJ_x, the inclusion of isotropy arrows
-        one, zero = f.one(), f.zero()
         self.mu = tuple(tuple(one if a == g else zero for g in isotropy) for a in arrows)
         # nu(xi) = E(x,x)(lift xi); independent of the lift since E kills BJ_x
         emat = inclusion.projection_matrix(x, x)
@@ -96,10 +114,35 @@ class ImprimitivityBimodule:
         self.pi = mat_mul(self.mu, self.nu, f)
         self._verify()
 
+    def _arrow_classes(self):
+        """{gamma: (j, s)} over the arrows gamma: y -> z into the orbit: the
+        isotropy class nu(n_z* . gamma . zeta_y) of gamma . zeta_y at z is s
+        times basis element j of B(x, x), the delta of h = n_z^-1 gamma n_y.
+
+        n_z* = c delta_(n_z^-1) (``stars``), and delta_gamma delta_(n_y) =
+        w1 delta_(gamma n_y) and delta_(n_z^-1) delta_(gamma n_y) = w2 delta_h
+        are read off ``B.rows``, so s = c w1 w2.  Every arrow into a point of
+        the orbit starts in the orbit."""
+        f, gpd, rows = self.field, self.inclusion.groupoid, self.inclusion.B.rows
+        index = {h: j for j, h in enumerate(self.data.quotient.section.pivots)}
+        out = {}
+        for z in self.orbit:
+            ((inv_nz, c),) = self.stars[z].items()
+            left = _moves(rows, inv_nz)
+            for gamma in gpd.into[z]:
+                moved, w1 = _moves(rows, gamma)[self.sections[gpd.src[gamma]]]
+                h, w2 = left[moved]
+                out[gamma] = (index[h], f.mul(c, f.mul(w1, w2)))
+        return out
+
     def right_apply(self, xi, hcoords):
-        """The class xi times the element of B(x,x) with the given coordinates."""
+        """The class xi times the element of B(x,x) with the given coordinates:
+        only the right actions of the nonzero coordinates are applied."""
         f = self.field
-        return combine(hcoords, [apply_rows(ra, xi, f) for ra in self.right_action], f)
+        used = [(c, ra) for c, ra in zip(hcoords, self.right_action) if c != 0]
+        if not used:
+            return zero_vector(self.quotient.dim, f)
+        return combine([c for c, _ in used], [apply_rows(ra, xi, f) for _, ra in used], f)
 
     # -- verification ----------------------------------------------------------
 
@@ -113,9 +156,8 @@ class ImprimitivityBimodule:
         k = self.data.quotient.dim
         # bimodule law: left and right actions commute, ra la = la ra for
         # every right action ra and every left action la
-        for ra in self.right_action:
-            if not intertwines(dense_rows(ra, d, f), self.left_action, self.left_action, f):
-                raise TheoremViolation("left and right actions do not commute")
+        if not commute(self.right_action, self.left_action, f):
+            raise TheoremViolation("left and right actions do not commute")
         # mu is injective and right-linear
         mu_range = Subspace.span(zip(*self.mu), d, f)
         if mu_range.dim != k:
@@ -124,10 +166,9 @@ class ImprimitivityBimodule:
         if not intertwines(self.mu, right_mult, self.right_action, f):
             raise TheoremViolation("standard inclusion is not right-linear")
         # nu o mu = id, mu o nu = pi
-        basis = identity_matrix(k, f)
-        if mat_mul(self.nu, self.mu, f) != basis:
+        if not is_product(self.nu, self.mu, identity_matrix(k, f), f):
             raise TheoremViolation("nu o mu is not the identity")
-        if mat_mul(self.pi, self.pi, f) != self.pi:
+        if not is_product(self.pi, self.pi, self.pi, f):
             raise TheoremViolation("pi is not idempotent")
         # pi is A-linear
         unit_actions = [self.left_action[u] for u in gpd.units]
@@ -143,16 +184,23 @@ class ImprimitivityBimodule:
                     raise TheoremViolation("pi must fix isotropy classes")
             elif any(c != 0 for c in img):
                 raise TheoremViolation("pi must kill non-isotropy classes")
-        # range(mu) = range(pi) = the J_x-killed part of the quotient
-        pi_range = Subspace.span(zip(*self.pi), d, f)
+        # range(mu) = range(pi) = the J_x-killed part ker(L_x - 1) of the
+        # quotient, L_x the left action of delta_x.  pi is idempotent, so
+        # range(pi) is its fixed space: it holds range(mu) iff pi mu = mu,
+        # and lies in it iff pi's columns do.  ker(L_x - 1) holds range(mu)
+        # iff L_x mu = mu, and is no larger iff L_x - 1 has rank d - k.
         lx = dense_rows(self.left_action[self.x], d, f)
-        rows = [tuple(map(f.sub, lr, er)) for lr, er in zip(lx, identity_matrix(d, f))]
-        killed = right_kernel(rows, d, f)
-        if not (mu_range == pi_range == killed):
+        shifted = [[f.sub(a, f.one()) if c == r else a for c, a in enumerate(row)]
+                   for r, row in enumerate(lx)]
+        if not (is_product(self.pi, self.mu, self.mu, f)
+                and mu_range.contains_all(zip(*self.pi))
+                and is_product(lx, self.mu, self.mu, f)
+                and len(rref(shifted, f)[1]) == d - k):
             raise TheoremViolation("range(mu) must equal range(pi) and the killed part")
         # freeness: (h_y)_y -> sum zeta_y h_y is bijective
         if d != len(self.orbit) * k:
             raise TheoremViolation("bimodule dimension is not orbit x isotropy")
+        basis = identity_matrix(k, f)
         cols = [self.right_apply(self.zeta[y], h) for y in self.orbit for h in basis]
         if Subspace.span(cols, d, f).dim != d:
             raise TheoremViolation("the zeta coordinates are not a free basis")
@@ -202,11 +250,12 @@ class InducedModule:
 def induce(inclusion: Inclusion, x: int, V: FdModule) -> InducedModule:
     """Ind_x V = M_x (x) V over B(x, x), on the free carrier (zeta_y (x) V)_y.
 
-    A basis arrow gamma: y -> z sends zeta_y (x) v to zeta_z (x) h v, where
-    h = nu(n_z* . gamma . zeta_y) is the bimodule's isotropy class of
-    gamma . zeta_y at z; block (z, y) of its matrix is V's action of h, so
-    the rows of block z are V's sparse rows of h shifted to the columns of
-    block y, and every other row is empty.
+    A basis arrow gamma: y -> z sends zeta_y (x) v to zeta_z (x) b v, where
+    b = nu(n_z* . gamma . zeta_y) is the bimodule's isotropy class of
+    gamma . zeta_y at z.  b = s delta_h, read off the product index
+    (``arrow_classes``), so block (z, y) of its matrix is s times V's
+    action at h: the rows of block z are V's sparse rows at h, scaled by s
+    and shifted to the columns of block y, and every other row is empty.
 
     The result is kept on the inclusion, next to its bimodules, under the
     key (x, V): V by identity (``FdModule`` defines no ``__eq__``, and its
@@ -233,13 +282,11 @@ def induce(inclusion: Inclusion, x: int, V: FdModule) -> InducedModule:
     entries = []
     for gamma in gpd.arrows():
         rows = [()] * dim
-        y, z = gpd.src[gamma], gpd.tgt[gamma]
-        if y in block_index and z in block_index:
-            moved = apply_rows(bim.left_action[gamma], bim.zeta[y], f)
-            act = V.action_rows(bim.isotropy_class(z, moved))
-            rb, cb = block_index[z], block_index[y]
-            for r, row in enumerate(act):
-                rows[rb + r] = tuple((cb + c, a) for c, a in row)
+        if gamma in bim.arrow_classes:
+            j, s = bim.arrow_classes[gamma]
+            rb, cb = block_index[gpd.tgt[gamma]], block_index[gpd.src[gamma]]
+            for r, row in enumerate(V.entries[j]):
+                rows[rb + r] = tuple((cb + c, f.mul(s, a)) for c, a in row)
         entries.append(rows)
     module = FdModule.from_entries(inclusion.B, entries, f"ind{x}[{V.name}]")
     violation = check_module(module)

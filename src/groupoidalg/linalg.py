@@ -273,7 +273,7 @@ def mat_vec(mat, vec, field):
 
 def sparse_rows(mat):
     """A dense matrix as rows of its nonzero (column, value) entries, in column order."""
-    return tuple(tuple((c, a) for c, a in enumerate(row) if a != 0) for row in mat)
+    return tuple(tuple((c, a) for c, a in enumerate(row) if a) for row in mat)
 
 
 def dense_rows(rows, ncols, field):

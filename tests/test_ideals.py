@@ -1,5 +1,6 @@
 """Induced ideals, annihilator identities, and the decomposition theory."""
 
+import functools
 import itertools
 import random
 
@@ -337,6 +338,23 @@ def test_units_of_one_orbit_share_one_induced_ideal(monkeypatch):
     per_unit = ideal_decomposition(inc, Subspace.zero(inc.m, GF3))
     assert per_unit[0] is per_unit[1] and per_unit[0] != per_unit[2]
     assert checked.count(True) == 2
+
+
+def test_ideal_decomposition_intersects_each_distinct_ideal_once(monkeypatch):
+    """The ideals that units of one orbit share are intersected once, with
+    the same result: on swap3 over GF(3) the zero ideal's three units give
+    two distinct ideals, so one intersection; on pair3 over Q one ideal
+    and none."""
+    calls, intersect = [], Subspace.intersect
+    monkeypatch.setattr(Subspace, "intersect",
+                        lambda self, other: calls.append(self is other) or intersect(self, other))
+    for g, field, count in ((make_swap3_action(), GF3, 1), (pair_groupoid(3), QQ, 0)):
+        calls.clear()
+        inc = Inclusion(g, Cocycle.trivial(g, field))
+        zero = Subspace.zero(inc.m, field)
+        per_unit = ideal_decomposition(inc, zero)
+        assert calls == [False] * count
+        assert functools.reduce(intersect, per_unit.values()) == zero
 
 
 def test_a_changed_block_scalar_is_refused(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 
 from groupoidalg import induction
 from groupoidalg.errors import TheoremViolation
-from groupoidalg.groupoid import pair_groupoid
+from groupoidalg.groupoid import action_groupoid, cyclic_group_table, pair_groupoid
 from groupoidalg.induction import (
     ImprimitivityBimodule,
     imprimitivity_bimodule,
@@ -26,6 +26,8 @@ from groupoidalg.linalg import (
     QQ,
     QuotientSpace,
     Subspace,
+    apply_rows,
+    combine,
     dense_rows,
     identity_matrix,
     mat_mul,
@@ -55,6 +57,7 @@ from conftest import (
     make_v4,
     make_z2,
     oracle_battery,
+    prime_twisted_battery,
     quaternion_fixture,
     twisted_battery,
 )
@@ -832,6 +835,71 @@ def test_restriction_and_germ_space_match_action_of_oracles():
                 assert repr(germ.module.matrices) == repr(tuple(mats)), (name, x, V.name)
 
 
+def dense_route_entries(inc, x, V):
+    """Oracle: the induced module's sparse rows with each arrow gamma: y -> z
+    of the orbit acting by V's action of the dense route's class
+    isotropy_class(z, gamma . zeta_y), block (z, y)."""
+    bim, f, g = imprimitivity_bimodule(inc, x), inc.field, inc.groupoid
+    k = V.dim
+    base = {y: i * k for i, y in enumerate(bim.orbit)}
+    entries = []
+    for gamma in g.arrows():
+        rows = [()] * (k * len(bim.orbit))
+        y, z = g.src[gamma], g.tgt[gamma]
+        if y in base:
+            moved = apply_rows(bim.left_action[gamma], bim.zeta[y], f)
+            for r, row in enumerate(V.action_rows(bim.isotropy_class(z, moved))):
+                rows[base[z] + r] = tuple((base[y] + c, a) for c, a in row)
+        entries.append(tuple(rows))
+    return tuple(entries)
+
+
+def test_arrow_classes_match_the_dense_route():
+    """Each arrow's class s delta_h, read off the product index, is the
+    dense route's isotropy_class(z, gamma . zeta_y), and the induced
+    entries equal the dense route's by repr (so a Fraction turned int
+    fails too): every unit of the twisted battery and of the battery
+    twisted over GF(2), GF(3), GF(5), GF(7) and GF(11), with the regular
+    module and a conjugate of it."""
+    from test_modrep import conjugated
+
+    rng = random.Random(25)
+    units = 0
+    for name, g, c in twisted_battery() + prime_twisted_battery((2, 3, 5, 7, 11)):
+        inc = Inclusion(g, c)
+        f = inc.field
+        for x in g.units:
+            bim = imprimitivity_bimodule(inc, x)
+            k = bim.data.quotient.dim
+            assert set(bim.arrow_classes) == {a for a in g.arrows() if g.tgt[a] in bim.orbit}
+            for gamma, (j, s) in bim.arrow_classes.items():
+                moved = apply_rows(bim.left_action[gamma], bim.zeta[g.src[gamma]], f)
+                dense = bim.isotropy_class(g.tgt[gamma], moved)
+                assert repr(dense) == repr(tuple(s if i == j else f.zero() for i in range(k)))
+            reg = regular_module(bim.data.presentation)
+            for V in (reg, conjugated(reg, rng)):
+                ours = induce(inc, x, V).module.entries
+                assert repr(ours) == repr(dense_route_entries(inc, x, V)), (name, x, V.name)
+            units += 1
+    assert units == 152
+
+
+def test_right_apply_applies_only_the_nonzero_coordinates(monkeypatch):
+    """xi h applies the right action of each nonzero coordinate of h and no
+    other; h = 0 gives the zero class."""
+    v4 = make_v4()
+    bim = imprimitivity_bimodule(Inclusion(v4, Cocycle.trivial(v4, QQ)), v4.units[0])
+    calls = []
+    monkeypatch.setattr(induction, "apply_rows",
+                        lambda rows, vec, f: calls.append(rows) or apply_rows(rows, vec, f))
+    zeta, zero = bim.zeta[bim.x], QQ.zero()
+    assert bim.right_apply(zeta, (zero,) * 4) == (zero,) * 4 and calls == []
+    h = (zero, Fraction(2), zero, Fraction(-1))
+    expected = combine(h, [apply_rows(ra, zeta, QQ) for ra in bim.right_action], QQ)
+    assert repr(bim.right_apply(zeta, h)) == repr(expected)
+    assert calls == [bim.right_action[1], bim.right_action[3]]
+
+
 def test_induction_reads_isotropy_classes_only_off_the_bimodule():
     """induction.py makes no convolution, and E(x, x) enters it once: in the
     bimodule's constructor, as nu."""
@@ -915,6 +983,25 @@ def test_bimodule_law_refuses_a_corrupted_right_action():
         bim._verify()
 
 
+def test_bimodule_law_refuses_a_corrupted_left_action():
+    """The first and the last left action corrupted in turn, on V4 at its
+    one unit (four right actions) and on Z4 acting on two points through
+    Z2 (an orbit of two points, two right actions): the law is checked for
+    every left action.  pair2 cannot show this: B(x, x) = K there, so its
+    one right action is the identity, which commutes with any map."""
+    z4 = action_groupoid(cyclic_group_table(4), [[(p + k) % 2 for p in range(2)] for k in range(4)])
+    for g in (make_v4(), z4):
+        for which in (0, -1):
+            bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), g.units[0])
+            d, actions = bim.quotient.dim, list(bim.left_action)
+            assert len(bim.right_action) > 1
+            actions[which] = sparse_rows(bumped(dense_rows(actions[which], d, QQ), 0, 0, QQ))
+            bim.left_action = actions
+            with pytest.raises(TheoremViolation,
+                               match=exactly("left and right actions do not commute")):
+                bim._verify()
+
+
 def test_mu_right_linearity_refuses_a_corrupted_mu():
     g = make_z2()
     bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), 0)
@@ -950,6 +1037,38 @@ def test_three_case_formula_refuses_a_pi_that_keeps_a_non_isotropy_class():
     bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), 0)
     bim.pi = identity_matrix(2, QQ)
     with pytest.raises(TheoremViolation, match=exactly("pi must kill non-isotropy classes")):
+        bim._verify()
+
+
+def lx_set(matrix):
+    """Replace the left action of the unit 0 by the dense matrix."""
+    def change(bim):
+        bim.left_action = [sparse_rows(matrix)] + list(bim.left_action[1:])
+    return change
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda bim: setattr(bim, "nu", bumped(bim.nu, 0, 0, QQ)), "nu o mu is not the identity"),
+    (lambda bim: setattr(bim, "pi", bumped(bim.pi, 0, 0, QQ)), "pi is not idempotent"),
+    # pi mu = mu fails: mu = (1, 1) is injective, right-linear and nu mu = 1
+    (lambda bim: setattr(bim, "mu", bumped(bim.mu, 1, 0, QQ)),
+     "range(mu) must equal range(pi) and the killed part"),
+    # L_x = diag(0, 1): L_x - 1 has rank d - k = 1, but L_x mu = mu fails
+    (lx_set(((0, 0), (0, 1))), "range(mu) must equal range(pi) and the killed part"),
+    # L_x = 1 fixes mu, but L_x - 1 = 0 has rank 0, not d - k = 1
+    (lx_set(((1, 0), (0, 1))), "range(mu) must equal range(pi) and the killed part"),
+    (lambda bim: bim.zeta.update({3: bim.zeta[0]}), "the zeta coordinates are not a free basis"),
+], ids=["nu", "pi", "mu-range", "killed-fixed", "killed-rank", "zeta"])
+def test_bimodule_identities_refuse_a_corrupted_object(change, message):
+    """pair2 at unit 0 (d = 2, k = 1, pi = L_0 = diag(1, 0)): each of the
+    identities checked on sparse rows in ints refuses one corrupted stored
+    object that passes every earlier check.  Its right action is the
+    identity, so the bimodule law cannot see a corrupted L_0."""
+    g = pair_groupoid(2)
+    bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), 0)
+    assert (bim.pi, bim.mu, bim.orbit) == (((1, 0), (0, 0)), ((1,), (0,)), (0, 3))
+    change(bim)
+    with pytest.raises(TheoremViolation, match=exactly(message)):
         bim._verify()
 
 

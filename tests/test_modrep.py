@@ -43,6 +43,7 @@ from groupoidalg.modrep import (
     annihilator,
     check_module,
     closure_under,
+    commute,
     direct_sum,
     disintegration_action,
     find_module_isomorphism,
@@ -50,6 +51,7 @@ from groupoidalg.modrep import (
     germ_space,
     intertwines,
     is_irreducible,
+    is_product,
     is_two_sided_ideal,
     isotropy_quotient_module,
     lattice_operations_agree,
@@ -806,6 +808,35 @@ def test_sparse_intertwines_matches_dense_oracle():
                 expected = dense_intertwines(*case, f)
                 assert sparse_intertwines(*case, f) == expected, label
                 refuted += not expected
+    assert fields == {QQ, GF(2), GF(3), GF(7), GF(101)}
+    assert refuted > 100
+
+
+def test_commute_and_is_product_match_dense_products():
+    """On the intertwiner modules (conjugated ones have fractional entries),
+    true identities pass: an action commutes with itself and its square,
+    and a b = c for c the dense product, also for a non-square a.  With one
+    entry bumped, both give the verdict of the dense products."""
+    rng = random.Random(25)
+    fields, refuted = set(), 0
+    for label, mod in intertwiner_modules():
+        f, acts = mod.field, mod.matrices
+        fields.add(f)
+        a, b = rng.choice(acts), rng.choice(acts)
+        square = mat_mul(a, a, f)
+        assert commute([sparse_rows(a)], [sparse_rows(a), sparse_rows(square)], f), label
+        wide = tuple(row + row for row in a)  # d x 2d
+        for x, y in [(a, b), (wide[:1], tuple(zip(*wide)))]:  # 1 x 2d times 2d x d
+            xy = mat_mul(x, y, f)
+            assert is_product(x, y, xy, f), label
+            for case in [(x, y, bumped(xy, rng, f)), (bumped(x, rng, f), y, xy)]:
+                expected = mat_mul(case[0], case[1], f) == case[2]
+                assert is_product(*case, f) == expected, label
+                refuted += not expected
+        broken = bumped(b, rng, f)
+        expected = mat_mul(a, broken, f) == mat_mul(broken, a, f)
+        assert commute([sparse_rows(a)], [sparse_rows(square), sparse_rows(broken)], f) == expected
+        refuted += not expected
     assert fields == {QQ, GF(2), GF(3), GF(7), GF(101)}
     assert refuted > 100
 
