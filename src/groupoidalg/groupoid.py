@@ -6,7 +6,10 @@ the arrows (so the unit space sits inside the arrow space).  Composition
 stored as a dense partial table.  The arrows into each unit are listed
 once at construction, and every walk over composable pairs and triples,
 hom-sets, orbits and isotropy groups reads those lists, so it touches
-only the pairs that compose.  In the discrete finite setting every
+only the pairs that compose.  The triples are walked by rows of the
+table: a, then b in ``into[src(a)]``, then c in ``into[src(b)]``, the
+lexicographic order, so the first failing triple is the one a full scan
+finds first.  In the discrete finite setting every
 subset of arrows is compact open and every singleton is a bisection, so
 this is precisely the regime where the whole convolution-algebra theory
 of this package is finite dimensional.
@@ -86,11 +89,15 @@ class FiniteGroupoid:
                 raise MalformedTable(f"unit id {u} out of range")
             if self.units.count(u) > 1:
                 raise MalformedTable(f"duplicate unit id {u}")
-        for a in range(m):
-            for b in range(m):
-                ab = self.comp[a][b]
-                if ab is not None and not (0 <= ab < m):
-                    raise MalformedTable(f"comp[{a}][{b}] = {ab} out of range")
+        if len(self.comp) != m or any(len(row) != m for row in self.comp):
+            raise MalformedTable("comp must be an m x m table")
+        for a, row in enumerate(self.comp):
+            defined = set(row)
+            defined.discard(None)
+            if defined and not (0 <= min(defined) and max(defined) < m):
+                b, ab = next((b, ab) for b, ab in enumerate(row)
+                             if ab is not None and not 0 <= ab < m)
+                raise MalformedTable(f"comp[{a}][{b}] = {ab} out of range")
 
     # -- basic queries -------------------------------------------------------
 
@@ -114,12 +121,6 @@ class FiniteGroupoid:
         for a in range(self.n_arrows):
             for b in self.into[self.src[a]]:
                 yield a, b
-
-    def composable_triples(self):
-        """Every composable (a, b, c), in lexicographic order."""
-        for a, b in self.composable_pairs():
-            for c in self.into[self.src[b]]:
-                yield a, b, c
 
     # -- axioms --------------------------------------------------------------
 
@@ -155,10 +156,13 @@ class FiniteGroupoid:
                 return Violation("left-identity", (self.tgt[a], a))
             if self.comp[a][self.src[a]] != a:
                 return Violation("right-identity", (a, self.src[a]))
-        for a, b in self.composable_pairs():
-            ab = self.comp[a][b]
-            if self.src[ab] != self.src[b] or self.tgt[ab] != self.tgt[a]:
-                return Violation("product-src-tgt", (a, b))
+        comp, src, tgt, into = self.comp, self.src, self.tgt, self.into
+        for a, row in enumerate(comp):
+            ta = tgt[a]
+            for b in into[src[a]]:
+                ab = row[b]
+                if src[ab] != src[b] or tgt[ab] != ta:
+                    return Violation("product-src-tgt", (a, b))
         for a in range(m):
             ai = self.inv[a]
             if self.inv[ai] != a:
@@ -169,9 +173,16 @@ class FiniteGroupoid:
                 return Violation("right-inverse", (a,))
             if self.comp[ai][a] != self.src[a]:
                 return Violation("left-inverse", (a,))
-        for a, b, c in self.composable_triples():
-            if self.comp[self.comp[a][b]][c] != self.comp[a][self.comp[b][c]]:
-                return Violation("associativity", (a, b, c))
+        # (ab)c = a(bc) over every composable triple, in lexicographic order
+        # (a, then b in into[src(a)], then c in into[src(b)]), so the first
+        # failing triple is the witness; every product read is defined,
+        # since composability and product-src-tgt hold by now
+        for a, row in enumerate(comp):
+            for b in into[src[a]]:
+                left, right = comp[row[b]], comp[b]
+                for c in into[src[b]]:
+                    if left[c] != row[right[c]]:
+                        return Violation("associativity", (a, b, c))
         return None
 
     # -- structure -----------------------------------------------------------

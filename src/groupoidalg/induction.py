@@ -22,7 +22,8 @@ checked.
 
 The constructors verify the structural facts they rely on (injectivity
 and linearity of the standard inclusion, the three-case projection
-formula, freeness) and the verifier functions produce certificates for
+formula, freeness, and left actions that are B's product, compared entry
+by entry with the table and the cocycle) and the verifier functions produce certificates for
 the restriction/induction roundtrip, the embedding of an induced
 restriction, and the transfer of submodule lattices.  Each linearity claim
 is one ``modrep.intertwines`` call (the bimodule law one
@@ -185,15 +186,17 @@ class ImprimitivityBimodule:
             elif any(c != 0 for c in img):
                 raise TheoremViolation("pi must kill non-isotropy classes")
         # range(mu) = range(pi) = the J_x-killed part ker(L_x - 1) of the
-        # quotient, L_x the left action of delta_x.  pi is idempotent, so
-        # range(pi) is its fixed space: it holds range(mu) iff pi mu = mu,
-        # and lies in it iff pi's columns do.  ker(L_x - 1) holds range(mu)
-        # iff L_x mu = mu, and is no larger iff L_x - 1 has rank d - k.
+        # quotient, L_x the left action of delta_x.  By the three-case
+        # formula pi is the coordinate projection onto the classes of the
+        # |G_x| isotropy arrows, and |G_x| = k once d = |orbit| k (checked
+        # below).  So range(pi) lies in range(mu), of dim k, iff pi's
+        # columns do, and then equals it: pi mu = mu follows and is not
+        # checked.  ker(L_x - 1) holds range(mu) iff L_x mu = mu, and is
+        # no larger iff L_x - 1 has rank d - k.
         lx = dense_rows(self.left_action[self.x], d, f)
         shifted = [[f.sub(a, f.one()) if c == r else a for c, a in enumerate(row)]
                    for r, row in enumerate(lx)]
-        if not (is_product(self.pi, self.mu, self.mu, f)
-                and mu_range.contains_all(zip(*self.pi))
+        if not (mu_range.contains_all(zip(*self.pi))
                 and is_product(lx, self.mu, self.mu, f)
                 and len(rref(shifted, f)[1]) == d - k):
             raise TheoremViolation("range(mu) must equal range(pi) and the killed part")
@@ -204,6 +207,23 @@ class ImprimitivityBimodule:
         cols = [self.right_apply(self.zeta[y], h) for y in self.orbit for h in basis]
         if Subspace.span(cols, d, f).dim != d:
             raise TheoremViolation("the zeta coordinates are not a free basis")
+        # the left actions are B's: delta_gamma delta_b = w(gamma, b)
+        # delta_(gamma b) for each arrow b out of x into src(gamma), read
+        # off the table and the cocycle through the arrows out of x by
+        # target, and every other column of gamma's map is zero
+        arrows = self.quotient.section.pivots
+        index = {a: r for r, a in enumerate(arrows)}
+        by_target = {}
+        for b in arrows:
+            by_target.setdefault(gpd.tgt[b], []).append(b)
+        w, one = self.inclusion.cocycle.values, self.inclusion.cocycle.one
+        for gamma, stored in enumerate(self.left_action):
+            expected = [()] * d
+            row = gpd.comp[gamma]
+            for b in by_target.get(gpd.src[gamma], ()):
+                expected[index[row[b]]] = ((index[b], w.get((gamma, b), one)),)
+            if tuple(expected) != stored:
+                raise TheoremViolation(f"the left action of arrow {gamma} is not B's product")
 
     def nu_of(self, xi):
         """The isotropy component of a bimodule class (coordinates in B(x,x))."""

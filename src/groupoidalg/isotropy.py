@@ -36,24 +36,10 @@ from .twist import Cocycle, restrict_to_isotropy
 
 @dataclass
 class PointIdeal:
-    """The ideal of unit functions vanishing at x, with local units."""
+    """The ideal of unit functions vanishing at x."""
 
     x: int
     basis: Subspace
-
-    def local_unit_vector(self, vectors, inclusion):
-        """Indicator of the union of supports: an idempotent u with uf = f.
-
-        Works for any finite family inside the ideal; supports never
-        contain x, so the indicator stays inside the ideal.
-        """
-        units = set()
-        for v in vectors:
-            for a, c in enumerate(v):
-                if c != 0:
-                    units.add(a)
-        units.discard(self.x)
-        return inclusion.unit_indicator_vector(sorted(units))
 
 
 class IsotropyData:
@@ -202,11 +188,6 @@ class Inclusion:
         C, H = self._span(C), self._span(H)
         return IsotropyData(None, None, C, H, self._span(L), QuotientSpace(C, H))
 
-    def compute_C(self, y, x) -> Subspace:
-        return self.c_space_for_ideals(
-            self.point_ideal(y).basis, self.point_ideal(x).basis
-        )
-
     def isotropy_data(self, y, x) -> IsotropyData:
         """All spaces for the unit pair (y, x); cached; asserts regularity."""
         key = (y, x)
@@ -232,20 +213,21 @@ class Inclusion:
             for b, ((k, _),) in rows[a]:
                 if b in in_C and (a in in_H or b in in_H) and k not in in_H:
                     raise TheoremViolation("H is not an ideal of C")
-        # the section basis is the deltas of the arrows in C outside H
+        # the section basis is the deltas of the arrows in C outside H; the
+        # pivots and each row of B increase, so these rows are canonical
         index = {a: i for i, a in enumerate(quotient.section.pivots)}
-        products = {}
+        products = [[] for _ in index]
         for a, i in index.items():
             for b, ((k, c),) in rows[a]:
                 if b in index and k not in in_C:
                     raise TheoremViolation("product left the C space")
                 if b in index and k in index:
-                    products[(i, index[b])] = {index[k]: c}
+                    products[i].append((index[b], ((index[k], c),)))
         if x not in in_C:
             raise TheoremViolation("unit indicator fell outside C(x, x)")
         unit_coords = quotient.project(self.delta_vector(x))
         labels = [f"c{i}" for i in range(quotient.dim)]
-        pres = AlgebraPresentation(self.field, labels, products, unit_coords)
+        pres = AlgebraPresentation(self.field, labels, map(tuple, products), unit_coords)
         if not pres.check_unit():
             raise TheoremViolation("unit class of the isotropy algebra failed")
         return pres, unit_coords

@@ -575,16 +575,6 @@ def all_submodules(module: FdModule):
     return all_invariant_subspaces(module.entries, module.dim, module.field)
 
 
-def lattice_operations_agree(subspaces) -> bool:
-    """Meet = intersection and join = sum stay inside the collection."""
-    index = {s.basis for s in subspaces}
-    for a in subspaces:
-        for b in subspaces:
-            if a.intersect(b).basis not in index or a.add(b).basis not in index:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # irreducibility
 
@@ -949,15 +939,6 @@ def disintegration_action(inclusion: Inclusion, module: FdModule, y: int, x: int
     v = germ_x.quotient.inject(v_coords)
     image = module.apply(c, v)
     return germ_y.quotient.project(image)
-
-
-def nonzero_germ_exists(inclusion: Inclusion, module: FdModule, v) -> bool:
-    """Some unit sees a nonzero germ of v (fails only for v = 0)."""
-    for x in inclusion.groupoid.units:
-        g = germ_space(inclusion, module, x)
-        if any(c != 0 for c in g.quotient.project(v)):
-            return True
-    return False
 
 
 def isotropy_quotient_module(inclusion: Inclusion, module: FdModule, x: int,

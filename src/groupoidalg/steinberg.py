@@ -228,32 +228,41 @@ def dedicated_unit(elements, groupoid=None, cocycle=None) -> AlgebraElement:
 class AlgebraPresentation:
     """A finite-dimensional algebra as sparse structure constants over a basis.
 
-    ``products`` maps a basis pair (i, j) to the coefficients {k: c} of
-    basis_i * basis_j; zero coefficients and zero products may be left
-    out.  They are kept once, as the canonical per-row index ``rows``:
-    ``rows[i]`` is the sorted tuple of (j, ((k, c), ...)) over the j with
-    basis_i * basis_j != 0, so two presentations have the same product
-    exactly when their ``rows`` are equal.  Every product walks only these
-    nonzero terms.  ``table`` is the dense view (``table[i][j]`` the
-    coefficient tuple of basis_i * basis_j), built on first read.  The
-    identity's coordinates, when present, are stored in ``unit``.
-    The multiplication maps (as sparse rows) and the constraint rows
-    behind ``center`` are read straight off ``rows``; no operator is built
-    by ``multiply``.
+    The product is held once, as the canonical per-row index ``rows``:
+    ``rows[i]`` is the tuple of (j, ((k, c), ...)) over the j with
+    basis_i * basis_j != 0, in increasing j, each with the nonzero
+    coefficients c of basis_k in increasing k.  So two presentations have
+    the same product exactly when their ``rows`` are equal.  The
+    constructor takes ``rows`` already in this form (``presentation_of_B``
+    and the isotropy algebras walk their products in that order);
+    ``from_products`` puts a mapping of products into it first.  Every
+    product walks only these nonzero terms.  ``table`` is the dense view
+    (``table[i][j]`` the coefficient tuple of basis_i * basis_j), built on
+    first read.  The identity's coordinates, when present, are stored in
+    ``unit``.  The multiplication maps (as sparse rows) and the constraint
+    rows behind ``center`` are read straight off ``rows``; no operator is
+    built by ``multiply``.
     """
 
-    def __init__(self, field: Field, labels, products, unit=None):
+    def __init__(self, field: Field, labels, rows, unit=None):
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        rows = [[] for _ in range(self.dim)]
+        self.rows = tuple(rows)
+        self.unit = tuple(unit) if unit is not None else None
+        self._table = None
+
+    @classmethod
+    def from_products(cls, field: Field, labels, products, unit=None):
+        """The presentation whose products are ``products``: a basis pair
+        (i, j) mapped to the coefficients {k: c} of basis_i * basis_j, where
+        zero coefficients and zero products may be left out."""
+        rows = [[] for _ in labels]
         for (i, j), coeffs in products.items():
             terms = tuple(sorted((k, c) for k, c in coeffs.items() if c != 0))
             if terms:
                 rows[i].append((j, terms))
-        self.rows = tuple(tuple(sorted(r)) for r in rows)
-        self.unit = tuple(unit) if unit is not None else None
-        self._table = None
+        return cls(field, labels, (tuple(sorted(r)) for r in rows), unit)
 
     @property
     def table(self):
@@ -406,17 +415,20 @@ def presentation_of_B(groupoid: FiniteGroupoid, cocycle: Cocycle) -> AlgebraPres
     """Structure constants of the convolution algebra on the delta basis.
 
     Basis i is the delta section at arrow i, so the dimension equals the
-    number of arrows; the identity is the indicator of the units.
+    number of arrows; the identity is the indicator of the units.  Row a
+    of ``rows`` is delta_a delta_b = w(a, b) delta_(ab) over the b in
+    ``into[src(a)]``, which is sorted, so the rows are built already
+    canonical.
     """
     _require_validated(cocycle)
     f = cocycle.field
-    products = {
-        (a, b): {groupoid.comp[a][b]: cocycle(a, b)} for a, b in groupoid.composable_pairs()
-    }
+    w, one, src, into = cocycle.values.get, cocycle.one, groupoid.src, groupoid.into
+    rows = [tuple((b, ((row[b], w((a, b), one)),)) for b in into[src[a]])
+            for a, row in enumerate(groupoid.comp)]
     unit = [f.zero()] * groupoid.n_arrows
     for u in groupoid.units:
         unit[u] = f.one()
-    return AlgebraPresentation(f, groupoid.arrow_names, products, unit)
+    return AlgebraPresentation(f, groupoid.arrow_names, rows, unit)
 
 
 def twisted_group_algebra(table: dict, members, cocycle_values: dict, field: Field,
@@ -440,14 +452,5 @@ def twisted_group_algebra(table: dict, members, cocycle_values: dict, field: Fie
     unit[index[identity]] = field.one()
     if labels is None:
         labels = [f"t{g}" for g in members]
-    return AlgebraPresentation(field, labels, products, unit)
+    return AlgebraPresentation.from_products(field, labels, products, unit)
 
-
-def check_s_unital_identity(groupoid, cocycle) -> bool:
-    """Indicator of all units is a two-sided identity (finite case check)."""
-    e = algebra_identity(groupoid, cocycle)
-    for a in groupoid.arrows():
-        d = delta(groupoid, cocycle, a)
-        if convolve(e, d) != d or convolve(d, e) != d:
-            return False
-    return True

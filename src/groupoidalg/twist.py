@@ -79,38 +79,57 @@ def validate_cocycle(c: Cocycle):
     """None if normalization and the cocycle identity hold, else a violation.
 
     On success the cocycle is marked ``validated`` so downstream
-    constructors will accept it.  The identity is checked on
-    ``composable_triples``, in its order, so the first failing triple is
-    the witness.  Both sides are compared in ints, with no ``Field`` or
-    `Fraction` arithmetic: over GF(p) each side is one product and one
-    ``% p``; over Q the values are reduced `Fraction`s with positive
-    denominators, so n1/d1 * n2/d2 = n3/d3 * n4/d4 exactly when
+    constructors will accept it.  A composable pair with no product in
+    the table is a violation too (``composability``, the first such pair
+    in row-major order), never a pass.  The identity is checked by rows
+    of the composition table: a, then b in ``into[src(a)]``, then d in
+    ``into[src(b)]``, the lexicographic order of the composable triples,
+    so the first failing triple is the witness.  The values are held as
+    dense per-row lists that default to 1 and both sides are compared in
+    ints, with no ``Field`` or `Fraction` arithmetic: over GF(p) each side
+    is one product and one ``% p``; over Q the values are reduced
+    `Fraction`s with positive denominators, held as numerator and
+    denominator rows, so n1/d1 * n2/d2 = n3/d3 * n4/d4 exactly when
     n1 n2 d3 d4 = n3 n4 d1 d2.  Continuity is vacuous here: the groupoid
     is discrete.
     """
     g = c.groupoid
-    f = c.field
-    one = f.one()
+    one = c.field.one()
     for gamma in g.arrows():
         if c(gamma, g.src[gamma]) != one:
             return CocycleViolation("unit-normalization", (gamma, g.src[gamma]))
         if c(g.tgt[gamma], gamma) != one:
             return CocycleViolation("unit-normalization", (g.tgt[gamma], gamma))
-    # every pair read below composes, so the values are read without
-    # ``Cocycle.__call__``'s domain check
-    comp, p = g.comp, f.p
+    comp, src, into, m, p = g.comp, g.src, g.into, g.n_arrows, c.field.p
+    for a, row in enumerate(comp):
+        if None in map(row.__getitem__, into[src[a]]):
+            return CocycleViolation("composability",
+                                    (a, next(b for b in into[src[a]] if row[b] is None)))
     if p is None:
-        w = {pair: (v.numerator, v.denominator) for pair, v in c.values.items()}.get
-        for a, b, d in g.composable_triples():
-            (n1, d1), (n2, d2) = w((a, b), (1, 1)), w((comp[a][b], d), (1, 1))
-            (n3, d3), (n4, d4) = w((a, comp[b][d]), (1, 1)), w((b, d), (1, 1))
-            if n1 * n2 * d3 * d4 != n3 * n4 * d1 * d2:
-                return CocycleViolation("cocycle-identity", (a, b, d))
+        num = [[1] * m for _ in range(m)]
+        den = [[1] * m for _ in range(m)]
+        for (a, b), v in c.values.items():
+            num[a][b], den[a][b] = v.numerator, v.denominator
+        for a, row in enumerate(comp):
+            na, da = num[a], den[a]
+            for b in into[src[a]]:
+                n1, d1, row_b = na[b], da[b], comp[b]
+                nab, dab, nb, db = num[row[b]], den[row[b]], num[b], den[b]
+                for d in into[src[b]]:
+                    bd = row_b[d]
+                    if n1 * nab[d] * da[bd] * db[d] != na[bd] * nb[d] * d1 * dab[d]:
+                        return CocycleViolation("cocycle-identity", (a, b, d))
     else:
-        w = c.values.get
-        for a, b, d in g.composable_triples():
-            if w((a, b), 1) * w((comp[a][b], d), 1) % p != w((a, comp[b][d]), 1) * w((b, d), 1) % p:
-                return CocycleViolation("cocycle-identity", (a, b, d))
+        w = [[1] * m for _ in range(m)]
+        for (a, b), v in c.values.items():
+            w[a][b] = v
+        for a, row in enumerate(comp):
+            wa = w[a]
+            for b in into[src[a]]:
+                w1, wab, wb, row_b = wa[b], w[row[b]], w[b], comp[b]
+                for d in into[src[b]]:
+                    if w1 * wab[d] % p != wa[row_b[d]] * wb[d] % p:
+                        return CocycleViolation("cocycle-identity", (a, b, d))
     c.validated = True
     return None
 

@@ -76,6 +76,10 @@ def test_involution_corruption_detected():
 def test_out_of_range_raises():
     with pytest.raises(MalformedTable):
         FiniteGroupoid(2, [0], [0, 5], [0, 1], [0, 1], [[0, None], [None, 1]])
+    with pytest.raises(MalformedTable, match=r"^comp\[1\]\[0\] = 2 out of range$"):
+        FiniteGroupoid(2, [0, 1], [0, 1], [0, 1], [0, 1], [[0, None], [2, 1]])
+    with pytest.raises(MalformedTable, match="^comp must be an m x m table$"):
+        FiniteGroupoid(2, [0, 1], [0, 1], [0, 1], [0, 1], [[0, None], [None]])
 
 
 def test_isotropy_trivial_in_pair_groupoid():
@@ -304,7 +308,10 @@ def test_arrow_lists_match_full_scans():
     arrows into each unit equal the scans over every arrow, in order."""
     for g in arrow_list_groupoids():
         assert list(g.composable_pairs()) == scanned_pairs(g)
-        assert list(g.composable_triples()) == scanned_triples(g)
+        # the walk of ``validate`` and ``validate_cocycle``: a, then b into
+        # src(a), then c into src(b)
+        assert [(a, b, c) for a, b in g.composable_pairs()
+                for c in g.into[g.src[b]]] == scanned_triples(g)
         assert g.into == tuple(tuple(a for a in g.arrows() if g.tgt[a] == u) for u in g.arrows())
         for x in g.units:
             assert g.isotropy_group(x) == [a for a in g.arrows() if g.src[a] == g.tgt[a] == x]

@@ -1072,6 +1072,40 @@ def test_bimodule_identities_refuse_a_corrupted_object(change, message):
         bim._verify()
 
 
+def left_action_corruptions():
+    """(id, groupoid, x, arrow, map) for left actions that pass every other
+    check of ``_verify``: B(x, x) = K in each, so the one right action is
+    the identity and the bimodule law holds for any left action.  On pair2
+    at unit 0 the map of arrow 3 with its (0, 0) entry raised by 1; on
+    pair3 at each unit x the map of each other unit set to the identity."""
+    pair2, pair3 = pair_groupoid(2), pair_groupoid(3)
+    cases = [("pair2-x0-arrow3", pair2, 0, 3,
+              lambda bim: sparse_rows(bumped(dense_rows(bim.left_action[3], 2, QQ), 0, 0, QQ)))]
+    for x in pair3.units:
+        for u in pair3.units:
+            if u != x:
+                cases.append((f"pair3-x{x}-unit{u}", pair3, x, u,
+                              lambda bim: sparse_rows(identity_matrix(bim.quotient.dim, QQ))))
+    return cases
+
+
+@pytest.mark.parametrize("g, x, arrow, corrupted",
+                         [pytest.param(*case, id=name) for name, *case in left_action_corruptions()])
+def test_left_actions_are_checked_against_the_product(g, x, arrow, corrupted):
+    """Each stored left action is compared with B's product on the arrows
+    out of x; the check runs last, so the corrupted maps here pass every
+    earlier check and are refused by this one."""
+    bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), x)
+    assert len(bim.right_action) == 1
+    actions = list(bim.left_action)
+    actions[arrow] = corrupted(bim)
+    assert actions[arrow] != bim.left_action[arrow]
+    bim.left_action = actions
+    with pytest.raises(TheoremViolation,
+                       match=exactly(f"the left action of arrow {arrow} is not B's product")):
+        bim._verify()
+
+
 def test_roundtrip_refuses_a_corrupted_induced_module(monkeypatch):
     g = make_z2()
     inc = Inclusion(g, Cocycle.trivial(g, QQ))

@@ -54,8 +54,6 @@ from groupoidalg.modrep import (
     is_product,
     is_two_sided_ideal,
     isotropy_quotient_module,
-    lattice_operations_agree,
-    nonzero_germ_exists,
     regular_module,
     restriction,
     submodule_module,
@@ -154,7 +152,7 @@ def test_presentation_without_unit_fails_unitality(field):
     g = pair_groupoid(2)
     B = presentation_of_B(g, Cocycle.trivial(g, field))
     products = {(i, j): dict(terms) for i, row in enumerate(B.rows) for j, terms in row}
-    bare = AlgebraPresentation(field, B.labels, products)
+    bare = AlgebraPresentation.from_products(field, B.labels, products)
     assert bare.unit is None and bare.rows == B.rows
     for algebra, expected in [(B, None), (bare, ModuleViolation("unitality", ()))]:
         assert check_module(regular_module(algebra)) == expected
@@ -171,6 +169,16 @@ def test_generated_by_zero_is_zero():
     reg = regular_module(inc.B)
     zero = (GF3.zero(),) * reg.dim
     assert generated_submodule(reg, [zero]).dim == 0
+
+
+def lattice_operations_agree(subspaces) -> bool:
+    """Meet = intersection and join = sum stay inside the collection."""
+    index = {s.basis for s in subspaces}
+    for a in subspaces:
+        for b in subspaces:
+            if a.intersect(b).basis not in index or a.add(b).basis not in index:
+                return False
+    return True
 
 
 def test_z2_regular_submodules_over_gf3():
@@ -463,6 +471,15 @@ def test_germ_dimension_of_regular_module():
             assert gs.quotient.dim == inc.m - jb.dim, name
             incoming = [a for a in g.arrows() if g.tgt[a] == x]
             assert gs.quotient.dim == len(incoming), name
+
+
+def nonzero_germ_exists(inclusion, module, v) -> bool:
+    """Some unit sees a nonzero germ of v (fails only for v = 0)."""
+    for x in inclusion.groupoid.units:
+        g = germ_space(inclusion, module, x)
+        if any(c != 0 for c in g.quotient.project(v)):
+            return True
+    return False
 
 
 def test_every_nonzero_vector_has_a_germ():
@@ -947,7 +964,7 @@ def test_memoised_closures_match_per_seed_scan(p, data):
     except ValueError:
         pass
     if dim > 1 and matrices:
-        null_algebra = AlgebraPresentation(field, range(len(closed)), {})
+        null_algebra = AlgebraPresentation.from_products(field, range(len(closed)), {})
         verdict = is_irreducible(FdModule(null_algebra, closed))
         witness = next((w for _, w in oracle if w.dim != dim), None)
         assert verdict.status == ("irreducible" if witness is None else "reducible")
@@ -969,7 +986,7 @@ def test_actions_not_closed_under_products_are_refused(p):
     J = sparse_rows(JORDAN_3)
     with pytest.raises(ValueError):
         all_invariant_subspaces([J], 3, field)
-    verdict = is_irreducible(FdModule(AlgebraPresentation(field, ["J"], {}), [JORDAN_3]))
+    verdict = is_irreducible(FdModule(AlgebraPresentation.from_products(field, ["J"], {}), [JORDAN_3]))
     assert verdict.status == "reducible" and verdict.witness.basis == ((1, 0, 0),)
     J2 = sparse_rows(mat_mul(JORDAN_3, JORDAN_3, field))
     assert [w.dim for w in all_invariant_subspaces([J, J2], 3, field)] == [0, 1, 2, 3]
@@ -1088,7 +1105,7 @@ def dense_actions(draw, field):
     else:
         entry = st.integers(0, 3 * field.p - 1)
     matrices = [tuple(tuple(draw(entry) for _ in range(d)) for _ in range(d)) for _ in range(n)]
-    return AlgebraPresentation(field, range(n), {}), matrices
+    return AlgebraPresentation.from_products(field, range(n), {}), matrices
 
 
 def stored_matrices(field, matrices):
@@ -1125,7 +1142,7 @@ def test_malformed_rows_raise(field):
     """``from_entries`` refuses a column out of range or out of order, a
     stored zero, a matrix with the wrong number of rows and the wrong number
     of matrices; the dense constructor refuses the last and non-square ones."""
-    algebra = AlgebraPresentation(field, ["a", "b"], {})
+    algebra = AlgebraPresentation.from_products(field, ["a", "b"], {})
     one, zero = field.one(), field.zero()
     good = (((0, one),), ((0, one), (1, one)))
     FdModule.from_entries(algebra, [good, good])

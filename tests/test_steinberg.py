@@ -6,9 +6,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidalg.errors import BisectionRequired
-from groupoidalg.groupoid import group_groupoid, pair_groupoid
+from groupoidalg.groupoid import (
+    action_groupoid,
+    cyclic_group_table,
+    disjoint_union,
+    group_bundle,
+    group_groupoid,
+    klein_four_table,
+    pair_groupoid,
+)
 from groupoidalg.linalg import (
     GF,
     QQ,
@@ -23,7 +33,6 @@ from groupoidalg.steinberg import (
     AlgebraElement,
     AlgebraPresentation,
     algebra_identity,
-    check_s_unital_identity,
     convolve,
     dedicated_unit,
     delta,
@@ -35,9 +44,9 @@ from groupoidalg.steinberg import (
     twisted_group_algebra,
     unit_indicator,
 )
-from groupoidalg.twist import Cocycle, restrict_to_isotropy
+from groupoidalg.twist import Cocycle, coboundary, restrict_to_isotropy
 
-from conftest import battery, quaternion_fixture, twisted_battery
+from conftest import battery, prime_twisted_battery, quaternion_fixture, twisted_battery
 
 GF5 = GF(5)
 
@@ -128,6 +137,16 @@ def test_embed_zero():
     for _, g, c in battery(QQ, ["pair2"]):
         z = embed_unit_function(g, c, {})
         assert z.is_zero()
+
+
+def check_s_unital_identity(groupoid, cocycle) -> bool:
+    """Indicator of all units is a two-sided identity (finite case check)."""
+    e = algebra_identity(groupoid, cocycle)
+    for a in groupoid.arrows():
+        d = delta(groupoid, cocycle, a)
+        if convolve(e, d) != d or convolve(d, e) != d:
+            return False
+    return True
 
 
 def test_identity_indicator_is_two_sided_unit():
@@ -281,6 +300,55 @@ def test_presentation_quaternion_table():
 def test_associativity_exhaustive_on_battery():
     for name, g, c in battery(GF5):
         assert presentation_of_B(g, c).check_associativity() is None, name
+
+
+def products_route(g, c):
+    """B's presentation through a {(a, b): {ab: w(a, b)}} map read with
+    ``Cocycle.__call__`` and put into canonical rows by ``from_products``."""
+    f = c.field
+    products = {(a, b): {g.comp[a][b]: c(a, b)} for a, b in g.composable_pairs()}
+    unit = [f.one() if g.is_unit(a) else f.zero() for a in g.arrows()]
+    return AlgebraPresentation.from_products(f, g.arrow_names, products, unit)
+
+
+def assert_same_presentation(pres, oracle, name):
+    """Equal rows and unit, down to the type of every scalar (repr)."""
+    assert (pres.rows, pres.unit) == (oracle.rows, oracle.unit), name
+    assert repr((pres.rows, pres.unit)) == repr((oracle.rows, oracle.unit)), name
+    assert pres.labels == oracle.labels, name
+
+
+def generated_groupoids():
+    """Pair, action, bundle and disjoint-union groupoids past the battery."""
+    z3, z4 = cyclic_group_table(3), cyclic_group_table(4)
+    return [pair_groupoid(4),
+            action_groupoid(z4, [[(p + k) % 2 for p in range(2)] for k in range(4)]),
+            action_groupoid(z3, [[0, 1, 2, 3], [1, 2, 0, 3], [2, 0, 1, 3]]),
+            group_bundle([z3, klein_four_table(), cyclic_group_table(1)]),
+            disjoint_union(pair_groupoid(3), group_groupoid(z4))]
+
+
+def test_presentation_of_B_matches_the_products_route_on_the_batteries():
+    """The trivial and twisted battery over Q, GF(2), GF(3) and GF(7)."""
+    cases = (twisted_battery() + prime_twisted_battery((2, 3, 7))
+             + [(f"{name}/{f}", g, c) for f in (GF(2), GF(3)) for name, g, c in battery(f)])
+    for name, g, c in cases:
+        assert_same_presentation(presentation_of_B(g, c), products_route(g, c), name)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7)], ids=["Q", "GF2", "GF3", "GF7"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_presentation_of_B_matches_the_products_route_on_generated_groupoids(field, data):
+    """A random coboundary (or the trivial cocycle) on a generated groupoid."""
+    g = data.draw(st.sampled_from(generated_groupoids()))
+    if data.draw(st.booleans()):
+        nonzero = (st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]) if field.p is None
+                   else st.integers(1, field.p - 1))
+        c = coboundary(g, field, [1 if g.is_unit(a) else data.draw(nonzero) for a in g.arrows()])
+    else:
+        c = Cocycle.trivial(g, field)
+    assert_same_presentation(presentation_of_B(g, c), products_route(g, c), repr(g))
 
 
 def test_dedicated_unit_empty_family():
@@ -467,7 +535,7 @@ def test_sparse_associativity_witness_matches_dense_oracle():
             table = [list(map(list, row)) for row in oracle]
             table[i][j][k] = f.add(table[i][j][k], f.of(rng.randint(1, 4)))
             table = tuple(tuple(tuple(prod) for prod in row) for row in table)
-            broken = AlgebraPresentation(f, pres.labels, products_of(table), pres.unit)
+            broken = AlgebraPresentation.from_products(f, pres.labels, products_of(table), pres.unit)
             assert broken.table == table, label
             expected = dense_check_associativity(table, f)
             assert broken.check_associativity() == expected, label
@@ -503,7 +571,7 @@ def with_constant(pres, i, j, k, value):
     """A copy of the presentation with the coefficient of e_k in e_i e_j set."""
     products = {(a, b): dict(terms) for a, row in enumerate(pres.rows) for b, terms in row}
     products.setdefault((i, j), {})[k] = value
-    return AlgebraPresentation(pres.field, pres.labels, products, pres.unit)
+    return AlgebraPresentation.from_products(pres.field, pres.labels, products, pres.unit)
 
 
 def random_presentation(rng, field, dim, density):
@@ -512,7 +580,7 @@ def random_presentation(rng, field, dim, density):
     for i, j, k in itertools.product(range(dim), repeat=3):
         if rng.random() < density:
             products.setdefault((i, j), {})[k] = field.of(rng.randint(1, 5))
-    return AlgebraPresentation(field, [f"e{i}" for i in range(dim)], products)
+    return AlgebraPresentation.from_products(field, [f"e{i}" for i in range(dim)], products)
 
 
 def test_associativity_witness_matches_the_pairwise_loop():
@@ -578,7 +646,7 @@ def random_presentations(rng):
             table = tuple(
                 tuple(random_vector(rng, f, dim, 0.4) for _ in range(dim)) for _ in range(dim)
             )
-            out.append((f"random {dim} {f}", AlgebraPresentation(
+            out.append((f"random {dim} {f}", AlgebraPresentation.from_products(
                 f, [f"e{i}" for i in range(dim)], products_of(table)
             )))
     return out

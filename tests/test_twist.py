@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import groupoidalg
 from groupoidalg.errors import CocycleDomainError, NoPartialInverse, ZeroCocycleValue
+from groupoidalg.groupoid import FiniteGroupoid, pair_groupoid
 from groupoidalg.linalg import GF, QQ
 from groupoidalg.twist import (
     Cocycle,
@@ -69,7 +70,27 @@ def test_quaternion_cocycle_brute_force():
     assert validate_cocycle(c) is None
     assert brute_force_cocycle_check(c)
     # all 64 triples are composable in a one-object groupoid
-    assert sum(1 for _ in g.composable_triples()) == 64
+    assert sum(len(g.into[g.src[b]]) for _, b in g.composable_pairs()) == 64
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["Q", "GF5"])
+def test_a_composable_pair_with_no_product_is_a_violation(field):
+    """pair2 with comp[1][2] (e01 e10 = e00) removed, and with comp[2][1]
+    removed as well: the first composable pair with no product is the
+    witness, and the cocycle is never marked validated."""
+    g = pair_groupoid(2)
+    for holes in ([(1, 2)], [(2, 1), (1, 2)]):
+        comp = [list(row) for row in g.comp]
+        for a, b in holes:
+            comp[a][b] = None
+        broken = FiniteGroupoid(g.n_arrows, g.units, g.src, g.tgt, g.inv, comp)
+        assert str(broken.validate()) == "composability violated at (1, 2)"
+        for values in ({}, {(1, 2): 2}, {(2, 1): 3}):
+            c = Cocycle(broken, field, values)
+            violation = validate_cocycle(c)
+            assert violation == CocycleViolation("composability", (1, 2)), (holes, values)
+            assert str(violation) == "composability fails at (1, 2)"
+            assert not c.validated
 
 
 def test_quaternion_single_flip_detected():
@@ -270,15 +291,32 @@ def test_validate_cocycle_matches_dense_scan_on_single_mutations():
 FIELD_METHODS = {"mul", "add", "sub", "neg", "inv", "div", "of"}
 
 
+def loop_depth(node):
+    """The deepest nesting of ``for`` loops in node, node included."""
+    inner = max(map(loop_depth, ast.iter_child_nodes(node)), default=0)
+    return inner + isinstance(node, ast.For)
+
+
+def outer_loops(node):
+    """The ``for`` loops in node that lie inside no other ``for`` loop."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.For):
+            yield child
+        else:
+            yield from outer_loops(child)
+
+
 def triple_loop_arithmetic(source):
-    """(loop count, offending nodes) for the loops over ``composable_triples``
-    in ``validate_cocycle``: every ``Field`` method call, every use of
+    """(loop count, offending nodes) for the triple loops in
+    ``validate_cocycle`` (a loop over a ``composable_triples`` call, or an
+    outermost nest of three ``for`` loops, as the walk by rows of the
+    composition table is): every ``Field`` method call, every use of
     ``Fraction`` or of the field ``f``, and every read of ``.values``, whose
     entries are `Fraction`s over Q."""
     fn = next(node for node in ast.parse(source).body
               if isinstance(node, ast.FunctionDef) and node.name == "validate_cocycle")
-    loops = [node for node in ast.walk(fn) if isinstance(node, ast.For)
-             and isinstance(node.iter, ast.Call) and isinstance(node.iter.func, ast.Attribute)
+    loops = [node for node in outer_loops(fn) if loop_depth(node) >= 3
+             or isinstance(node.iter, ast.Call) and isinstance(node.iter.func, ast.Attribute)
              and node.iter.func.attr == "composable_triples"]
     found = []
     for loop in loops:
@@ -296,13 +334,20 @@ def test_validate_cocycle_compares_the_identity_in_ints(monkeypatch):
     by the source, and over Q by counting `Fraction`'s operators in a run."""
     source = (Path(groupoidalg.__file__).parent / "twist.py").read_text(encoding="utf-8")
     loops, found = triple_loop_arithmetic(source)
-    assert loops >= 1 and found == []
+    assert loops == 2 and found == []  # one loop over Q, one over GF(p)
     # the guard sees the body it replaced
     old = ("def validate_cocycle(c):\n"
            "    for a, b, d in g.composable_triples():\n"
            "        lhs = f.mul(w((a, b), one), w((comp[a][b], d), one))\n")
     assert triple_loop_arithmetic(old) == (
         1, ["f.mul(w((a, b), one), w((comp[a][b], d), one))", "f"])
+    old_rows = ("def validate_cocycle(c):\n"
+                "    for a, row in enumerate(comp):\n"
+                "        for b in into[src[a]]:\n"
+                "            for d in into[src[b]]:\n"
+                "                lhs = f.mul(w[a][b], w[row[b]][d]) + Fraction(c.values[a, b])\n")
+    assert triple_loop_arithmetic(old_rows) == (
+        1, ["f.mul(w[a][b], w[row[b]][d])", "Fraction", "f", "c.values"])
     calls = []
     for op in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
         method = getattr(Fraction, op)
