@@ -645,8 +645,11 @@ def _verify_bimodule_suite(problem, inclusion, report: Report):
         bim = imprimitivity_bimodule(inclusion, x)
         res = restriction(inclusion, bimodule_as_left_module(inclusion, bim), x)
         reg = regular_module(bim.data.presentation)
-        # mu's columns over Res_x M_x: an explicit isomorphism from the regular module
-        cols = [res.subspace.membership(col) for col in zip(*bim.mu)]
+        # mu's columns over Res_x M_x: an explicit isomorphism from the regular
+        # module.  Column j is the basis vector at position mu[j] (0 at None)
+        one, zero, d = problem.field.one(), problem.field.zero(), bim.quotient.dim
+        cols = [res.subspace.membership(tuple(one if r == p else zero for r in range(d)))
+                for p in bim.mu]
         res_ok = (res_ok and None not in cols
                   and res.module.dim == reg.dim == Subspace.span(cols, reg.dim, problem.field).dim
                   and intertwines(tuple(zip(*cols)), reg.entries, res.module.entries, problem.field))

@@ -25,10 +25,10 @@ and linearity of the standard inclusion, the three-case projection
 formula, freeness, and left actions that are B's product, compared entry
 by entry with the table and the cocycle) and the verifier functions produce certificates for
 the restriction/induction roundtrip, the embedding of an induced
-restriction, and the transfer of submodule lattices.  Each linearity claim
-is one ``modrep.intertwines`` call (the bimodule law one
-``modrep.commute`` call), each matrix identity of the bimodule one
-``modrep.is_product`` call, each invariance claim one
+restriction, and the transfer of submodule lattices.  mu and nu are
+coordinate maps, held as positions, and their identities are checked on
+those.  Each linearity claim is one ``modrep.intertwines`` call (the
+bimodule law one ``modrep.commute`` call), each invariance claim one
 ``Subspace.contains_all`` call over the images; all of these but the
 last run on sparse rows in ints.
 """
@@ -45,13 +45,9 @@ from .linalg import (
     Subspace,
     apply_rows,
     combine,
-    dense_rows,
     identity_matrix,
-    mat_mul,
-    mat_vec,
     operator_matrix,
     right_kernel,
-    rref,
     zero_vector,
 )
 from .modrep import (
@@ -61,10 +57,10 @@ from .modrep import (
     commute,
     germ_space,
     intertwines,
-    is_product,
     restriction,
 )
 from .steinberg import delta, partial_inverse
+from .twist import bundle_inverse_coefficient
 
 
 class ImprimitivityBimodule:
@@ -72,8 +68,9 @@ class ImprimitivityBimodule:
 
     Both actions are sparse rows, B's multiplication maps compressed to the
     arrows out of x, the right one at the isotropy arrows (B(x, x)'s section
-    basis).  ``stars[y]`` holds the one scaled delta {a: c} of the partial
-    inverse n_y* of each section (``FiniteGroupoid.sections``), computed once.
+    basis).  mu and nu are held as positions among the arrows out of x.
+    ``stars[y]`` holds the one scaled delta {a: c} of the partial inverse
+    n_y* of each section (``FiniteGroupoid.sections``), computed once.
     ``arrow_classes[gamma]`` holds the class of gamma . zeta_y at the target
     of gamma, for each arrow gamma into the orbit, read once; ``induce``
     builds its blocks from it.
@@ -97,8 +94,8 @@ class ImprimitivityBimodule:
         isotropy = self.data.quotient.section.pivots
         one, zero = f.one(), f.zero()
 
-        self.chosen = {y: delta(gpd, inclusion.cocycle, a) for y, a in self.sections.items()}
-        self.stars = {y: partial_inverse(n).coeffs for y, n in self.chosen.items()}
+        self.stars = {y: {gpd.inv[a]: bundle_inverse_coefficient(inclusion.cocycle, a, one)}
+                      for y, a in self.sections.items()}
         # n_y is an arrow out of x, so its class is that basis vector of M_x
         self.zeta = {y: tuple(one if a == n else zero for a in arrows)
                      for y, n in self.sections.items()}
@@ -107,12 +104,16 @@ class ImprimitivityBimodule:
         self.left_action = inclusion.B.left_mult_rows(arrows)
         right = inclusion.B.right_mult_rows(arrows)  # only the isotropy arrows' maps have entries
         self.right_action = [right[g] for g in isotropy]
-        # mu: B(x,x) -> M_x, c + H -> c + BJ_x, the inclusion of isotropy arrows
-        self.mu = tuple(tuple(one if a == g else zero for g in isotropy) for a in arrows)
-        # nu(xi) = E(x,x)(lift xi); independent of the lift since E kills BJ_x
-        emat = inclusion.projection_matrix(x, x)
-        self.nu = tuple(tuple(row[a] for a in arrows) for row in emat)
-        self.pi = mat_mul(self.mu, self.nu, f)
+        # mu: B(x,x) -> M_x, c + H -> c + BJ_x, the inclusion of isotropy
+        # arrows: mu[j] is the position of arrow j (None if not out of x)
+        position = {a: r for r, a in enumerate(arrows)}
+        self.mu = tuple(position.get(g) for g in isotropy)
+        # nu(xi) = E(x,x)(lift xi); independent of the lift since E kills
+        # BJ_x.  nu[j] is the position of row j of E(x,x) on the arrows out
+        # of x if that row is a basis vector, else None
+        emat = [[row[a] for a in arrows] for row in inclusion.projection_matrix(x, x)]
+        self.nu = tuple(r.index(one) if one in r and r.count(zero) == len(r) - 1 else None
+                        for r in emat)
         self._verify()
 
     def _arrow_classes(self):
@@ -155,50 +156,44 @@ class ImprimitivityBimodule:
         gpd = self.inclusion.groupoid
         d = self.quotient.dim
         k = self.data.quotient.dim
+        arrows = self.quotient.section.pivots
         # bimodule law: left and right actions commute, ra la = la ra for
         # every right action ra and every left action la
         if not commute(self.right_action, self.left_action, f):
             raise TheoremViolation("left and right actions do not commute")
         # mu is injective and right-linear
-        mu_range = Subspace.span(zip(*self.mu), d, f)
-        if mu_range.dim != k:
+        if None in self.mu or len(set(self.mu)) != k:
             raise TheoremViolation("standard inclusion is not injective")
+        one, zero = f.one(), f.zero()
+        mu_matrix = tuple(tuple(one if p == r else zero for p in self.mu) for r in range(d))
         right_mult = self.data.presentation.right_mult_rows()
-        if not intertwines(self.mu, right_mult, self.right_action, f):
+        if not intertwines(mu_matrix, right_mult, self.right_action, f):
             raise TheoremViolation("standard inclusion is not right-linear")
-        # nu o mu = id, mu o nu = pi
-        if not is_product(self.nu, self.mu, identity_matrix(k, f), f):
+        # nu o mu = id: nu's rows are the basis vectors at mu's positions
+        if self.nu != self.mu:
             raise TheoremViolation("nu o mu is not the identity")
-        if not is_product(self.pi, self.pi, self.pi, f):
-            raise TheoremViolation("pi is not idempotent")
-        # pi is A-linear
-        unit_actions = [self.left_action[u] for u in gpd.units]
-        if not intertwines(self.pi, unit_actions, unit_actions, f):
-            raise TheoremViolation("pi is not A-linear")
+        # so pi = mu o nu is the coordinate projection onto the positions in
+        # mu, idempotent by construction.  It is A-linear iff no unit's left
+        # action has an entry joining a kept position to an unkept one
+        kept = set(self.mu)
+        for u in gpd.units:
+            if any((r in kept) != (c in kept)
+                   for r, row in enumerate(self.left_action[u]) for c, _ in row):
+                raise TheoremViolation("pi is not A-linear")
         # three-case formula on arrow classes: an arrow out of another unit
-        # lies in BJ_x, and the class of an arrow out of x is a basis vector
-        # of M_x, so its image is that column of pi
-        for a, img, cls in zip(self.quotient.section.pivots, zip(*self.pi),
-                               identity_matrix(d, f)):
+        # lies in BJ_x, and pi keeps the class of an arrow out of x, a basis
+        # vector of M_x, iff that arrow ends at x
+        for r, a in enumerate(arrows):
             if gpd.tgt[a] == self.x:
-                if img != cls:
+                if r not in kept:
                     raise TheoremViolation("pi must fix isotropy classes")
-            elif any(c != 0 for c in img):
+            elif r in kept:
                 raise TheoremViolation("pi must kill non-isotropy classes")
         # range(mu) = range(pi) = the J_x-killed part ker(L_x - 1) of the
-        # quotient, L_x the left action of delta_x.  By the three-case
-        # formula pi is the coordinate projection onto the classes of the
-        # |G_x| isotropy arrows, and |G_x| = k once d = |orbit| k (checked
-        # below).  So range(pi) lies in range(mu), of dim k, iff pi's
-        # columns do, and then equals it: pi mu = mu follows and is not
-        # checked.  ker(L_x - 1) holds range(mu) iff L_x mu = mu, and is
-        # no larger iff L_x - 1 has rank d - k.
-        lx = dense_rows(self.left_action[self.x], d, f)
-        shifted = [[f.sub(a, f.one()) if c == r else a for c, a in enumerate(row)]
-                   for r, row in enumerate(lx)]
-        if not (mu_range.contains_all(zip(*self.pi))
-                and is_product(lx, self.mu, self.mu, f)
-                and len(rref(shifted, f)[1]) == d - k):
+        # quotient, L_x the left action of delta_x: both ranges are the span
+        # of the kept positions, so L_x = pi shows it (and more) with no rank
+        if self.left_action[self.x] != tuple(((r, one),) if r in kept else ()
+                                             for r in range(d)):
             raise TheoremViolation("range(mu) must equal range(pi) and the killed part")
         # freeness: (h_y)_y -> sum zeta_y h_y is bijective
         if d != len(self.orbit) * k:
@@ -211,12 +206,11 @@ class ImprimitivityBimodule:
         # delta_(gamma b) for each arrow b out of x into src(gamma), read
         # off the table and the cocycle through the arrows out of x by
         # target, and every other column of gamma's map is zero
-        arrows = self.quotient.section.pivots
         index = {a: r for r, a in enumerate(arrows)}
         by_target = {}
         for b in arrows:
             by_target.setdefault(gpd.tgt[b], []).append(b)
-        w, one = self.inclusion.cocycle.values, self.inclusion.cocycle.one
+        w = self.inclusion.cocycle.values
         for gamma, stored in enumerate(self.left_action):
             expected = [()] * d
             row = gpd.comp[gamma]
@@ -226,8 +220,9 @@ class ImprimitivityBimodule:
                 raise TheoremViolation(f"the left action of arrow {gamma} is not B's product")
 
     def nu_of(self, xi):
-        """The isotropy component of a bimodule class (coordinates in B(x,x))."""
-        return mat_vec(self.nu, xi, self.field)
+        """The isotropy component of a bimodule class (coordinates in B(x,x)):
+        nu's rows are the basis vectors at the positions ``nu``."""
+        return tuple(xi[p] for p in self.nu)
 
     def isotropy_class(self, y, xi):
         """nu(n_y* . xi), the block at y of the class xi: every isotropy class

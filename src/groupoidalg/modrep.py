@@ -238,23 +238,6 @@ def intertwines(T, acts1, acts2, field) -> bool:
     return all(holds(a1, a2) for a1, a2 in zip(ints1, ints2, strict=True))
 
 
-def is_product(a, b, c, field) -> bool:
-    """Whether a b = c for the dense matrices a, b and c, on their nonzero
-    entries in ints: over Q all three are scaled by one common denominator
-    D, so a b scales by D^2, and c is scaled by D once more."""
-    rows = [sparse_rows(a), sparse_rows(b), sparse_rows(c)]
-    scale = common_denominator(field, (v for m in rows for row in m for _, v in row))
-    ia, ib, ic = _scaled(rows, scale)
-    width = len(c[0])
-    acc = _accumulate({}, ia, ib, width)
-    factor = 1 if scale is None else scale
-    for r, row in enumerate(ic):
-        for col, v in row:
-            key = r * width + col
-            acc[key] = acc.get(key, 0) - factor * v
-    return not _nonzero_keys(acc, field)
-
-
 def commute(acts1, acts2, field) -> bool:
     """Whether a1 a2 = a2 a1 for every a1 in acts1 and every a2 in acts2.
 

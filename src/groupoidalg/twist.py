@@ -34,8 +34,8 @@ class Cocycle:
     """Scalar twist of the composition of a finite groupoid.
 
     ``values`` maps composable pairs (a, b) to nonzero scalars; missing
-    pairs are 1.  Zero values and values on non-composable pairs are
-    rejected at construction.
+    pairs are 1.  Zero values and values on pairs that are out of range or
+    not composable are rejected at construction.
     """
 
     def __init__(self, groupoid: FiniteGroupoid, field: Field, values=None):
@@ -44,7 +44,10 @@ class Cocycle:
         self.values = {}
         self.validated = False
         self.one = field.one()  # the value of every pair not stored
+        m = groupoid.n_arrows
         for (a, b), v in sorted((values or {}).items()):
+            if not (0 <= a < m and 0 <= b < m):
+                raise CocycleDomainError(f"pair ({a}, {b}) is out of range: arrows are 0..{m - 1}")
             v = field.of(v)
             if v == 0:
                 raise ZeroCocycleValue(f"cocycle value 0 at pair ({a}, {b})")
@@ -63,16 +66,6 @@ class Cocycle:
         if not self.groupoid.composable(a, b):
             raise CocycleDomainError(f"pair ({a}, {b}) is not composable")
         return self.values.get((a, b), self.one)
-
-    def mutated(self, pair, value) -> "Cocycle":
-        """Copy with one value replaced (for mutation testing); unvalidated."""
-        vals = dict(self.values)
-        value = self.field.of(value)
-        if value == self.field.one():
-            vals.pop(pair, None)
-        else:
-            vals[pair] = value
-        return Cocycle(self.groupoid, self.field, vals)
 
 
 def validate_cocycle(c: Cocycle):
@@ -164,27 +157,6 @@ def restrict_to_isotropy(c: Cocycle, x: int) -> dict:
     """The group 2-cocycle on the isotropy group at x, keyed by arrow ids."""
     members = c.groupoid.isotropy_group(x)
     return {(a, b): c(a, b) for a in members for b in members}
-
-
-def validate_group_cocycle(table, restricted: dict, identity, field: Field):
-    """Check normalization and the cocycle identity for a group cocycle.
-
-    ``table`` maps pairs of member ids to products (as from
-    ``FiniteGroupoid.isotropy_table``).  Returns None or a violation.
-    """
-    members = sorted({a for a, _ in table})
-    one = field.one()
-    for a in members:
-        if restricted[(a, identity)] != one or restricted[(identity, a)] != one:
-            return CocycleViolation("unit-normalization", (a,))
-    for a in members:
-        for b in members:
-            for d in members:
-                lhs = field.mul(restricted[(a, b)], restricted[(table[(a, b)], d)])
-                rhs = field.mul(restricted[(a, table[(b, d)])], restricted[(b, d)])
-                if lhs != rhs:
-                    return CocycleViolation("cocycle-identity", (a, b, d))
-    return None
 
 
 def bundle_inverse_coefficient(c: Cocycle, gamma: int, t):

@@ -95,6 +95,17 @@ def battery(field, names=None):
     return out
 
 
+def mutated(c, pair, value):
+    """A copy of the cocycle c with the value at pair replaced; unvalidated."""
+    vals = dict(c.values)
+    value = c.field.of(value)
+    if value == c.field.one():
+        vals.pop(pair, None)
+    else:
+        vals[pair] = value
+    return Cocycle(c.groupoid, c.field, vals)
+
+
 def quaternion_fixture(field):
     g = make_v4()
     c = quaternion_sign_cocycle(g, field)

@@ -77,6 +77,18 @@ def test_zero_cocycle_value_is_input_error(tmp_path):
     assert "zero" in text.lower() or "0" in text
 
 
+@pytest.mark.parametrize("line", ["99 0 2", "0 -4 1", "-4 -4 3"],
+                         ids=["past-the-end", "negative-first", "negative-both"])
+def test_cocycle_arrow_out_of_range_is_input_error(tmp_path, line):
+    """pair2 has arrows 0..3.  A [cocycle] pair naming another id is bad
+    input: not an IndexError, nor an alias of a real arrow (-4 is arrow 0
+    from the end), nor a failed cocycle identity."""
+    text = (FIXTURES / "pair2.gkd").read_text(encoding="utf-8")
+    out, code = run("validate", write(tmp_path, text + f"[cocycle]\n{line}\n"))
+    assert code == 2, out
+    assert out.startswith("input error:") and "out of range" in out, out
+
+
 def test_parse_reads_each_scalar_token_once(tmp_path, monkeypatch):
     """Each distinct scalar token of a file is parsed once, in the cocycle,
     element and module sections alike; a token that fails is not kept, so
@@ -686,17 +698,16 @@ def bimodule_with_mu(broken_mu):
     def broken(inclusion, x):
         bim = imprimitivity_bimodule(inclusion, x)
         return SimpleNamespace(x=x, data=bim.data, left_action=bim.left_action,
-                               mu=broken_mu(bim.mu))
+                               quotient=bim.quotient, mu=broken_mu(bim.mu))
     return broken
 
 
 @pytest.mark.parametrize("name,broken", [
     ("restriction", bumped_restriction),
-    # not injective
-    ("imprimitivity_bimodule", bimodule_with_mu(lambda mu: tuple(
-        tuple(0 * c for c in row) for row in mu))),
-    # the class of the arrow 0 -> 3, outside Res_0 M_0
-    ("imprimitivity_bimodule", bimodule_with_mu(lambda mu: tuple(reversed(mu)))),
+    # not injective: no position, the zero column
+    ("imprimitivity_bimodule", bimodule_with_mu(lambda mu: (None,) * len(mu))),
+    # the other arrow out of x (d = 2), at unit 0 the class of 0 -> 3, outside Res_0 M_0
+    ("imprimitivity_bimodule", bimodule_with_mu(lambda mu: tuple(1 - p for p in mu))),
 ])
 def test_prop_7_5_fails_without_an_isomorphism(monkeypatch, name, broken):
     monkeypatch.setattr(cli, name, broken)

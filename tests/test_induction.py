@@ -49,7 +49,7 @@ from groupoidalg.modrep import (
     submodule_module,
 )
 from groupoidalg.steinberg import convolve, delta, partial_inverse, unit_indicator
-from groupoidalg.twist import Cocycle
+from groupoidalg.twist import Cocycle, bundle_inverse_coefficient
 
 from conftest import (
     battery,
@@ -125,11 +125,26 @@ def dense_free_coordinates(inc, quotient, chosen, nu, xi):
     return blocks
 
 
+def position_matrix(positions, rows, f):
+    """The dense view of positions: the rows x len(positions) matrix with
+    column j the basis vector at positions[j] (0 at None), mu's view; nu's
+    is its transpose."""
+    return tuple(tuple(f.one() if p == r else f.zero() for p in positions) for r in range(rows))
+
+
+def dense_mu_nu_pi(bim):
+    """mu, nu and pi = mu nu as dense matrices, from the positions."""
+    f, d = bim.field, bim.quotient.dim
+    mu = position_matrix(bim.mu, d, f)
+    nu = tuple(zip(*position_matrix(bim.nu, d, f)))
+    return mu, nu, mat_mul(mu, nu, f)
+
+
 def test_bimodule_matches_dense_oracle():
-    """Actions, mu, nu, pi, the chosen sections and the free coordinates
-    read off B's product index agree with the dense construction at every
-    unit of the twisted battery (the quaternion twist and the GF(7)
-    coboundary with value 2 included)."""
+    """Actions, the dense views of mu, nu and pi = mu nu, the stars of the
+    chosen sections and the free coordinates read off B's product index
+    agree with the dense construction at every unit of the twisted battery
+    (the quaternion twist and the GF(7) coboundary with value 2 included)."""
     rng = random.Random(8)
     names = []
     for name, g, c in twisted_battery():
@@ -139,14 +154,14 @@ def test_bimodule_matches_dense_oracle():
             bim = imprimitivity_bimodule(inc, x)
             quotient, chosen, operators = dense_bimodule(inc, x)
             assert bim.quotient.section == quotient.section, (name, x)
-            assert bim.chosen == chosen, (name, x)
+            assert bim.stars == {y: partial_inverse(n).coeffs for y, n in chosen.items()}, (name, x)
             d = quotient.dim
             # the actions are sparse rows: the oracle's nonzero entries, and
             # their dense view is the oracle itself
             assert (bim.left_action, bim.right_action) == tuple(
                 [sparse_rows(m) for m in side] for side in operators[:2]), (name, x)
             ours = ([dense_rows(m, d, f) for m in bim.left_action],
-                    [dense_rows(m, d, f) for m in bim.right_action], bim.mu, bim.nu, bim.pi)
+                    [dense_rows(m, d, f) for m in bim.right_action], *dense_mu_nu_pi(bim))
             assert ours == operators, (name, x)
             assert repr(ours) == repr(operators), (name, x)
             if f.p is None:
@@ -235,7 +250,8 @@ def test_pi_equals_left_multiplication_by_point_indicator():
         inc = Inclusion(g, c)
         for x in g.units:
             bim = imprimitivity_bimodule(inc, x)
-            assert bim.pi == dense_rows(bim.left_action[x], bim.quotient.dim, QQ), name
+            pi = dense_mu_nu_pi(bim)[2]
+            assert pi == dense_rows(bim.left_action[x], bim.quotient.dim, QQ), name
 
 
 def test_unit_function_scales_normalizer_classes():
@@ -1003,39 +1019,66 @@ def test_bimodule_law_refuses_a_corrupted_left_action():
 
 
 def test_mu_right_linearity_refuses_a_corrupted_mu():
-    g = make_z2()
-    bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), 0)
-    bim.mu = bumped(bim.mu, 0, 0, QQ)  # still injective
+    """On V4 at its one unit mu = (0, 1, 2, 3) becomes (1, 0, 2, 3): still
+    injective, but swapping e and a alone is no left translation, so it
+    does not commute with the right actions."""
+    g = make_v4()
+    bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), g.units[0])
+    assert bim.mu == (0, 1, 2, 3)
+    bim.mu = (1, 0, 2, 3)
     with pytest.raises(TheoremViolation, match=exactly("standard inclusion is not right-linear")):
         bim._verify()
 
 
-def test_pi_linearity_refuses_a_corrupted_pi():
-    """pi = diag(1, 0) on pair2 at unit 0 becomes [[1, 1], [0, 0]]: still
-    idempotent, but it mixes classes with different targets."""
+def test_mu_injectivity_refuses_a_repeated_position():
+    """On V4 at its one unit mu = (0, 1, 2, 3) becomes (0, 0, 2, 3): two
+    isotropy arrows sent to one class."""
+    g = make_v4()
+    bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), g.units[0])
+    bim.mu = (0, 0, 2, 3)
+    with pytest.raises(TheoremViolation, match=exactly("standard inclusion is not injective")):
+        bim._verify()
+
+
+@pytest.mark.parametrize("x, unit, corrupted", [
+    (0, 0, ((1, 1), (0, 0))),  # L_0 = diag(1, 0) gains the entry (0, 1)
+    (0, 3, ((0, 0), (1, 1))),  # L_3 = diag(0, 1) gains the entry (1, 0)
+    (3, 0, ((1, 1), (0, 0))),  # at unit 3 the kept position is 1
+], ids=["x0-unit0", "x0-unit3", "x3-unit0"])
+def test_pi_linearity_refuses_a_corrupted_unit_action(x, unit, corrupted):
+    """pair2: pi is the projection onto mu's positions, so it is A-linear
+    iff no unit's left action joins a kept position to an unkept one.  A
+    unit action with such an entry is refused before the three-case
+    formula and the left-action check are reached."""
     g = pair_groupoid(2)
-    bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), 0)
-    assert bim.pi == ((1, 0), (0, 0))
-    bim.pi = bumped(bim.pi, 0, 1, QQ)
+    bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), x)
+    actions = list(bim.left_action)
+    actions[unit] = sparse_rows(corrupted)
+    bim.left_action = actions
     with pytest.raises(TheoremViolation, match=exactly("pi is not A-linear")):
         bim._verify()
 
 
 def test_three_case_formula_refuses_a_pi_that_moves_an_isotropy_class():
-    """pi = 0 is idempotent and A-linear, but it kills the class of delta_0."""
+    """pair2 at unit 0, the arrows out of it 0 (the unit) and 2 (0 -> 3):
+    mu = nu = (1,) is injective, right-linear (B(0, 0) = K) and A-linear,
+    but its pi kills the class of delta_0."""
     g = pair_groupoid(2)
     bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), 0)
-    bim.pi = ((QQ.zero(),) * 2,) * 2
+    assert bim.quotient.section.pivots == (0, 2) and bim.mu == bim.nu == (0,)
+    bim.mu = bim.nu = (1,)
     with pytest.raises(TheoremViolation, match=exactly("pi must fix isotropy classes")):
         bim._verify()
 
 
 def test_three_case_formula_refuses_a_pi_that_keeps_a_non_isotropy_class():
-    """pi = identity is idempotent and A-linear, but it keeps the class of
-    the arrow 0 -> 3 out of unit 0."""
+    """pair2 at unit 3, the arrows out of it 1 (3 -> 0) and 3 (the unit):
+    mu = nu = (0,) passes the same checks, but its pi keeps the class of
+    the arrow 3 -> 0, the first position."""
     g = pair_groupoid(2)
-    bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), 0)
-    bim.pi = identity_matrix(2, QQ)
+    bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), 3)
+    assert bim.quotient.section.pivots == (1, 3) and bim.mu == bim.nu == (1,)
+    bim.mu = bim.nu = (0,)
     with pytest.raises(TheoremViolation, match=exactly("pi must kill non-isotropy classes")):
         bim._verify()
 
@@ -1048,25 +1091,30 @@ def lx_set(matrix):
 
 
 @pytest.mark.parametrize("change, message", [
-    (lambda bim: setattr(bim, "nu", bumped(bim.nu, 0, 0, QQ)), "nu o mu is not the identity"),
-    (lambda bim: setattr(bim, "pi", bumped(bim.pi, 0, 0, QQ)), "pi is not idempotent"),
-    # pi mu = mu fails: mu = (1, 1) is injective, right-linear and nu mu = 1
-    (lambda bim: setattr(bim, "mu", bumped(bim.mu, 1, 0, QQ)),
-     "range(mu) must equal range(pi) and the killed part"),
-    # L_x = diag(0, 1): L_x - 1 has rank d - k = 1, but L_x mu = mu fails
+    # isotropy arrow 0 has no position: mu is the zero map
+    (lambda bim: setattr(bim, "mu", (None,)), "standard inclusion is not injective"),
+    # nu's row is the basis vector at the other position
+    (lambda bim: setattr(bim, "nu", (1,)), "nu o mu is not the identity"),
+    # L_x = 0: range(mu) is not in ker(L_x - 1) = 0
+    (lx_set(((0, 0), (0, 0))), "range(mu) must equal range(pi) and the killed part"),
+    # L_x = diag(0, 1): ker(L_x - 1) has dim k = 1, but misses range(mu)
     (lx_set(((0, 0), (0, 1))), "range(mu) must equal range(pi) and the killed part"),
-    # L_x = 1 fixes mu, but L_x - 1 = 0 has rank 0, not d - k = 1
+    # L_x = 1 fixes range(mu), but ker(L_x - 1) is all of M_x
     (lx_set(((1, 0), (0, 1))), "range(mu) must equal range(pi) and the killed part"),
+    # d = 2 is not |orbit| k = 1
+    (lambda bim: setattr(bim, "orbit", (0,)), "bimodule dimension is not orbit x isotropy"),
     (lambda bim: bim.zeta.update({3: bim.zeta[0]}), "the zeta coordinates are not a free basis"),
-], ids=["nu", "pi", "mu-range", "killed-fixed", "killed-rank", "zeta"])
+], ids=["mu-missing", "nu", "mu-range", "killed-fixed", "killed-rank", "orbit", "zeta"])
 def test_bimodule_identities_refuse_a_corrupted_object(change, message):
-    """pair2 at unit 0 (d = 2, k = 1, pi = L_0 = diag(1, 0)): each of the
-    identities checked on sparse rows in ints refuses one corrupted stored
-    object that passes every earlier check.  Its right action is the
-    identity, so the bimodule law cannot see a corrupted L_0."""
+    """pair2 at unit 0 (d = 2, k = 1, mu = nu = (0,), pi = L_0 = diag(1,
+    0)): each identity refuses one corrupted stored object that passes
+    every earlier check.  Each corrupted L_0 is diagonal, so pi stays
+    A-linear, and the right action is the identity, so the bimodule law
+    cannot see it."""
     g = pair_groupoid(2)
     bim = ImprimitivityBimodule(Inclusion(g, Cocycle.trivial(g, QQ)), 0)
-    assert (bim.pi, bim.mu, bim.orbit) == (((1, 0), (0, 0)), ((1,), (0,)), (0, 3))
+    assert (bim.mu, bim.nu, bim.orbit) == ((0,), (0,), (0, 3))
+    assert dense_mu_nu_pi(bim)[2] == dense_rows(bim.left_action[0], 2, QQ) == ((1, 0), (0, 0))
     change(bim)
     with pytest.raises(TheoremViolation, match=exactly(message)):
         bim._verify()
@@ -1162,11 +1210,11 @@ def test_bimodule_computes_each_partial_inverse_once(monkeypatch):
     isotropy classes (free coordinates, induction) computes none again."""
     calls = []
 
-    def counted(n):
-        calls.append(n)
-        return partial_inverse(n)
+    def counted(c, gamma, t):
+        calls.append(gamma)
+        return bundle_inverse_coefficient(c, gamma, t)
 
-    monkeypatch.setattr(induction, "partial_inverse", counted)
+    monkeypatch.setattr(induction, "bundle_inverse_coefficient", counted)
     g = pair_groupoid(3)
     inc = Inclusion(g, Cocycle.trivial(g, QQ))
     bim = imprimitivity_bimodule(inc, 0)

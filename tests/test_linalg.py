@@ -823,11 +823,10 @@ def test_rational_zero_and_one_are_shared():
 
 
 # dense reads of module actions allowed in the package, by (file, function):
-# these apply dense matrices that are not module actions, E(y, x) and nu
+# these apply dense matrices that are not module actions, E(y, x)
 DENSE_READS_ALLOWED = {
     ("isotropy.py", "Inclusion.isotropy_projection"),
     ("isotropy.py", "Inclusion.projection"),
-    ("induction.py", "ImprimitivityBimodule.nu_of"),
 }
 DENSE_ACTION_ATTRIBUTES = {"matrices", "mult_matrices", "action_of"}
 

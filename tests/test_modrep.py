@@ -51,7 +51,6 @@ from groupoidalg.modrep import (
     germ_space,
     intertwines,
     is_irreducible,
-    is_product,
     is_two_sided_ideal,
     isotropy_quotient_module,
     regular_module,
@@ -829,11 +828,11 @@ def test_sparse_intertwines_matches_dense_oracle():
     assert refuted > 100
 
 
-def test_commute_and_is_product_match_dense_products():
+def test_commute_matches_dense_products():
     """On the intertwiner modules (conjugated ones have fractional entries),
-    true identities pass: an action commutes with itself and its square,
-    and a b = c for c the dense product, also for a non-square a.  With one
-    entry bumped, both give the verdict of the dense products."""
+    an action commutes with itself and its square; with one entry of
+    another action bumped, ``commute`` gives the verdict of the dense
+    products."""
     rng = random.Random(25)
     fields, refuted = set(), 0
     for label, mod in intertwiner_modules():
@@ -842,20 +841,12 @@ def test_commute_and_is_product_match_dense_products():
         a, b = rng.choice(acts), rng.choice(acts)
         square = mat_mul(a, a, f)
         assert commute([sparse_rows(a)], [sparse_rows(a), sparse_rows(square)], f), label
-        wide = tuple(row + row for row in a)  # d x 2d
-        for x, y in [(a, b), (wide[:1], tuple(zip(*wide)))]:  # 1 x 2d times 2d x d
-            xy = mat_mul(x, y, f)
-            assert is_product(x, y, xy, f), label
-            for case in [(x, y, bumped(xy, rng, f)), (bumped(x, rng, f), y, xy)]:
-                expected = mat_mul(case[0], case[1], f) == case[2]
-                assert is_product(*case, f) == expected, label
-                refuted += not expected
         broken = bumped(b, rng, f)
         expected = mat_mul(a, broken, f) == mat_mul(broken, a, f)
         assert commute([sparse_rows(a)], [sparse_rows(square), sparse_rows(broken)], f) == expected
         refuted += not expected
     assert fields == {QQ, GF(2), GF(3), GF(7), GF(101)}
-    assert refuted > 100
+    assert refuted > 50  # 70 of the 186 bumped pairs do not commute
 
 
 def test_intertwines_on_empty_carriers_and_lists():
