@@ -19,6 +19,11 @@ intersection of induced ideals, every primitive ideal is a single
 induced ideal, and (in this finite discrete setting, where every unit
 is isolated) the inducing ideal can always be chosen primitive.
 
+B is finite dimensional, so its primitive ideals are its maximal ideals,
+read off the list of two-sided ideals (``maximal_ideals``).  Theorem 12.14
+is checked on that list with no simple module built; ``primitive_ideals``
+builds one simple witness per primitive ideal, for Question 12.15.
+
 The germ annihilators have a closed form.  For a unital B-module V, a
 unit x and c in B(x, x) = delta_x B delta_x,
 
@@ -51,22 +56,6 @@ from .modrep import (
     quotient_module,
     regular_module,
 )
-
-
-@dataclass
-class Ideal:
-    """A two-sided ideal of a presented algebra, held as an RREF subspace."""
-
-    algebra: object
-    subspace: Subspace
-
-    def __post_init__(self):
-        if not is_two_sided_ideal(self.algebra, self.subspace):
-            raise ValueError("subspace is not closed under two-sided multiplication")
-
-    @property
-    def dim(self):
-        return self.subspace.dim
 
 
 def induced_ideal(inclusion: Inclusion, x: int, I: Subspace) -> Subspace:
@@ -298,7 +287,7 @@ def left_ideals(inclusion: Inclusion):
     budgets: each enumeration within ``ENUMERATION_BUDGET``, and the
     product of the block counts within ``LATTICE_BUDGET``, refused before
     it is built.  Sorted by (dim, basis) so reports are deterministic; the
-    ideals and the primitive ideals are both read off this one lattice.
+    two-sided ideals are read off this lattice (``enumerate_ideals``).
     ``all_submodules(regular_module(B))`` is the same lattice at B level.
     """
     gpd, m, f = inclusion.groupoid, inclusion.m, inclusion.field
@@ -317,43 +306,36 @@ def enumerate_ideals(inclusion: Inclusion, lattice):
     return [s for s in lattice if is_two_sided_ideal(inclusion.B, s)]
 
 
-def irreducible_quotients_of_regular(inclusion: Inclusion, lattice):
-    """All simple quotients regular/M for maximal submodules M, with their data.
-
-    ``lattice`` is every left ideal of B, as ``left_ideals`` returns it.
-    Every irreducible module of a unital finite-dimensional algebra is a
-    quotient of the regular module by a maximal submodule, so this list
-    meets every primitive ideal.
-    Returns a list of (maximal_submodule, simple_module) pairs.
-    """
-    reg = regular_module(inclusion.B)
-    full_dim = reg.dim
-    out = []
-    for M in lattice:
-        if M.dim == full_dim:
-            continue
-        is_maximal = not any(
-            M.dim < W.dim < full_dim and W.contains_subspace(M) for W in lattice
-        )
-        if is_maximal:
-            simple, _ = quotient_module(reg, M, name=f"simple/{M.dim}")
-            out.append((M, simple))
-    return out
+def maximal_ideals(proper):
+    """The members of a list of proper ideals that lie in no other member,
+    in the list's order."""
+    return [I for I in proper
+            if not any(J.dim > I.dim and J.contains_subspace(I) for J in proper)]
 
 
 def primitive_ideals(inclusion: Inclusion, lattice):
-    """Primitive ideals of B as {annihilator of simple quotient}, deduplicated.
+    """The primitive ideals of B, each with a simple module it annihilates.
 
     ``lattice`` is every left ideal of B, as ``left_ideals`` returns it.
-    Returns a sorted list of (ideal, witness simple module) pairs; the
-    witness is any irreducible module with that annihilator.
+    B is finite dimensional, so its primitive ideals are its maximal
+    ideals: B/P has a faithful simple module iff B/P is a simple algebra.
+    They are the ``maximal_ideals`` of the proper two-sided ideals, in
+    (dim, basis) order.
+
+    The witness of P is B/M for M the last proper left ideal of the
+    lattice that holds P.  The lattice is sorted by dimension, so a proper
+    left ideal above M would hold P and come later: M is a maximal left
+    ideal and B/M is simple.  Ann(B/M) = {b : bB lies in M} is the largest
+    two-sided ideal inside M; it holds P and is proper, so it is P.
+    Returns a list of (ideal, witness simple module) pairs.
     """
-    seen = {}
-    for _, simple in irreducible_quotients_of_regular(inclusion, lattice):
-        ann = annihilator(simple)
-        if ann.basis not in seen:
-            seen[ann.basis] = (ann, simple)
-    return [seen[k] for k in sorted(seen, key=lambda b: (len(b), b))]
+    full = inclusion.m
+    reg = regular_module(inclusion.B)
+    out = []
+    for P in maximal_ideals([I for I in enumerate_ideals(inclusion, lattice) if I.dim < full]):
+        M = next(L for L in reversed(lattice) if L.dim < full and L.contains_subspace(P))
+        out.append((P, quotient_module(reg, M, name=f"simple/{M.dim}")[0]))
+    return out
 
 
 @dataclass
@@ -363,39 +345,32 @@ class EffrosHahnReport:
     ideal_dim: int
     per_unit_dims: dict
     decomposed: bool
-    primitive_single_unit: int | None = None
+    single_unit: int | None = None
 
     @property
     def ok(self) -> bool:
         return self.decomposed
 
 
-def effros_hahn_check(inclusion: Inclusion, I: Subspace,
-                      witness: FdModule | None = None) -> EffrosHahnReport:
+def effros_hahn_check(inclusion: Inclusion, I: Subspace) -> EffrosHahnReport:
     """Express an ideal as an intersection of induced ideals.
 
     Decomposes I through ``ideal_decomposition``: the germ of B/I at x has
     annihilator delta_x Ann(B/I) delta_x = delta_x I delta_x (c V lies in
     J_x V = (1 - delta_x) V iff delta_x c V = 0 iff c V = 0), so neither B/I
-    nor its germ modules are built.  When a witness irreducible module with
-    annihilator I is supplied, also finds a single unit x with I equal to
-    the ideal induced from the annihilator of the witness's germ space at x.
-    By the same lemma that annihilator is delta_x I delta_x, so the ideal it
-    induces is the decomposition's entry at x, and x is the first unit
-    whose entry is I (a zero germ has annihilator B(x, x), which induces B).
+    nor its germ modules are built.  ``single_unit`` is the first unit
+    whose entry is I itself, else None.  For a primitive ideal I with a
+    simple module W, Ann(W) = I, so by the same lemma W's germ at x has
+    annihilator delta_x I delta_x and the ideal it induces is the entry at
+    x: the single inducing unit of Theorem 12.14 (ii) is read off with no
+    module built (a zero germ has annihilator B(x, x), which induces B).
     """
     if not is_two_sided_ideal(inclusion.B, I):
         raise ValueError("not a two-sided ideal")
     if I.dim == inclusion.m:
         raise ValueError("the improper ideal has no decomposition report")
     per_unit = ideal_decomposition(inclusion, I)
-    single = None
-    if witness is not None:
-        if annihilator(witness) != I:
-            raise ValueError("witness module does not have annihilator I")
-        single = next((x for x, s in per_unit.items() if s == I), None)
-        if single is None:
-            raise TheoremViolation("no single inducing unit found for a primitive ideal")
+    single = next((x for x, s in per_unit.items() if s == I), None)
     return EffrosHahnReport(I.dim, {x: s.dim for x, s in per_unit.items()}, True, single)
 
 

@@ -59,7 +59,6 @@ from .modrep import (
     intertwines,
     restriction,
 )
-from .steinberg import delta, partial_inverse
 from .twist import bundle_inverse_coefficient
 
 
@@ -444,19 +443,20 @@ def verify_germ_induction_equivalence(inclusion: Inclusion, V: FdModule, x: int,
 
 
 def _germ_intertwiner(inclusion: Inclusion, V: FdModule, gx, gy, ind_x, ind_y):
-    """T: Ind_x(V[x]) -> Ind_y(V[y]) from the least arrow n: x -> y.  Block z
-    is the germ map psi: v -> n v, then the action of the class of n_z(x) n*
-    that the bimodule at y reads off, nu(n_z(y)* n_z(x) n*).  Column (z, j)
-    of T is that action applied to column j of psi, placed in block z."""
-    gpd = inclusion.groupoid
+    """T: Ind_x(V[x]) -> Ind_y(V[y]) from the section n = n_y: x -> y.  Block
+    z is the germ map psi: v -> n v, then the action of the class of
+    n_z(x) n* that the bimodule at y reads off, nu(n_z(y)* n_z(x) n*).
+    Column (z, j) of T is that action applied to column j of psi, placed in
+    block z.  n* = c delta_(n^-1) is the bimodule at x's star at y, and
+    n^-1 is an arrow out of y, so the class of n* is c at n^-1's position."""
     f = inclusion.field
     bim_x = imprimitivity_bimodule(inclusion, gx.x)
     bim_y = imprimitivity_bimodule(inclusion, gy.x)
-    n = min(gpd.hom_set(gy.x, gx.x))
+    n = bim_x.sections[gy.x]
     psi_columns = [gy.quotient.project(apply_rows(V.entries[n], s, f))
                    for s in gx.quotient.section_basis]
-    n_star_class = bim_y.quotient.project(
-        partial_inverse(delta(gpd, inclusion.cocycle, n)).to_vector())
+    ((inv_n, c),) = bim_x.stars[gy.x].items()
+    n_star_class = tuple(c if a == inv_n else f.zero() for a in bim_y.quotient.section.pivots)
     actions = {}
     for z in ind_x.orbit:
         moved = apply_rows(bim_y.left_action[bim_x.sections[z]], n_star_class, f)

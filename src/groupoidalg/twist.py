@@ -35,7 +35,8 @@ class Cocycle:
 
     ``values`` maps composable pairs (a, b) to nonzero scalars; missing
     pairs are 1.  Zero values and values on pairs that are out of range or
-    not composable are rejected at construction.
+    not composable are rejected at construction, and such a pair is refused
+    when the cocycle is read at it.
     """
 
     def __init__(self, groupoid: FiniteGroupoid, field: Field, values=None):
@@ -63,6 +64,9 @@ class Cocycle:
         return c
 
     def __call__(self, a: int, b: int):
+        m = self.groupoid.n_arrows
+        if not (0 <= a < m and 0 <= b < m):
+            raise CocycleDomainError(f"pair ({a}, {b}) is out of range: arrows are 0..{m - 1}")
         if not self.groupoid.composable(a, b):
             raise CocycleDomainError(f"pair ({a}, {b}) is not composable")
         return self.values.get((a, b), self.one)

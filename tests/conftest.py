@@ -1,7 +1,8 @@
 """Shared fixtures: the groupoid battery, twist constructors, modules
 that break unitality only, the spinning reference for cyclic closures
 and invariant-subspace lattices, the germ-module route of Prop 12.12 and
-Theorem 12.14 (ii), and the constraint kernel of an induced ideal."""
+Theorem 12.14 (ii), the primitive ideals as annihilators of simple
+quotients, and the constraint kernel of an induced ideal."""
 
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from groupoidalg.modrep import (
     direct_sum,
     germ_space,
     normalized_vectors,
+    quotient_module,
     regular_module,
 )
 from groupoidalg.twist import Cocycle, coboundary, quaternion_sign_cocycle
@@ -254,6 +256,27 @@ def germ_inducing_unit(inclusion, witness):
         if g.quotient.dim and induced_ideal(inclusion, x, annihilator(g.module)) == ann:
             return x
     return None
+
+
+def simple_quotient_primitive_ideals(inclusion, lattice):
+    """The oracle of ``ideals.primitive_ideals``: every simple quotient B/M by
+    a maximal left ideal M, found by scanning the lattice (every left ideal
+    of B, as ``left_ideals`` returns it) for maximal members.  Every simple
+    module of a unital finite-dimensional algebra is such a quotient, so
+    their annihilators, deduplicated, are the primitive ideals.  Returns
+    (ideal, witness simple module) pairs sorted by (dim, basis)."""
+    reg = regular_module(inclusion.B)
+    full_dim = reg.dim
+    seen = {}
+    for M in lattice:
+        if M.dim == full_dim or any(M.dim < W.dim < full_dim and W.contains_subspace(M)
+                                    for W in lattice):
+            continue
+        simple, _ = quotient_module(reg, M, name=f"simple/{M.dim}")
+        ann = annihilator(simple)
+        if ann.basis not in seen:
+            seen[ann.basis] = (ann, simple)
+    return [seen[k] for k in sorted(seen, key=lambda b: (len(b), b))]
 
 
 def kernel_induced_ideal(inclusion, x, I):

@@ -570,8 +570,8 @@ def test_criterion_11_effros_hahn():
             assert rep.ok, name
             total_ideals += 1
         for ideal, witness in primitive_ideals(inc, lattice):
-            rep = effros_hahn_check(inc, ideal, witness)
-            assert rep.primitive_single_unit is not None, name
+            rep = effros_hahn_check(inc, ideal)
+            assert rep.single_unit is not None, name
             q = question_12_15_experiment(inc, ideal, witness)
             assert q.answer == "YES", name
             assert q.inducing_ideal_dim is not None, name

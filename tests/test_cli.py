@@ -1,6 +1,7 @@
 """Problem-file parsing, command execution, exit codes, determinism."""
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -495,18 +496,18 @@ def test_effros_hahn_and_q1215_commands():
 
 def test_effros_hahn_checks_each_ideal_once(monkeypatch):
     """gb3_gf2 has 11 proper ideals, 3 of them primitive: one check each,
-    the primitive ones with their witness module."""
+    none with a witness module (the check takes none)."""
     calls = []
     original = cli.effros_hahn_check
 
-    def counted(inclusion, ideal, witness=None):
-        calls.append(witness is not None)
-        return original(inclusion, ideal, witness)
+    def counted(inclusion, ideal):
+        calls.append(ideal.basis)
+        return original(inclusion, ideal)
 
     monkeypatch.setattr(cli, "effros_hahn_check", counted)
     out, code = run("effros-hahn", str(FIXTURES / "gb3_gf2.gkd"))
     assert code == 0 and "ideals=11" in out and "primitive=3" in out
-    assert (len(calls), sum(calls)) == (11, 3)
+    assert len(calls) == len(set(calls)) == 11
 
 
 def test_verify_ideals_decomposes_the_regular_module_once(monkeypatch):
@@ -543,11 +544,10 @@ FIVE_FIXTURES = ("gb3_gf2", "gb3_sign", "pair2", "pair2_gf3", "v4quat")
 
 
 def test_ideal_reports_build_no_quotient_by_an_ideal(monkeypatch):
-    """effros-hahn, ideals and verify ideals build B/I for no ideal I and no
-    germ module of one: every quotient of the regular module they build is
-    a simple quotient B/M by a maximal left ideal M (a primitive ideal's
-    witness, none in ``ideals``), and no germ space is built, not even of
-    a witness: thm_12_14_ii reads its unit off the decomposition."""
+    """effros-hahn, ideals and verify ideals build no quotient of the
+    regular module and no germ space: thm_12_14_i reads the inducing ideals
+    off each ideal, and thm_12_14_ii reads its unit off the decomposition
+    of each maximal ideal, with no simple module built."""
     quotients, germs = [], []
     quotient, germ = ideals.quotient_module, ideals.germ_space
 
@@ -564,25 +564,18 @@ def test_ideal_reports_build_no_quotient_by_an_ideal(monkeypatch):
         monkeypatch.setattr(module, "germ_space", germ_recorded)
     monkeypatch.setattr(ideals, "quotient_module", quotient_recorded)
     monkeypatch.setattr(modrep, "quotient_module", quotient_recorded)
+    enumerated = 0
     for name in FIVE_FIXTURES:
         path = str(FIXTURES / f"{name}.gkd")
-        problem = parse(path)
-        maximal = []
-        if problem.field.p is not None:  # the fixtures the ideals are enumerated on
-            assert validate_cocycle(problem.cocycle) is None
-            lattice = ideals.left_ideals(Inclusion(problem.groupoid, problem.cocycle))
-            maximal = [M.basis for M in lattice if M.dim < lattice[-1].dim
-                       and not any(M.dim < W.dim < lattice[-1].dim and W.contains_subspace(M)
-                                   for W in lattice)]
         for command, args in [("effros-hahn", []), ("ideals", []), ("verify", ["ideals"])]:
             quotients.clear()
             germs.clear()
             out, code = run(command, path, args)
             assert code == 0, (name, command)
-            enumerated = "enumeration: skipped" not in out
-            expected = maximal if enumerated and command != "ideals" else []
-            assert [W.basis for W, _ in quotients] == expected, (name, command)
+            enumerated += "enumeration: skipped" not in out
+            assert quotients == [], (name, command)
             assert germs == [], (name, command)
+    assert enumerated > 0
 
 
 def test_a_wrong_inducing_ideal_fails_theorem_12_14(monkeypatch):
@@ -603,13 +596,18 @@ def test_a_wrong_inducing_ideal_fails_theorem_12_14(monkeypatch):
         assert out.endswith("internal_consistency: FAIL the induced ideals do not intersect to I\n")
 
 
-def test_thm_12_14_refuses_a_primitive_ideal_outside_the_proper_ideals(monkeypatch):
-    """A primitive ideal the ideal enumeration did not list is a TheoremViolation."""
-    monkeypatch.setattr(cli, "enumerate_ideals", lambda inclusion, lattice: [])
+def test_thm_12_14_ii_fails_a_primitive_ideal_with_no_single_unit(monkeypatch):
+    """A check that finds no single inducing unit fails thm_12_14_ii on the
+    3 primitive ideals of gb3_gf2, and the report exits 1; thm_12_14_i,
+    which does not read the unit, still passes."""
+    original = cli.effros_hahn_check
+    monkeypatch.setattr(cli, "effros_hahn_check",
+                        lambda inclusion, ideal: dataclasses.replace(original(inclusion, ideal),
+                                                                     single_unit=None))
     out, code = run("effros-hahn", str(FIXTURES / "gb3_gf2.gkd"))
     assert code == 1
-    assert out.endswith("internal_consistency: FAIL "
-                        "a primitive ideal is missing from the proper ideals\n")
+    assert "thm_12_14_i: PASS ideals=11\n" in out
+    assert "thm_12_14_ii: FAIL primitive=3\n" in out
 
 
 def test_ideals_command_gf3():

@@ -16,7 +16,6 @@ from groupoidalg.groupoid import (
     pair_groupoid,
 )
 from groupoidalg.ideals import (
-    Ideal,
     effros_hahn_check,
     enumerate_ideals,
     ideal_decomposition,
@@ -62,6 +61,7 @@ from conftest import (
     make_z2,
     prime_twisted_battery,
     quaternion_fixture,
+    simple_quotient_primitive_ideals,
     twisted_battery,
 )
 
@@ -95,8 +95,6 @@ def test_ideal_checks_refuse_a_non_ideal():
     inc = Inclusion(g, Cocycle.trivial(g, GF3))
     t = next(a for a in g.arrows() if not g.is_unit(a))
     line = Subspace.deltas([t], inc.m, GF3)
-    with pytest.raises(ValueError, match="^subspace is not closed under two-sided multiplication$"):
-        Ideal(inc.B, line)
     with pytest.raises(ValueError, match="^I is not a two-sided ideal of the isotropy algebra$"):
         induced_ideal(inc, 0, line)
     with pytest.raises(ValueError, match="^not a two-sided ideal$"):
@@ -198,7 +196,7 @@ def test_effros_hahn_single_unit_matches_the_germ_route():
     for name, g, c in prime_twisted_battery():
         inc = Inclusion(g, c)
         for I, witness in primitive_ideals(inc, left_ideals(inc)):
-            unit = effros_hahn_check(inc, I, witness).primitive_single_unit
+            unit = effros_hahn_check(inc, I).single_unit
             assert unit is not None and unit == germ_inducing_unit(inc, witness), (name, I)
             checked += 1
     assert checked > len(prime_twisted_battery())
@@ -521,8 +519,8 @@ def test_effros_hahn_augmentation_type_ideal():
     for ideal, witness in prims:
         g0 = germ_space(inc, witness, 0)
         if g0.quotient.dim > 0:
-            rep = effros_hahn_check(inc, ideal, witness)
-            assert rep.primitive_single_unit == 0
+            rep = effros_hahn_check(inc, ideal)
+            assert rep.single_unit == 0
             found = True
     assert found
 
@@ -573,14 +571,14 @@ def test_question_12_15_quaternion_gf3():
     assert rep.germ_dim == 2
 
 
-def test_ideal_class_validates_closure():
+def test_two_sided_ideal_check_validates_closure():
+    """The augmentation ideal of Q[Z2] is two-sided; the line of delta_e is not."""
     g = make_z2()
     inc = Inclusion(g, Cocycle.trivial(g, QQ))
     aug = Subspace.span([(QQ.one(), QQ.of(-1))], 2, QQ)
-    Ideal(inc.B, aug)
+    assert is_two_sided_ideal(inc.B, aug)
     not_ideal = Subspace.span([(QQ.one(), QQ.zero())], 2, QQ)
-    with pytest.raises(ValueError):
-        Ideal(inc.B, not_ideal)
+    assert not is_two_sided_ideal(inc.B, not_ideal)
 
 
 def test_two_sided_criterion_random_triples():
@@ -708,6 +706,25 @@ def test_left_ideals_match_the_regular_module_lattice():
     for name, g, c in orbit_battery():
         inc = Inclusion(g, c)
         assert left_ideals(inc) == all_submodules(regular_module(inc.B)), name
+
+
+def test_primitive_ideals_are_the_maximal_ideals():
+    """The maximal two-sided ideals are the annihilators of the simple
+    quotients of B (the conftest oracle), in the same order, and each
+    witness B/M is a certified simple module with annihilator P."""
+    checked = 0
+    for name, g, c in orbit_battery():
+        inc = Inclusion(g, c)
+        lattice = left_ideals(inc)
+        prims = primitive_ideals(inc, lattice)
+        oracle = simple_quotient_primitive_ideals(inc, lattice)
+        assert [P.basis for P, _ in prims] == [P.basis for P, _ in oracle], name
+        for P, witness in prims:
+            assert annihilator(witness) == P, (name, P)
+            verdict = is_irreducible(witness)
+            assert verdict.status == "irreducible" and verdict.certified, (name, P)
+            checked += 1
+    assert checked > len(orbit_battery())
 
 
 def test_left_ideals_refusals():

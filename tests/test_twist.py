@@ -223,6 +223,17 @@ def test_out_of_range_pair_rejected(pair2, pair):
         Cocycle(pair2, QQ, {pair: 1})
 
 
+@pytest.mark.parametrize("pair", [(-3, -2), (7, 0)], ids=["negative-alias", "past-the-end"])
+def test_out_of_range_lookup_refused(pair2, pair):
+    """Read at a pair outside pair2's arrows 0..3, the cocycle refuses it:
+    (-3, -2) is not read as the alias (1, 2) (whose value -1 it would miss),
+    and (7, 0) is not left to an IndexError."""
+    c = Cocycle(pair2, QQ, {(1, 2): -1})
+    assert c(1, 2) == -1
+    with pytest.raises(CocycleDomainError, match=rf"^pair \({pair[0]}, {pair[1]}\) is out of range: arrows are 0\.\.3$"):
+        c(*pair)
+
+
 def test_non_composable_pair_rejected(pair2):
     bad = next(
         (a, b)
